@@ -94,7 +94,6 @@ class LogGraph:
             return r + c * np.log((r - a) / (b - r)) - y
 
         width = b - a
-        lo = np.full(y.shape, a + 1e-300 if a == 0 else a * (1 + np.sign(a) * 1e-16))
         # start the bracket a hair inside the interval; F -> -inf / +inf there
         lo = a + width * 1e-17 + np.zeros_like(y)
         hi = b - width * 1e-17 + np.zeros_like(y)

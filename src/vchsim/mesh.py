@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.fft import dctn, idctn
 
 
 @dataclass(frozen=True)
@@ -142,23 +143,35 @@ def _face_coefficient(k_lo: np.ndarray, k_hi: np.ndarray,
         return np.where(s > 0.0, 2.0 * k_lo * k_hi / s, 0.0)
 
 
+def face_weights(grid: Grid, kv: np.ndarray,
+                 harmonic: bool = False) -> tuple:
+    """Per-axis face coefficients of ``div(k grad .)`` divided by h^2.
+
+    Entry ``axis`` holds one weight per interior face normal to that axis;
+    boundary faces carry zero flux and have no entry.  A linear solver
+    computes these once per system and applies them with :func:`div_faces`.
+    """
+    h2 = grid.h ** 2
+    return tuple(_face_coefficient(_slab(kv, axis, None, -1),
+                                   _slab(kv, axis, 1, None), harmonic) / h2
+                 for axis in range(grid.dim))
+
+
+def div_faces(weights: tuple, uv: np.ndarray) -> np.ndarray:
+    """Divergence of the face fluxes ``w (u_q - u_p)``: each interior face
+    adds its flux to the node below it and subtracts it from the node above."""
+    out = np.zeros_like(uv)
+    for axis, w in enumerate(weights):
+        flux = w * np.diff(uv, axis=axis)
+        out[_slab_index(uv.ndim, axis, None, -1)] += flux
+        out[_slab_index(uv.ndim, axis, 1, None)] -= flux
+    return out
+
+
 def div_k_grad_arrays(grid: Grid, kv: np.ndarray, uv: np.ndarray,
                       harmonic: bool = False) -> np.ndarray:
-    """Raw-array core of :func:`div_k_grad` (no wrapping, no checks);
-    hot path of the linear solver."""
-    h = grid.h
-    out = np.zeros_like(uv)
-    for axis in range(grid.dim):
-        du = np.diff(uv, axis=axis)
-        kf = _face_coefficient(_slab(kv, axis, None, -1),
-                               _slab(kv, axis, 1, None), harmonic)
-        flux = kf * du / h
-        # divergence: interior nodes see (flux_right - flux_left)/h,
-        # boundary nodes see the single interior face (outer flux is zero)
-        pad = [(1, 1) if a == axis else (0, 0) for a in range(grid.dim)]
-        fpad = np.pad(flux, pad, mode="constant")
-        out += np.diff(fpad, axis=axis) / h
-    return out
+    """Raw-array core of :func:`div_k_grad` (no wrapping, no checks)."""
+    return div_faces(face_weights(grid, kv, harmonic), uv)
 
 
 def div_k_grad(grid: Grid, k: ScalarField, u: ScalarField,
@@ -179,10 +192,14 @@ def div_k_grad(grid: Grid, k: ScalarField, u: ScalarField,
     return ScalarField(grid, out).check_finite()
 
 
-def _slab(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
-    idx = [slice(None)] * a.ndim
+def _slab_index(ndim: int, axis: int, start, stop) -> tuple:
+    idx = [slice(None)] * ndim
     idx[axis] = slice(start, stop)
-    return a[tuple(idx)]
+    return tuple(idx)
+
+
+def _slab(a: np.ndarray, axis: int, start, stop) -> np.ndarray:
+    return a[_slab_index(a.ndim, axis, start, stop)]
 
 
 def integrate(grid: Grid, u: ScalarField) -> float:
@@ -228,6 +245,7 @@ def laplacian_matrix(grid: Grid) -> sps.csr_matrix:
     """Sparse matrix of :func:`laplace_neumann` (row-major node ordering).
 
     Cached per grid; used by the Newton solver of the implicit stage.
+    :func:`shifted_laplacian_solve` inverts shifts of it in O(n log n).
     """
     n, h2 = grid.n, grid.h ** 2
     main = -2.0 * np.ones(n)
@@ -238,6 +256,37 @@ def laplacian_matrix(grid: Grid) -> sps.csr_matrix:
         return lap1d.tocsr()
     eye = sps.identity(n, format="csr")
     return (sps.kron(lap1d, eye) + sps.kron(eye, lap1d)).tocsr()
+
+
+@lru_cache(maxsize=32)
+def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of :func:`laplacian_matrix` in orthonormal DCT-II order.
+
+    The reflected-ghost stencil is diagonalized exactly by the DCT-II
+    (Strang, SIAM Review 41, 1999): mode ``j`` of one axis has eigenvalue
+    ``-4 sin^2(pi j / 2n) / h^2`` and the 2-D eigenvalues are sums over the
+    two axes.  Cached per grid and read-only.
+    """
+    modes = np.arange(grid.n)
+    lam = -4.0 * np.sin(0.5 * np.pi * modes / grid.n) ** 2 / grid.h ** 2
+    if grid.dim == 2:
+        lam = lam[:, None] + lam[None, :]
+    lam.flags.writeable = False
+    return lam
+
+
+def shifted_laplacian_solve(grid: Grid, s: float, k: float,
+                            rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(s I - k L) x = rhs`` exactly, L = :func:`laplacian_matrix`.
+
+    Needs ``s > 0`` and ``k >= 0``.  ``rhs`` may be flat or shaped like the
+    grid; ``x`` comes back in the same layout.  One DCT-II and one inverse
+    on a single worker, so the result is bitwise reproducible.
+    """
+    lam = laplacian_eigenvalues(grid)
+    coef = dctn(rhs.reshape(grid.shape), type=2, norm="ortho", workers=1)
+    x = idctn(coef / (s - k * lam), type=2, norm="ortho", workers=1)
+    return x.reshape(rhs.shape)
 
 
 def write_snapshot(path, field: ScalarField, t: float) -> None:

@@ -26,6 +26,21 @@ mirrors the inductive construction used to build solutions:
 
 Stage order is fixed rho-then-mu; the mu stage consumes rho_new and its
 backward difference as frozen coefficients.
+
+Both stages solve systems of one shape, diag(d) - div(k grad .) on the
+cell-centered Neumann grid, and both use one preconditioned conjugate
+gradient loop whose preconditioner is, where it fits, the exact DCT
+inverse of the mean-coefficient operator (``shifted_laplacian_solve``):
+
+- rho stage (k = 1): DCT-preconditioned CG for each Newton direction
+  while the Jacobian is provably SPD (delta/tau + min d > 0); a SuperLU
+  factorization only for the indefinite Jacobians a concave potential
+  part can produce under a small viscosity;
+- mu stage: DCT-preconditioned CG while the lagged mobility varies by at
+  most ``DCT_CONTRAST_MAX``, Jacobi-preconditioned CG beyond it.
+
+Every solve runs on one thread in a fixed operation order, so identical
+inputs give bitwise-identical steps.
 """
 
 from __future__ import annotations
@@ -40,10 +55,17 @@ from .constitutive import ClampIndicator, Laws, yosida_array
 from .mesh import (
     Grid,
     ScalarField,
-    div_k_grad_arrays,
+    div_faces,
+    face_weights,
     field_of,
     laplacian_matrix,
+    shifted_laplacian_solve,
 )
+
+# The mu stage preconditions with the exact inverse of its mean-coefficient
+# operator when the lagged mobility varies by at most this factor; beyond
+# it (degenerate mobilities) Jacobi wins on wall clock.
+DCT_CONTRAST_MAX = 2.0
 
 
 class ValidationError(ValueError):
@@ -214,6 +236,11 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     post-pass replaces the iterate by its exact resolvent pair, so the
     stored (rho, xi) satisfy the constraint and the complementarity sign
     conditions exactly (rho back in [a, b] bit-exactly).
+
+    Each Newton direction solves J = diag(delta/tau + d) - L.  When
+    delta/tau + min d > 0, J is SPD (-L is PSD) and CG preconditioned by
+    the DCT solve of ``mean(delta/tau + d) I - L`` takes it to a 2-norm
+    residual of ``0.1 newton_tol``; otherwise J is factorized by SuperLU.
     """
     grid = prev.grid
     L = laplacian_matrix(grid)
@@ -234,17 +261,34 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     res = residual(r)
     res_norm = float(np.max(np.abs(res)))
     iters = 0
-    eye = sps.identity(nn, format="csr")
+    # the direction's linear residual adds at most this much (max norm)
+    # to the next Newton residual
+    inner_tol = 0.1 * cfg.newton_tol
+    max_inner = cfg.linear_max_iter or (10 * nn + 100)
     while res_norm > cfg.newton_tol:
         if iters >= cfg.newton_max_iter:
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
         dcoef = (graph.yosida_derivative(lam, r) + pot.f2_second(r)
                  - mu_d * cpl.g_second(r))
-        J = (dt_coef * eye - L + sps.diags(dcoef)).tocsc()
-        try:
-            step = splu(J).solve(res)
-        except RuntimeError as exc:
-            raise StepFailure(f"Jacobian solve failed: {exc}", res_norm) from exc
+        diag = dt_coef + dcoef
+        if float(diag.min()) > 0.0:
+            # J = diag(diag) - L is SPD: CG preconditioned by the exact
+            # inverse of its mean-shift Laplacian part
+            shift = float(diag.mean())
+            step, _, cg_res = _pcg(
+                lambda x: diag * x - L @ x, res,
+                lambda z: shifted_laplacian_solve(grid, shift, 1.0, z),
+                np.zeros(nn), inner_tol, max_inner)
+            if cg_res > inner_tol:
+                raise StepFailure("conjugate gradients did not converge in "
+                                  "the rho stage", res_norm)
+        else:
+            J = (sps.diags(diag) - L).tocsc()
+            try:
+                step = splu(J).solve(res)
+            except RuntimeError as exc:
+                raise StepFailure(f"Jacobian solve failed: {exc}",
+                                  res_norm) from exc
         alpha = 1.0
         for _ in range(40):
             trial = r - alpha * step
@@ -292,27 +336,40 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
 
     Conjugate gradients on the symmetric positive definite M-matrix system;
     the residual is driven low enough that the iterate inherits the exact
-    solution's nonnegativity up to the linear tolerance.
+    solution's nonnegativity up to the linear tolerance.  The face
+    coefficients are formed once per step.  The preconditioner is the DCT
+    solve of ``mean(diag) I - mean(k) L`` when max k <= DCT_CONTRAST_MAX *
+    min k, and the diagonal (Jacobi) otherwise.
     """
     grid = prev.grid
     a, b_plus, b_minus, k_lag = mu_system_coefficients(
         prev.mu, rho_new, dt_rho, cfg, laws)
     diag = a / cfg.tau + b_plus
     rhs = ((a / cfg.tau + b_minus) * prev.mu.values).ravel()
+    weights = face_weights(grid, k_lag, cfg.face_average == "harmonic")
     shape = grid.shape
-
-    harmonic = cfg.face_average == "harmonic"
 
     def apply_system(x):
         xs = x.reshape(shape)
-        return (diag * xs
-                - div_k_grad_arrays(grid, k_lag, xs, harmonic)).ravel()
+        return (diag * xs - div_faces(weights, xs)).ravel()
+
+    k_min, k_max = float(k_lag.min()), float(k_lag.max())
+    if k_max <= DCT_CONTRAST_MAX * k_min:
+        shift, k_mean = float(diag.mean()), float(k_lag.mean())
+
+        def precondition(r):
+            return shifted_laplacian_solve(grid, shift, k_mean, r)
+    else:
+        diag_flat = diag.ravel()
+
+        def precondition(r):
+            return r / diag_flat
 
     # residual target: lambda_min >= min(a)/tau, so this keeps the solution
     # error (2-norm) at or below linear_tol
     tol = cfg.linear_tol * min(1.0, float(a.min()) / cfg.tau)
     max_iter = cfg.linear_max_iter or (10 * grid.num_nodes + 100)
-    x, iters, rnorm = _pcg(apply_system, rhs, diag.ravel(),
+    x, iters, rnorm = _pcg(apply_system, rhs, precondition,
                            prev.mu.values.ravel().copy(), tol, max_iter)
     if rnorm > tol:
         raise StepFailure("conjugate gradients did not converge in the mu stage",
@@ -321,14 +378,15 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
     return mu_new, iters, rnorm
 
 
-def _pcg(apply_A, b, diag_precond, x0, tol, max_iter):
-    """Jacobi-preconditioned conjugate gradients, deterministic, warm start."""
+def _pcg(apply_A, b, precondition, x0, tol, max_iter):
+    """Preconditioned conjugate gradients, deterministic, warm start; stops
+    on the 2-norm of the recursive residual."""
     x = x0
     r = b - apply_A(x)
     rnorm = float(np.linalg.norm(r))
     if rnorm <= tol:
         return x, 0, rnorm
-    z = r / diag_precond
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
@@ -339,7 +397,7 @@ def _pcg(apply_A, b, diag_precond, x0, tol, max_iter):
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol:
             return x, k, rnorm
-        z = r / diag_precond
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

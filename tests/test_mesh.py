@@ -12,6 +12,7 @@ from vchsim.mesh import (
     laplace_neumann,
     laplacian_matrix,
     read_snapshot,
+    shifted_laplacian_solve,
     write_snapshot,
 )
 
@@ -173,6 +174,25 @@ class TestDivKGrad:
         # rows diagonally dominant with margin d0 > 0
         dominance = np.diag(A) - np.sum(np.abs(off), axis=1)
         assert np.all(dominance >= 0.5 - 1e-12)
+
+
+class TestShiftedLaplacianSolve:
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 17), (2, 8), (2, 9)])
+    @pytest.mark.parametrize("s,k", [(1.0, 1.0), (100.0, 0.5), (1e4, 2.0)])
+    def test_inverts_the_stencil(self, dim, n, s, k):
+        g = Grid(dim, n, 1.0)
+        x = np.random.default_rng(n).standard_normal(g.num_nodes)
+        rhs = s * x - k * (laplacian_matrix(g) @ x)
+        y = shifted_laplacian_solve(g, s, k, rhs)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_keeps_the_layout_of_its_input(self):
+        g = Grid(2, 6, 1.0)
+        rhs = np.random.default_rng(0).standard_normal(g.shape)
+        shaped = shifted_laplacian_solve(g, 2.0, 1.0, rhs)
+        flat = shifted_laplacian_solve(g, 2.0, 1.0, rhs.ravel())
+        assert shaped.shape == g.shape and flat.shape == (g.num_nodes,)
+        assert np.array_equal(shaped.ravel(), flat)
 
 
 def _dirichlet_pairing(g, k, u, v):

@@ -12,7 +12,8 @@ from vchsim.constitutive import (
     make_linear_coupling,
     make_log_potential,
 )
-from vchsim.mesh import Grid, field_of
+import vchsim.stepper as stepper
+from vchsim.mesh import Grid, div_k_grad_arrays, field_of
 from vchsim.stepper import (
     SimState,
     SolverConfig,
@@ -23,6 +24,7 @@ from vchsim.stepper import (
     initial_state,
     run,
     run_literal,
+    mu_system_coefficients,
     step_mu,
     step_rho,
 )
@@ -222,6 +224,76 @@ class TestStepMu:
         b_plus, b_minus = max(b, 0.0), max(-b, 0.0)
         expected = mu_prev_val * (a / cfg.tau + b_minus) / (a / cfg.tau + b_plus)
         assert np.max(np.abs(mu_new.values - expected)) <= 1e-12
+
+
+class TestStepMuSolvers:
+    """Both preconditioner branches reach the stage tolerance in the true
+    residual of the operator diagnose uses, and repeat bit for bit."""
+
+    @pytest.mark.parametrize("face_average", ["arithmetic", "harmonic"])
+    @pytest.mark.parametrize("mobility,uses_dct", [("constant", True),
+                                                   ("tanhpow", False)])
+    def test_true_residual_and_determinism(self, monkeypatch, mobility,
+                                           uses_dct, face_average):
+        c = Config(dim=2, n=16, T=0.02, N=4, potential="log",
+                   mobility=mobility, face_average=face_average,
+                   mu0=("bump", 0.5, 0.2, 1.0), rho0=("cosine", 0.5, 0.2))
+        grid, cfg, laws, (mu0, rho0) = build_run(c)
+        prev = initial_state(mu0, rho0, cfg, laws)
+        rho_new, _, _, _ = step_rho(prev, mu0, cfg, laws)
+        dt_rho = field_of(grid, (rho_new.values - prev.rho.values) / cfg.tau)
+
+        dct_calls = []
+        real_solve = stepper.shifted_laplacian_solve
+
+        def counting_solve(*args):
+            dct_calls.append(1)
+            return real_solve(*args)
+
+        monkeypatch.setattr(stepper, "shifted_laplacian_solve", counting_solve)
+        mu_new, iters, _ = step_mu(prev, rho_new, dt_rho, cfg, laws)
+        assert iters > 0
+        assert bool(dct_calls) == uses_dct
+
+        a, b_plus, b_minus, k_lag = mu_system_coefficients(
+            prev.mu, rho_new, dt_rho, cfg, laws)
+        x = mu_new.values
+        true_res = ((a / cfg.tau + b_plus) * x
+                    - div_k_grad_arrays(grid, k_lag, x,
+                                        face_average == "harmonic")
+                    - (a / cfg.tau + b_minus) * prev.mu.values)
+        tol = cfg.linear_tol * min(1.0, float(a.min()) / cfg.tau)
+        assert np.linalg.norm(true_res) <= tol
+
+        again, iters_again, _ = step_mu(prev, rho_new, dt_rho, cfg, laws)
+        assert iters_again == iters
+        assert np.array_equal(again.values, mu_new.values)
+
+
+class TestIndefiniteJacobian:
+    """log potential with a small viscosity: delta/tau + min d < 0 at the
+    first Newton iteration, so only the SuperLU branch can take the step."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_superlu_fallback_completes(self, monkeypatch, dim, n):
+        c = Config(dim=dim, n=n, potential="log", delta=0.1, T=1.0, N=4,
+                   mu0=("bump", 0.5, 0.2, 1.0), rho0=("cosine", 0.5, 0.2))
+        _, cfg, laws, initial = build_run(c)
+        factorizations = []
+        real_splu = stepper.splu
+
+        def counting_splu(J):
+            factorizations.append(J.shape)
+            return real_splu(J)
+
+        monkeypatch.setattr(stepper, "splu", counting_splu)
+        traj = run(cfg, laws, initial)
+        assert len(traj.states) == cfg.n_steps + 1
+        assert factorizations
+        assert min(s.mu.min() for s in traj.states) >= 0.0
+        assert all(0.0 < s.rho.min() and s.rho.max() < 1.0
+                   for s in traj.states)
+        assert all(r.newton_residual <= cfg.newton_tol for r in traj.reports)
 
 
 def equilibrium_setup(n=12):
