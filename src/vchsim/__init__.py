@@ -8,14 +8,11 @@ from .constitutive import (
     ClampIndicator,
     CouplingLaw,
     K_eval,
-    K_inverse,
-    K_star_eval,
     K_tau_eval,
     Laws,
     LogGraph,
     MobilityLaw,
     Potential,
-    SmoothGraph,
     f_total,
     graph_select,
     make_clamp_potential,
@@ -54,10 +51,8 @@ from .stepper import (
     StepReport,
     Trajectory,
     ValidationError,
-    advance,
-    delayed_mu,
     run,
-    run_literal,
+    step,
     step_mu,
     step_rho,
 )

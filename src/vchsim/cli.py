@@ -29,13 +29,14 @@ from .diagnostics import (
     rho_energy_ledger,
     series_rows,
 )
-from .mesh import read_snapshot, write_snapshot  # noqa: F401  (public surface)
+from .mesh import read_snapshot, write_snapshot
 from .stepper import (
     SimState,
     SolverFailure,
     Trajectory,
     ValidationError,
     run,
+    validate_initial_data,
 )
 from .studies import (
     StudySpec,
@@ -280,7 +281,8 @@ def main(argv=None) -> int:
             simulate_to_dir(config, args.out)
         elif args.command == "validate":
             config = _load_config(args.config)
-            build_run(config)  # materializes laws and data checks
+            _grid, cfg, laws, (mu0, rho0) = build_run(config)
+            validate_initial_data(mu0, rho0, cfg, laws)
             print("config ok")
         elif args.command == "study":
             config = _load_config(args.spec)

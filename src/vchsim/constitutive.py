@@ -7,9 +7,8 @@ Three law families live here:
 * the free-energy potential ``f = f1 + f2`` with the smooth derivative
   ``pi = f2'``,
 * the chemical-potential/order-parameter coupling ``g`` and the mobility
-  family ``kappa`` with its antiderivative ``K`` (Kirchhoff transform),
-  floored variant ``K_tau``, inverse, and the globally Lipschitz extension
-  ``K_star`` of the inverse.
+  family ``kappa`` with its antiderivative ``K`` (Kirchhoff transform) and
+  floored variant ``K_tau``.
 
 All law objects are immutable after construction and their evaluations are
 pure, so they can be shared freely between concurrent runs.
@@ -23,14 +22,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-
-
-class ResolventError(RuntimeError):
-    """Root finder for a resolvent failed; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -120,58 +111,7 @@ class LogGraph:
         return bprime / (1.0 + lam * bprime)
 
 
-@dataclass(frozen=True)
-class SmoothGraph:
-    """Monotone single-valued graph given by a callable with Lipschitz slope."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def domain(self) -> tuple:
-        return (-math.inf, math.inf)
-
-    def resolvent_array(self, lam: float, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-
-        def F(r):
-            return r + lam * self.fn(r) - y
-
-        lo = y - 1.0 + np.zeros_like(y)
-        hi = y + 1.0 + np.zeros_like(y)
-        for _ in range(200):
-            grow_lo = F(lo) > 0
-            grow_hi = F(hi) < 0
-            if not (np.any(grow_lo) or np.any(grow_hi)):
-                break
-            span = hi - lo
-            lo = np.where(grow_lo, lo - span, lo)
-            hi = np.where(grow_hi, hi + span, hi)
-        else:
-            raise ResolventError("could not bracket resolvent root", math.inf)
-        r = 0.5 * (lo + hi)
-        tol = 1e-13 * np.maximum(1.0, np.abs(y))
-        f = F(r)
-        for _ in range(200):
-            f = F(r)
-            if np.all(np.abs(f) <= tol):
-                return r
-            lo = np.where(f < 0, np.maximum(lo, r), lo)
-            hi = np.where(f > 0, np.minimum(hi, r), hi)
-            fprime = 1.0 + lam * self.derivative(r)
-            r_new = r - f / fprime
-            bad = (r_new <= lo) | (r_new >= hi) | ~np.isfinite(r_new)
-            r = np.where(bad, 0.5 * (lo + hi), r_new)
-        raise ResolventError("resolvent Newton did not converge",
-                             float(np.max(np.abs(f))))
-
-    def yosida_derivative(self, lam: float, r: np.ndarray) -> np.ndarray:
-        res = self.resolvent_array(lam, np.asarray(r, dtype=float))
-        bprime = np.asarray(self.derivative(res), dtype=float)
-        return bprime / (1.0 + lam * bprime)
-
-
-MonotoneGraph = ClampIndicator | LogGraph | SmoothGraph
+MonotoneGraph = ClampIndicator | LogGraph
 
 
 def resolvent(graph: MonotoneGraph, lam: float, y: float) -> float:
@@ -221,7 +161,6 @@ class Potential:
     f2_value: Callable[[np.ndarray], np.ndarray]
     f2_prime: Callable[[np.ndarray], np.ndarray]
     f2_second: Callable[[np.ndarray], np.ndarray]
-    pi_lipschitz: float
     name: str = "custom"
 
     @property
@@ -242,7 +181,6 @@ def make_clamp_potential(alpha2: float = 2.0, a: float = 0.0, b: float = 1.0) ->
         f2_value=lambda r: alpha2 * np.asarray(r) * (1.0 - np.asarray(r)),
         f2_prime=lambda r: alpha2 * (1.0 - 2.0 * np.asarray(r)),
         f2_second=lambda r: -2.0 * alpha2 * np.ones_like(np.asarray(r, dtype=float)),
-        pi_lipschitz=2.0 * abs(alpha2),
         name="clamp",
     )
 
@@ -271,7 +209,6 @@ def make_log_potential(alpha1: float = 0.5, alpha2: float = 2.0) -> Potential:
         f2_value=lambda r: alpha2 * np.asarray(r) * (1.0 - np.asarray(r)),
         f2_prime=lambda r: alpha2 * (1.0 - 2.0 * np.asarray(r)),
         f2_second=lambda r: -2.0 * alpha2 * np.ones_like(np.asarray(r, dtype=float)),
-        pi_lipschitz=2.0 * abs(alpha2),
         name="log",
     )
 
@@ -296,13 +233,7 @@ class CouplingLaw:
     g_prime: Callable[[np.ndarray], np.ndarray]
     g_second: Callable[[np.ndarray], np.ndarray]
     epsilon: float = 1.0
-    g_lipschitz: float = 0.0
-    gp_lipschitz: float = 0.0
     name: str = "custom"
-
-    def h(self, r):
-        """The original coefficient h = g + epsilon/2."""
-        return self.g(r) + 0.5 * self.epsilon
 
 
 _SMOOTH_W = 0.1  # width of the C2 blend between the flat and linear branches
@@ -347,11 +278,7 @@ def make_linear_coupling(epsilon: float = 1.0) -> CouplingLaw:
         s = np.clip(r / w, 0.0, 1.0)
         return np.where((r <= 0.0) | (r >= w), 0.0, _blend_d2(s) / w)
 
-    # max slope of the blend is 189/125 at s = 3/5; max curvature ~3.9403/w
-    return CouplingLaw(g, gp, gpp, epsilon=epsilon,
-                       g_lipschitz=189.0 / 125.0,
-                       gp_lipschitz=3.9403 / w,
-                       name="linear")
+    return CouplingLaw(g, gp, gpp, epsilon=epsilon, name="linear")
 
 
 def make_constant_coupling(g0: float = 0.0, epsilon: float = 1.0) -> CouplingLaw:
@@ -365,8 +292,7 @@ def make_constant_coupling(g0: float = 0.0, epsilon: float = 1.0) -> CouplingLaw
     def zero(r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
-    return CouplingLaw(const, zero, zero, epsilon=epsilon,
-                       g_lipschitz=0.0, gp_lipschitz=0.0, name="constant")
+    return CouplingLaw(const, zero, zero, epsilon=epsilon, name="constant")
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +321,12 @@ class MobilityLaw:
     name: str
     kind: str
     _primitive: Callable[[float], float] = field(repr=False, default=None)
-    _primitive_inverse: Callable[[float], float] = field(repr=False, default=None)
 
     def __post_init__(self):
         if not (self.kappa_star > 0 and self.kappa_sup > 0):
             raise ValueError("mobility bounds must be positive")
         if self.r_star < 0:
             raise ValueError("degeneracy radius must be nonnegative")
-
-    @property
-    def s_star(self) -> float:
-        return K_eval(self, self.r_star)
 
 
 def make_constant_mobility(kappa0: float = 1.0) -> MobilityLaw:
@@ -419,7 +340,6 @@ def make_constant_mobility(kappa0: float = 1.0) -> MobilityLaw:
         kappa=kappa, kappa_star=kappa0, kappa_sup=kappa0, r_star=0.0,
         name=f"constant({kappa0:g})", kind="constant",
         _primitive=lambda r: kappa0 * r,
-        _primitive_inverse=lambda s: s / kappa0,
     )
 
 
@@ -443,42 +363,6 @@ def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
     return MobilityLaw(
         kappa=kappa, kappa_star=math.tanh(1.0), kappa_sup=1.0, r_star=1.0,
         name=f"tanhpow({m:g})", kind="tanhpow",
-        _primitive=primitive,
-    )
-
-
-def make_tabulated_mobility(r_points, kappa_points,
-                            kappa_star: float, r_star: float) -> MobilityLaw:
-    """Piecewise-linear mobility from samples; constant beyond the last knot."""
-    r_pts = np.asarray(r_points, dtype=float)
-    k_pts = np.asarray(kappa_points, dtype=float)
-    if r_pts.ndim != 1 or r_pts.shape != k_pts.shape or r_pts.size < 2:
-        raise ValueError("need matching 1-D sample arrays with >= 2 knots")
-    if not np.all(np.diff(r_pts) > 0) or r_pts[0] != 0.0:
-        raise ValueError("knots must start at 0 and increase strictly")
-    if np.any(k_pts < 0):
-        raise ValueError("mobility samples must be nonnegative")
-
-    def kappa(r):
-        r = np.asarray(r, dtype=float)
-        return np.interp(r, r_pts, k_pts)
-
-    # exact piecewise-quadratic antiderivative at the knots
-    seg = 0.5 * (k_pts[1:] + k_pts[:-1]) * np.diff(r_pts)
-    K_knots = np.concatenate([[0.0], np.cumsum(seg)])
-
-    def primitive(r):
-        r = float(r)
-        if r >= r_pts[-1]:
-            return float(K_knots[-1] + k_pts[-1] * (r - r_pts[-1]))
-        i = int(np.searchsorted(r_pts, r, side="right")) - 1
-        dr = r - r_pts[i]
-        slope = (k_pts[i + 1] - k_pts[i]) / (r_pts[i + 1] - r_pts[i])
-        return float(K_knots[i] + k_pts[i] * dr + 0.5 * slope * dr * dr)
-
-    return MobilityLaw(
-        kappa=kappa, kappa_star=kappa_star, kappa_sup=float(k_pts.max()),
-        r_star=r_star, name="table", kind="table",
         _primitive=primitive,
     )
 
@@ -516,58 +400,6 @@ def K_tau_array(mob: MobilityLaw, tau: float, r: np.ndarray) -> np.ndarray:
     flat = r.ravel()
     out = np.array([K_tau_eval(mob, tau, v) for v in flat])
     return out.reshape(r.shape)
-
-
-def K_inverse(mob: MobilityLaw, s: float) -> float:
-    """Unique r >= 0 with K(r) = s, to |K(r) - s| <= 1e-12."""
-    s = float(s)
-    if s < 0:
-        raise ValueError("K maps [0, inf) onto [0, inf)")
-    if s == 0.0:
-        return 0.0
-    if mob._primitive_inverse is not None:
-        return float(mob._primitive_inverse(s))
-    # bracket: K(r) >= kappa_star * (r - r_star), so the root is below this line
-    hi = mob.r_star + s / mob.kappa_star + 1.0
-    while K_eval(mob, hi) < s:
-        hi *= 2.0
-    lo = 0.0
-    r = min(hi, max(s / mob.kappa_sup, 0.5 * hi))
-    tol = 1e-12 * max(1.0, s)
-    for _ in range(200):
-        f = K_eval(mob, r) - s
-        if abs(f) <= tol:
-            return r
-        if f < 0:
-            lo = max(lo, r)
-        else:
-            hi = min(hi, r)
-        slope = float(mob.kappa(np.asarray(r)))
-        r_new = r - f / slope if slope > 0 else 0.5 * (lo + hi)
-        if not (lo < r_new < hi) or not math.isfinite(r_new):
-            r_new = 0.5 * (lo + hi)
-        r = r_new
-        if hi - lo <= 4e-16 * max(1.0, hi):
-            return 0.5 * (lo + hi)
-    raise ResolventError("K inversion did not converge", abs(K_eval(mob, r) - s))
-
-
-def K_star_eval(mob: MobilityLaw, s: float) -> float:
-    """Globally Lipschitz, strictly increasing extension of the inverse.
-
-    Coincides with K^-1 on [s_star, inf); below s_star (positive degeneracy
-    radius) it is replaced by the chord through the origin, which keeps the
-    map Lipschitz where the true inverse would steepen without bound.
-    """
-    s = float(s)
-    if s < 0:
-        raise ValueError("defined on [0, inf)")
-    if mob.r_star == 0.0:
-        return K_inverse(mob, s)
-    s_star = mob.s_star
-    if s >= s_star:
-        return K_inverse(mob, s)
-    return mob.r_star * s / s_star
 
 
 # ---------------------------------------------------------------------------

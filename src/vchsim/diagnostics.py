@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sps
 
 from .constitutive import (
     ClampIndicator,
@@ -33,12 +34,13 @@ from .constitutive import (
 from .mesh import (
     ScalarField,
     dirichlet_energy,
+    div_faces,
     div_k_grad_arrays,
-    field_of,
+    face_weights,
     h1_seminorm_sq,
     laplacian_matrix,
 )
-from .stepper import Trajectory, delayed_mu, mu_system_coefficients
+from .stepper import Trajectory, mu_system_coefficients
 
 
 def _cumsum(values: np.ndarray) -> np.ndarray:
@@ -74,7 +76,6 @@ class EnergyLedger:
     resid: np.ndarray
     diss_cum: np.ndarray
     extra_cum: np.ndarray
-    cross_cum: np.ndarray
 
 
 def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
@@ -112,8 +113,7 @@ def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
         resid[n] = E[n] - E[n - 1] + diss[n] - cross[n]
     return EnergyLedger(
         t=traj.times(), E_mu=E, diss=diss, extra=extra, cross=cross,
-        resid=resid, diss_cum=_cumsum(diss), extra_cum=_cumsum(extra),
-        cross_cum=_cumsum(cross))
+        resid=resid, diss_cum=_cumsum(diss), extra_cum=_cumsum(extra))
 
 
 @dataclass
@@ -123,10 +123,11 @@ class RhoLedger:
     ``F_rho[n] = (1/2)|grad rho|^2 + int f(rho)`` (infinite if rho escaped
     the potential domain), ``visc`` the viscous dissipation
     delta * tau * int |dt_rho|^2 of the step, ``work`` the coupling work
-    tau * int g'(rho) mu_delayed dt_rho, and ``violation`` the running
-    defect of the one-sided energy inequality (nonpositive when the
-    dissipation inequality holds, small positive values bounded by the
-    first-order formulation gap otherwise).
+    tau * int g'(rho) mu_delayed dt_rho with mu_delayed the previous
+    step's mu, and ``violation`` the running defect of the one-sided
+    energy inequality (nonpositive when the dissipation inequality holds,
+    small positive values bounded by the first-order formulation gap
+    otherwise).
     """
 
     t: np.ndarray
@@ -143,7 +144,6 @@ def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
     cfg = traj.cfg
     grid = traj.grid
     vol = grid.cell_volume
-    mu0 = traj.states[0].mu
     n_rows = len(traj.states)
     F = np.zeros(n_rows)
     visc = np.zeros(n_rows)
@@ -160,12 +160,11 @@ def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
 
     F[0], f1_int[0] = free_energy(traj.states[0])
     for n in range(1, n_rows):
-        cur = traj.states[n]
+        prev, cur = traj.states[n - 1], traj.states[n]
         F[n], f1_int[n] = free_energy(cur)
         visc[n] = cfg.delta * cfg.tau * vol * float(np.sum(cur.dt_rho.values ** 2))
-        mu_del = delayed_mu(traj, cur.t, cfg.tau, mu0)
         work[n] = cfg.tau * vol * float(np.sum(
-            laws.coupling.g_prime(cur.rho.values) * mu_del.values
+            laws.coupling.g_prime(cur.rho.values) * prev.mu.values
             * cur.dt_rho.values))
     visc_cum = _cumsum(visc)
     work_cum = _cumsum(work)
@@ -175,12 +174,10 @@ def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
                      violation=violation, f1_integral=f1_int)
 
 
-def boundedness_report(traj: Trajectory, mu0: ScalarField = None) -> tuple:
+def boundedness_report(traj: Trajectory) -> tuple:
     """(sup over all steps and nodes of mu, sup of the initial datum)."""
-    if mu0 is None:
-        mu0 = traj.states[0].mu
     sup_q = max(s.mu.max() for s in traj.states)
-    return sup_q, mu0.max()
+    return sup_q, traj.states[0].mu.max()
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +191,8 @@ class ResidualRows:
     ``mu_native`` / ``rho_native`` are the forms the solvers drove to zero
     and must sit at the solver tolerances; ``mu_kirchhoff`` tests the
     conservative form (difference of the weighted potential, Kirchhoff flux
-    of the current step, unsplit reaction) against localized bump fields and
+    of the current step, unsplit reaction) against localized bump fields,
+    i.e. takes bump-weighted means of its strong residual, and
     ``rho_strong`` evaluates the inclusion at the committed pair -- both
     measure the first-order formulation gap.
     """
@@ -206,21 +204,17 @@ class ResidualRows:
     rho_strong: np.ndarray
 
 
-def _bump_fields(grid) -> np.ndarray:
-    """Discrete hat-like test bumps at every 4th node, unit mass each."""
-    nn = grid.num_nodes
-    lap = laplacian_matrix(grid)  # reuse the stencil's sparsity to find neighbors
-    bumps = []
-    for j in range(0, nn, 4):
-        v = np.zeros(nn)
-        v[j] = 1.0
-        row = lap[j].tocoo()
-        for col in row.col:
-            if col != j:
-                v[col] = 0.5
-        v /= v.sum() * grid.cell_volume
-        bumps.append(v)
-    return np.array(bumps)
+def _bump_matrix(grid) -> sps.csr_matrix:
+    """Discrete hat-like test bumps at every 4th node, one per row: weight 1
+    at the node and 1/2 at each stencil neighbour, scaled to unit mass."""
+    # the Laplacian's sparsity pattern is the node plus its stencil neighbours
+    pattern = laplacian_matrix(grid)[::4].tocoo()
+    centers = np.arange(0, grid.num_nodes, 4)
+    weights = np.where(pattern.col == centers[pattern.row], 1.0, 0.5)
+    bumps = sps.csr_matrix((weights, (pattern.row, pattern.col)),
+                           shape=pattern.shape)
+    mass = np.asarray(bumps.sum(axis=1)).ravel() * grid.cell_volume
+    return sps.diags(1.0 / mass) @ bumps
 
 
 def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
@@ -228,18 +222,17 @@ def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
     grid = traj.grid
     vol = grid.cell_volume
     L = laplacian_matrix(grid)
-    mu0 = traj.states[0].mu
     graph = laws.graph
     lam = cfg.yosida_lambda
     eps = cfg.epsilon
-    bumps = _bump_fields(grid)
+    bumps = _bump_matrix(grid)
+    unit_faces = face_weights(grid, np.ones(grid.shape))
     n_rows = len(traj.states)
     out = {k: np.zeros(n_rows) for k in
            ("mu_native", "mu_kirchhoff", "rho_native", "rho_strong")}
 
     for n in range(1, n_rows):
         prev, cur = traj.states[n - 1], traj.states[n]
-        mu_del = delayed_mu(traj, cur.t, cfg.tau, mu0)
         mu_p, mu_c = prev.mu.values, cur.mu.values
         rho_c = cur.rho.values
 
@@ -251,20 +244,17 @@ def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
                                       cfg.face_average == "harmonic"))
         out["mu_native"][n] = float(np.max(np.abs(res_mu)))
 
-        # conservative Kirchhoff form tested against bump fields
+        # conservative Kirchhoff form tested against bump fields; the form
+        # is bilinear, so each test is a bump-weighted mean of the strong
+        # residual (summation by parts moves the face flux onto the
+        # divergence of grad K_tau, differenced before it is scaled)
         a_prev = eps + 2.0 * laws.coupling.g(prev.rho.values)
         dt_weighted = (a * mu_c - a_prev * mu_p) / cfg.tau
         coupling_term = mu_c * laws.coupling.g_prime(rho_c) * cur.dt_rho.values
         ktau_c = K_tau_array(laws.mobility, cfg.mobility_floor_tau, mu_c)
-        bulk = (dt_weighted - coupling_term).ravel()
-        weak = []
-        kfield = ScalarField(grid, ktau_c)
-        ones = field_of(grid, 1.0)
-        for v in bumps:
-            vf = ScalarField(grid, v.reshape(grid.shape))
-            weak.append(vol * float(bulk @ v)
-                        + _dirichlet_form(grid, ones, kfield, vf))
-        out["mu_kirchhoff"][n] = float(np.max(np.abs(weak))) if weak else 0.0
+        strong = dt_weighted - coupling_term - div_faces(unit_faces, ktau_c)
+        out["mu_kirchhoff"][n] = float(np.max(np.abs(
+            vol * (bumps @ strong.ravel()))))
 
         # native order-parameter stage: for the clamp graph the committed
         # pair is the resolvent projection of the Newton iterate, so the
@@ -276,7 +266,7 @@ def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
         res_rho = (cfg.delta * (rr - prev.rho.values.ravel()) / cfg.tau
                    - L @ rr + cur.xi.values.ravel()
                    + laws.potential.f2_prime(rr)
-                   - mu_del.values.ravel() * laws.coupling.g_prime(rr))
+                   - mu_p.ravel() * laws.coupling.g_prime(rr))
         out["rho_native"][n] = float(np.max(np.abs(res_rho)))
 
         # strong inclusion at the committed pair; for the log graph the
@@ -291,29 +281,13 @@ def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
         res_strong = (cfg.delta * (rc - prev.rho.values.ravel()) / cfg.tau
                       - L @ rc + xi_strong
                       + laws.potential.f2_prime(rc)
-                      - mu_del.values.ravel() * laws.coupling.g_prime(rc))
+                      - mu_p.ravel() * laws.coupling.g_prime(rc))
         out["rho_strong"][n] = float(np.max(np.abs(res_strong)))
 
     return ResidualRows(t=traj.times(), mu_native=out["mu_native"],
                         mu_kirchhoff=out["mu_kirchhoff"],
                         rho_native=out["rho_native"],
                         rho_strong=out["rho_strong"])
-
-
-def _dirichlet_form(grid, k: ScalarField, u: ScalarField, v: ScalarField) -> float:
-    """Bilinear face form sum_faces k_face (du/h)(dv/h) h^dim."""
-    h = grid.h
-    total = 0.0
-    for axis in range(grid.dim):
-        du = np.diff(u.values, axis=axis)
-        dv = np.diff(v.values, axis=axis)
-        kslices = [slice(None)] * grid.dim
-        kslices[axis] = slice(1, None)
-        k_hi = k.values[tuple(kslices)]
-        kslices[axis] = slice(None, -1)
-        k_lo = k.values[tuple(kslices)]
-        total += float(np.sum(0.5 * (k_hi + k_lo) * du * dv)) / h ** 2
-    return grid.cell_volume * total
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ mirrors the inductive construction used to build solutions:
            = mu_delayed g'(rho)
 
    with the monotone graph replaced by its Yosida regularization and the
-   chemical potential fed in from one step earlier (the delay is what
-   decouples the system);
+   chemical potential fed in from one step earlier, i.e. the previous
+   state's mu (the delay is what decouples the system);
 
 2. the potential stage solves the linearized uniformly parabolic equation
 
@@ -209,25 +209,6 @@ class Trajectory:
 # stages
 
 
-def delayed_mu(history: Trajectory, t: float, tau: float,
-               mu0: ScalarField) -> ScalarField:
-    """The translated potential field: mu(t - tau) for t > tau, mu0 otherwise.
-
-    The tie t == tau resolves to mu0 (one step of lag either way is
-    first-order noise, but determinism demands a rule).
-    """
-    if t <= tau:
-        return mu0
-    target = t - tau
-    tol = 1e-12 * max(1.0, abs(t))
-    for state in reversed(history.states):
-        if abs(state.t - target) <= tol:
-            return state.mu
-        if state.t < target - tol:
-            break
-    raise KeyError(f"no stored snapshot at t = {target!r} for the delay lookup")
-
-
 def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
              laws: Laws):
     """Implicit order-parameter stage.
@@ -404,27 +385,25 @@ def _pcg(apply_A, b, precondition, x0, tol, max_iter):
     return x, max_iter, rnorm
 
 
-def advance(state: SimState, cfg: SolverConfig, laws: Laws,
-            history: Trajectory):
-    """One full step: delay lookup, rho stage, mu stage; appends to history."""
-    if history.states[-1] is not state:
-        raise ValueError("advance expects the trajectory to end at the given state")
-    t_next = state.t + cfg.tau
-    mu_del = delayed_mu(history, t_next, cfg.tau, history.states[0].mu)
-    rho_new, xi_new, n_iters, n_res = step_rho(state, mu_del, cfg, laws)
+def step(state: SimState, cfg: SolverConfig, laws: Laws):
+    """One full step from ``state``: rho stage, then mu stage.
+
+    The rho stage is fed the potential from one step earlier, which is
+    ``state.mu`` (at the first step, the initial datum).  Returns the new
+    state and its solver report.
+    """
+    rho_new, xi_new, n_iters, n_res = step_rho(state, state.mu, cfg, laws)
     dt_rho = ScalarField(state.grid,
                          (rho_new.values - state.rho.values) / cfg.tau)
     mu_new, cg_iters, cg_res = step_mu(state, rho_new, dt_rho, cfg, laws)
-    new_state = SimState(t=t_next, mu=mu_new, rho=rho_new, xi=xi_new,
-                         dt_rho=dt_rho)
+    new_state = SimState(t=state.t + cfg.tau, mu=mu_new, rho=rho_new,
+                         xi=xi_new, dt_rho=dt_rho)
     report = StepReport(
         newton_iters=n_iters, newton_residual=n_res,
         linear_iters=cg_iters, linear_residual=cg_res,
         min_mu=mu_new.min(), max_mu=mu_new.max(),
         rho_range=(rho_new.min(), rho_new.max()),
     )
-    history.states.append(new_state)
-    history.reports.append(report)
     return new_state, report
 
 
@@ -472,41 +451,10 @@ def run(cfg: SolverConfig, laws: Laws, initial) -> Trajectory:
     traj = Trajectory([initial_state(mu0, rho0, cfg, laws)], cfg=cfg)
     for _ in range(cfg.n_steps):
         try:
-            advance(traj.states[-1], cfg, laws, traj)
+            state, report = step(traj.states[-1], cfg, laws)
         except StepFailure as exc:
             raise SolverFailure(f"run aborted at t = {traj.states[-1].t:g}: {exc}",
                                 traj) from exc
+        traj.states.append(state)
+        traj.reports.append(report)
     return traj
-
-
-def run_literal(cfg: SolverConfig, laws: Laws, initial) -> Trajectory:
-    """Growing-interval driver: at outer round n, re-solve the first n steps
-    from scratch, reading every delayed potential from the previous round's
-    trajectory.
-
-    The delay never looks back more than one step, so this reproduces the
-    rolling driver bit for bit; it exists as the oracle for that equivalence.
-    """
-    mu0, rho0 = initial
-    validate_initial_data(mu0, rho0, cfg, laws)
-    state0 = initial_state(mu0, rho0, cfg, laws)
-    prev_round = Trajectory([state0], cfg=cfg)
-    for n in range(1, cfg.n_steps + 1):
-        current = Trajectory([state0], cfg=cfg)
-        for k in range(1, n + 1):
-            state = current.states[-1]
-            t_next = state.t + cfg.tau
-            mu_del = delayed_mu(prev_round, t_next, cfg.tau, mu0)
-            rho_new, xi_new, n_iters, n_res = step_rho(state, mu_del, cfg, laws)
-            dt_rho = ScalarField(state.grid,
-                                 (rho_new.values - state.rho.values) / cfg.tau)
-            mu_new, cg_iters, cg_res = step_mu(state, rho_new, dt_rho, cfg, laws)
-            current.states.append(SimState(t=t_next, mu=mu_new, rho=rho_new,
-                                           xi=xi_new, dt_rho=dt_rho))
-            current.reports.append(StepReport(
-                newton_iters=n_iters, newton_residual=n_res,
-                linear_iters=cg_iters, linear_residual=cg_res,
-                min_mu=mu_new.min(), max_mu=mu_new.max(),
-                rho_range=(rho_new.min(), rho_new.max())))
-        prev_round = current
-    return prev_round

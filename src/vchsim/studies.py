@@ -37,7 +37,7 @@ class StudySpec:
     """A sweep over one variable of a base configuration."""
 
     base: Config
-    sweep: str                 # "tau" | "perturbation" | "mobility_exponent"
+    sweep: str                 # "tau", the one sweep tau_refinement runs
     values: tuple
     reference: int = 512       # finest-step member used as reference (tau sweeps)
 

@@ -174,6 +174,18 @@ class TestCliExitCodes:
         assert main(["validate", "--config", path]) == 2
         assert "hpzero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,message", [
+        ("rho0 = constant 1.5\n", "hpzero"),
+        ("T = 1\nN = 2\nkappa0 = 0.1\n", "kappa_sup"),
+    ])
+    def test_validate_runs_the_simulate_data_checks(self, tmp_path, capsys,
+                                                    extra, message):
+        path = self._write(tmp_path, "n = 16\n" + extra)
+        assert main(["validate", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["simulate", "--config", path, "--out",
+                     str(tmp_path / "out")]) == 2
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.txt")]) == 2
 

@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 from vchsim.constitutive import (
     ClampIndicator,
     K_eval,
-    K_inverse,
-    K_star_eval,
     K_tau_array,
     K_tau_eval,
     LogGraph,
-    SmoothGraph,
     f_total,
     graph_select,
     make_clamp_potential,
@@ -20,7 +17,6 @@ from vchsim.constitutive import (
     make_constant_mobility,
     make_linear_coupling,
     make_log_potential,
-    make_tabulated_mobility,
     make_tanh_power_mobility,
     resolvent,
     yosida,
@@ -30,11 +26,6 @@ from vchsim.constitutive import (
 LOG_RESOLVENT_Y2 = 0.7732493551656519   # root of r + ln(r/(1-r)) = 2 on (0,1)
 LN_COSH_1 = 0.4337808304830271          # integral of tanh over [0,1]
 LN_9 = 2.1972245773362196
-
-
-def smooth_graph():
-    return SmoothGraph(fn=lambda r: 2.0 * r + np.tanh(r),
-                       derivative=lambda r: 2.0 + 1.0 / np.cosh(r) ** 2)
 
 
 class TestResolvent:
@@ -56,12 +47,6 @@ class TestResolvent:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             resolvent(ClampIndicator(), 0.0, 1.0)
-
-    def test_smooth_graph_root(self):
-        g = smooth_graph()
-        lam, y = 0.7, 3.0
-        r = resolvent(g, lam, y)
-        assert abs(r + lam * (2 * r + math.tanh(r)) - y) <= 1e-12
 
 
 class TestGraphSelect:
@@ -150,10 +135,6 @@ class TestCouplingLaw:
         assert np.all(cpl.g(r) == 0.7)
         assert np.all(cpl.g_prime(r) == 0.0)
 
-    def test_h_recovers_original_coefficient(self):
-        cpl = make_linear_coupling(epsilon=0.5)
-        assert float(cpl.h(np.asarray(0.5))) == pytest.approx(0.75, abs=1e-15)
-
 
 class TestMobilityTransforms:
     def test_constant_closed_forms(self):
@@ -176,37 +157,6 @@ class TestMobilityTransforms:
                          epsabs=1e-13, epsrel=1e-13)
         assert K_eval(mob, 2.0) == pytest.approx(oracle, abs=1e-11)
 
-    def test_inverse_constant(self):
-        assert K_inverse(make_constant_mobility(2.0), 3.0) == 1.5
-
-    @pytest.mark.parametrize("mob", [make_constant_mobility(0.7),
-                                     make_tanh_power_mobility(2.0),
-                                     make_tanh_power_mobility(1.8)])
-    def test_inverse_identity(self, mob):
-        for r in (0.1, 1.0, 5.0):
-            assert K_inverse(mob, K_eval(mob, r)) == pytest.approx(r, abs=1e-10)
-
-    def test_tanh_inverse_at_frozen_value(self):
-        mob = make_tanh_power_mobility(2.0)
-        assert K_inverse(mob, LN_COSH_1) == pytest.approx(1.0, abs=1e-10)
-
-    def test_k_star_identity_when_uniformly_parabolic(self):
-        mob = make_constant_mobility(1.0)
-        assert mob.r_star == 0.0
-        assert K_star_eval(mob, K_eval(mob, 0.7)) == pytest.approx(0.7, abs=1e-12)
-
-    def test_k_star_gluing_and_linear_extension(self):
-        mob = make_tanh_power_mobility(2.0)
-        s_star = mob.s_star
-        assert K_star_eval(mob, s_star) == pytest.approx(mob.r_star, abs=1e-10)
-        assert K_star_eval(mob, 0.5 * s_star) == pytest.approx(0.5 * mob.r_star,
-                                                               abs=1e-12)
-
-    def test_k_star_agrees_with_inverse_above_s_star(self):
-        mob = make_tanh_power_mobility(2.0)
-        for s in np.linspace(mob.s_star, mob.s_star + 5.0, 100):
-            assert K_star_eval(mob, s) == pytest.approx(K_inverse(mob, s), abs=1e-10)
-
     def test_k_tau_array_matches_scalar(self):
         for mob in (make_constant_mobility(1.3), make_tanh_power_mobility(2.0),
                     make_tanh_power_mobility(2.3)):
@@ -214,15 +164,6 @@ class TestMobilityTransforms:
             vec = K_tau_array(mob, 0.05, r)
             scal = np.array([K_tau_eval(mob, 0.05, v) for v in r])
             assert np.max(np.abs(vec - scal)) <= 1e-12
-
-    def test_tabulated_mobility(self):
-        mob = make_tabulated_mobility([0.0, 1.0, 2.0], [0.5, 1.5, 1.0],
-                                      kappa_star=0.5, r_star=0.0)
-        # piecewise-quadratic antiderivative: K(1) = (0.5+1.5)/2 = 1.0
-        assert K_eval(mob, 1.0) == pytest.approx(1.0, abs=1e-14)
-        assert K_eval(mob, 3.0) == pytest.approx(1.0 + 1.25 + 1.0, abs=1e-14)
-        for r in (0.3, 1.4, 2.7):
-            assert K_inverse(mob, K_eval(mob, r)) == pytest.approx(r, abs=1e-10)
 
     def test_mobility_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from vchsim.diagnostics import (
     rho_energy_ledger,
     series_rows,
 )
-from vchsim.mesh import field_of
+from vchsim.constitutive import K_tau_array
+from vchsim.mesh import ScalarField, field_of, laplacian_matrix
 from vchsim.stepper import run
 
 
@@ -208,6 +209,69 @@ class TestFormulationResiduals:
             gaps[N] = (res.mu_kirchhoff.max(), res.rho_strong.max())
         assert gaps[32][0] / gaps[64][0] == pytest.approx(2.0, abs=0.5)
         assert gaps[32][1] / gaps[64][1] == pytest.approx(2.0, abs=0.5)
+
+
+def _dirichlet_form(grid, k, u, v) -> float:
+    """Bilinear face form sum_faces k_face (du/h)(dv/h) h^dim."""
+    h = grid.h
+    total = 0.0
+    for axis in range(grid.dim):
+        du = np.diff(u.values, axis=axis)
+        dv = np.diff(v.values, axis=axis)
+        kslices = [slice(None)] * grid.dim
+        kslices[axis] = slice(1, None)
+        k_hi = k.values[tuple(kslices)]
+        kslices[axis] = slice(None, -1)
+        k_lo = k.values[tuple(kslices)]
+        total += float(np.sum(0.5 * (k_hi + k_lo) * du * dv)) / h ** 2
+    return grid.cell_volume * total
+
+
+def kirchhoff_reference(traj, laws) -> np.ndarray:
+    """The Kirchhoff column evaluated the long way: one dense unit-mass bump
+    per 4th node (1 at the node, 1/2 at its stencil neighbours), each tested
+    through the face form of the floored Kirchhoff transform."""
+    cfg, grid = traj.cfg, traj.grid
+    vol, nn = grid.cell_volume, grid.num_nodes
+    lap = laplacian_matrix(grid)
+    bumps = []
+    for j in range(0, nn, 4):
+        v = np.zeros(nn)
+        v[j] = 1.0
+        for col in lap[j].tocoo().col:
+            if col != j:
+                v[col] = 0.5
+        v /= v.sum() * vol
+        bumps.append(ScalarField(grid, v.reshape(grid.shape)))
+    ones = field_of(grid, 1.0)
+    out = np.zeros(len(traj.states))
+    for n in range(1, len(traj.states)):
+        prev, cur = traj.states[n - 1], traj.states[n]
+        a = cfg.epsilon + 2.0 * laws.coupling.g(cur.rho.values)
+        a_prev = cfg.epsilon + 2.0 * laws.coupling.g(prev.rho.values)
+        bulk = ((a * cur.mu.values - a_prev * prev.mu.values) / cfg.tau
+                - cur.mu.values * laws.coupling.g_prime(cur.rho.values)
+                * cur.dt_rho.values).ravel()
+        kfield = ScalarField(grid, K_tau_array(
+            laws.mobility, cfg.mobility_floor_tau, cur.mu.values))
+        weak = [vol * float(bulk @ v.values.ravel())
+                + _dirichlet_form(grid, ones, kfield, v) for v in bumps]
+        out[n] = max(abs(w) for w in weak)
+    return out
+
+
+class TestKirchhoffResidual:
+    @pytest.mark.parametrize("mobility", ["constant", "tanhpow"])
+    @pytest.mark.parametrize("dim,n", [(1, 32), (1, 33), (2, 16), (2, 17)])
+    def test_matches_per_bump_reference(self, dim, n, mobility):
+        traj, laws, _ = run_config(dim=dim, n=n, T=0.1, N=6, potential="log",
+                                   coupling="linear", mobility=mobility,
+                                   mu0=("bump", 0.5, 0.3, 1.0),
+                                   rho0=("cosine", 0.5, 0.2))
+        res = formulation_residuals(traj, laws)
+        ref = kirchhoff_reference(traj, laws)
+        assert np.all(ref[1:] > 0.0)
+        np.testing.assert_allclose(res.mu_kirchhoff, ref, rtol=1e-12, atol=0.0)
 
 
 class TestContraction:

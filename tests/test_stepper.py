@@ -15,16 +15,12 @@ from vchsim.constitutive import (
 import vchsim.stepper as stepper
 from vchsim.mesh import Grid, div_k_grad_arrays, field_of
 from vchsim.stepper import (
-    SimState,
     SolverConfig,
-    Trajectory,
     ValidationError,
-    advance,
-    delayed_mu,
     initial_state,
     run,
-    run_literal,
     mu_system_coefficients,
+    step,
     step_mu,
     step_rho,
 )
@@ -65,56 +61,6 @@ class TestSolverConfig:
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ValidationError):
             SolverConfig(T=1.0, n_steps=4, newton_tol=0.0)
-
-
-class TestDelayedMu:
-    def setup_method(self):
-        self.grid = Grid(1, 8, 1.0)
-        self.cfg = SolverConfig(T=1.0, n_steps=4)
-        self.laws = make_laws(coupling="constant")
-        self.mu0 = field_of(self.grid, 1.0)
-
-    def _history(self, n_states):
-        rho0 = field_of(self.grid, 0.5)
-        traj = Trajectory([initial_state(self.mu0, rho0, self.cfg, self.laws)],
-                          cfg=self.cfg)
-        for k in range(1, n_states):
-            prev = traj.states[-1]
-            mu_k = field_of(self.grid, 1.0 + k)
-            traj.states.append(SimState(t=k * self.cfg.tau, mu=mu_k,
-                                        rho=prev.rho, xi=prev.xi,
-                                        dt_rho=prev.dt_rho))
-        return traj
-
-    def test_before_first_delay_returns_initial(self):
-        traj = self._history(3)
-        tau = self.cfg.tau
-        assert delayed_mu(traj, tau / 2, tau, self.mu0) is self.mu0
-        # the tie at t == tau resolves to the initial datum
-        assert delayed_mu(traj, tau, tau, self.mu0) is self.mu0
-
-    def test_shifts_by_one_step(self):
-        traj = self._history(4)
-        tau = self.cfg.tau
-        out = delayed_mu(traj, 3 * tau, tau, self.mu0)
-        assert out is traj.states[2].mu
-
-    def test_locality(self):
-        # two histories agreeing up to t - tau give the same answer
-        a = self._history(4)
-        b = self._history(4)
-        b.states[3] = SimState(t=b.states[3].t, mu=field_of(self.grid, 99.0),
-                               rho=b.states[3].rho, xi=b.states[3].xi,
-                               dt_rho=b.states[3].dt_rho)
-        tau = self.cfg.tau
-        va = delayed_mu(a, 3 * tau, tau, self.mu0)
-        vb = delayed_mu(b, 3 * tau, tau, self.mu0)
-        assert np.array_equal(va.values, vb.values)
-
-    def test_missing_sample_is_an_error(self):
-        traj = self._history(2)
-        with pytest.raises(KeyError):
-            delayed_mu(traj, 10 * self.cfg.tau, self.cfg.tau, self.mu0)
 
 
 class TestStepRho:
@@ -320,18 +266,30 @@ class TestAdvanceAndRun:
         t2 = run(cfg, laws, initial)
         assert all(states_equal(a, b) for a, b in zip(t1.states, t2.states))
 
-    def test_run_equals_composed_advances(self):
+    def test_run_equals_composed_steps(self):
+        # run is N composed steps, and a step is the rho stage fed the
+        # previous state's mu followed by the mu stage, all bit for bit
         c = Config(dim=1, n=16, T=0.5, N=4, potential="clamp",
                    mu0=("cosine", 1.0, 0.5), rho0=("cosine", 0.5, 0.2))
         _, cfg, laws, initial = build_run(c)
         whole = run(cfg, laws, initial)
-        from vchsim.stepper import initial_state as init_state
-        manual = Trajectory([init_state(initial[0], initial[1], cfg, laws)],
-                            cfg=cfg)
-        for _ in range(cfg.n_steps):
-            advance(manual.states[-1], cfg, laws, manual)
-        assert all(states_equal(a, b)
-                   for a, b in zip(whole.states, manual.states))
+        assert len(whole.states) == cfg.n_steps + 1
+        state = initial_state(initial[0], initial[1], cfg, laws)
+        for n in range(1, cfg.n_steps + 1):
+            rho_new, xi_new, _, _ = step_rho(state, state.mu, cfg, laws)
+            dt_rho = field_of(state.grid,
+                              (rho_new.values - state.rho.values) / cfg.tau)
+            mu_new, _, _ = step_mu(state, rho_new, dt_rho, cfg, laws)
+            state, report = step(state, cfg, laws)
+            assert np.array_equal(state.rho.values, rho_new.values)
+            assert np.array_equal(state.xi.values, xi_new.values)
+            assert np.array_equal(state.dt_rho.values, dt_rho.values)
+            assert np.array_equal(state.mu.values, mu_new.values)
+            assert states_equal(state, whole.states[n])
+            assert np.array_equal(state.dt_rho.values,
+                                  whole.states[n].dt_rho.values)
+            assert state.t == whole.states[n].t
+            assert report == whole.reports[n - 1]
 
     def test_zero_steps_returns_initial_only(self):
         grid = Grid(1, 8, 1.0)
@@ -412,14 +370,3 @@ class TestSchemeInvariants:
             assert np.all(xi[rho == 0.0] <= 0.0)
             saturated = saturated or np.any(rho == 1.0) or np.any(rho == 0.0)
         assert saturated  # the forcing must actually exercise the constraint
-
-    def test_rolling_equals_literal_growing_intervals(self):
-        c = Config(dim=1, n=16, T=0.25, N=8, potential="log",
-                   mu0=("bump", 0.5, 0.4, 1.0), rho0=("cosine", 0.5, 0.2))
-        _, cfg, laws, initial = build_run(c)
-        rolling = run(cfg, laws, initial)
-        literal = run_literal(cfg, laws, initial)
-        assert len(rolling) == len(literal)
-        for a, b in zip(rolling.states, literal.states):
-            assert states_equal(a, b)
-            assert np.array_equal(a.dt_rho.values, b.dt_rho.values)
