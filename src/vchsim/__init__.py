@@ -36,11 +36,9 @@ from .diagnostics import (
 from .mesh import (
     Grid,
     ScalarField,
-    div_k_grad,
+    dirichlet_energy,
     field_of,
-    h1_seminorm_sq,
     integrate,
-    laplace_neumann,
     read_snapshot,
     write_snapshot,
 )

@@ -29,7 +29,7 @@ from .diagnostics import (
     rho_energy_ledger,
     series_rows,
 )
-from .mesh import read_snapshot, write_snapshot
+from .mesh import ScalarField, field_of, read_snapshot, write_snapshot
 from .stepper import (
     SimState,
     SolverFailure,
@@ -114,26 +114,29 @@ def load_trajectory(rundir):
     snapshot_stride = 1.
     """
     rundir = Path(rundir)
-    config = parse_config((rundir / "config.txt").read_text())
-    _grid, cfg, laws, _initial = build_run(config)
+    config = _load_config(rundir / "config.txt")
+    grid, cfg, laws, _initial = build_run(config)
     states = []
     for n in range(config.N + 1):
-        paths = {name: rundir / f"state_{n:05d}_{name}.txt"
-                 for name in ("mu", "rho", "xi")}
-        missing = [p.name for p in paths.values() if not p.exists()]
-        if missing:
-            raise ConfigError(
-                f"trajectory is incomplete (missing {missing[0]}); "
-                f"diagnose needs snapshot_stride = 1")
-        mu, t = read_snapshot(paths["mu"])
-        rho, _ = read_snapshot(paths["rho"])
-        xi, _ = read_snapshot(paths["xi"])
-        if n == 0:
-            dt_rho = rho.copy()
-            dt_rho.values[...] = 0.0
-        else:
-            dt_rho = rho.copy()
-            dt_rho.values[...] = (rho.values - states[-1].rho.values) / cfg.tau
+        snaps = []
+        for name in ("mu", "rho", "xi"):
+            path = rundir / f"state_{n:05d}_{name}.txt"
+            if not path.exists():
+                raise ConfigError(
+                    f"trajectory is incomplete (missing {path.name}); "
+                    f"diagnose needs snapshot_stride = 1")
+            try:
+                field, t = read_snapshot(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"cannot read snapshot {str(path)!r}: {exc}") from exc
+            if field.grid != grid:
+                raise ConfigError(f"snapshot {str(path)!r} was written for "
+                                  f"grid {field.grid}, run uses {grid}")
+            snaps.append((field, t))
+        (mu, t), (rho, _), (xi, _) = snaps
+        dt_rho = (field_of(grid, 0.0) if n == 0 else ScalarField(
+            grid, (rho.values - states[-1].rho.values) / cfg.tau))
         states.append(SimState(t=t, mu=mu, rho=rho, xi=xi, dt_rho=dt_rho))
     return Trajectory(states, cfg=cfg), laws, config
 
@@ -191,8 +194,7 @@ def run_study(config: Config, outdir) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(render_config(config))
     if config.study == "tau_refinement":
-        spec = StudySpec(base=config, sweep="tau",
-                         values=tuple(config.study_values),
+        spec = StudySpec(base=config, values=tuple(config.study_values),
                          reference=config.study_reference)
         table = tau_refinement(spec)
         rows = [{"n_steps": int(v), "error": e,
@@ -248,7 +250,7 @@ def _load_config(path) -> Config:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
     return parse_config(text)
 
 
@@ -293,7 +295,7 @@ def main(argv=None) -> int:
                 for v in violations:
                     print(f"violation: {v}", file=sys.stderr)
                 return 4
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

@@ -17,11 +17,11 @@ import numpy as np
 
 from . import constitutive as laws_mod
 from .mesh import Grid, ScalarField, field_of, read_snapshot
-from .stepper import SolverConfig
+from .stepper import SolverConfig, ValidationError, validate_initial_data
 
 
-class ConfigError(ValueError):
-    """Malformed or invalid configuration text."""
+class ConfigError(ValidationError):
+    """Malformed or invalid configuration text or input file."""
 
 
 _POTENTIALS = ("clamp", "log")
@@ -163,47 +163,17 @@ def parse_config(text: str) -> Config:
 
 
 def validate_config(config: Config) -> None:
-    """Structural and data hypotheses, checked before anything runs."""
-    if config.dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {config.dim}")
-    if config.n < 3:
-        raise ConfigError(f"n must be at least 3, got {config.n}")
-    if not config.length > 0:
-        raise ConfigError(f"length must be positive, got {config.length}")
-    if config.T < 0:
-        raise ConfigError("T must be nonnegative")
-    if config.N < 0:
-        raise ConfigError("N must be nonnegative")
-    if config.N == 0 and config.T != 0:
-        raise ConfigError("N = 0 is admitted only with T = 0")
+    """The file's own rules, then the rules of every layer the config
+    builds: grid, solver config, laws and, unless a recipe reads a file,
+    the initial data.  Each rule lives in the layer that owns the value;
+    its rejection is re-raised here as a ConfigError with the same message.
+    """
     if config.potential not in _POTENTIALS:
         raise ConfigError(f"potential must be one of {_POTENTIALS}")
     if config.mobility not in _MOBILITIES:
         raise ConfigError(f"mobility must be one of {_MOBILITIES}")
     if config.coupling not in _COUPLINGS:
         raise ConfigError(f"coupling must be one of {_COUPLINGS}")
-    if config.potential == "log" and not config.alpha1 > 0:
-        raise ConfigError("alpha1 must be positive for the log potential")
-    if not config.kappa0 > 0:
-        raise ConfigError(
-            f"violates (hpcost): kappa0 must be positive, got {config.kappa0}")
-    if config.mobility == "tanhpow" and not config.m > 1:
-        raise ConfigError("violates (hpcost): tanh-power mobility needs m > 1")
-    if not (config.epsilon > 0 and config.delta > 0):
-        raise ConfigError("epsilon and delta must be positive")
-    if config.g0 < 0:
-        raise ConfigError(
-            f"violates (hpfg): the coupling must be nonnegative, g0 = {config.g0}")
-    if config.mu0[0] == "constant" and config.mu0[1] < 0:
-        raise ConfigError(
-            f"violates (hpzero): mu0 has negative values ({config.mu0[1]:g})")
-    if config.mu0[0] == "bump" and config.mu0[3] < 0:
-        raise ConfigError("violates (hpzero): mu0 bump amplitude is negative")
-    if config.mu0[0] == "cosine" and config.mu0[1] - abs(config.mu0[2]) < 0:
-        raise ConfigError(
-            "violates (hpzero): mu0 cosine profile dips below zero")
-    if config.face_average not in ("arithmetic", "harmonic"):
-        raise ConfigError("face_average must be arithmetic or harmonic")
     if config.snapshot_stride < 0:
         raise ConfigError("snapshot_stride must be nonnegative")
     if config.study not in _STUDIES:
@@ -211,6 +181,18 @@ def validate_config(config: Config) -> None:
     if config.study and config.study != "homogeneous_oracle":
         if len(config.study_values) < 1:
             raise ConfigError("study block needs study_values")
+    try:
+        grid = build_grid(config)
+        cfg = build_solver_config(config)
+        laws = build_laws(config)
+        if "file" not in (config.mu0[0], config.rho0[0]):
+            # the data rules only; the step rule tau <= kappa_sup is checked
+            # where a run's step is fixed (a study picks its own N)
+            validate_initial_data(build_field(config.mu0, grid),
+                                  build_field(config.rho0, grid),
+                                  replace(cfg, T=0.0, n_steps=0), laws)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def render_config(config: Config) -> str:
@@ -242,19 +224,25 @@ def build_grid(config: Config) -> Grid:
 
 
 def build_solver_config(config: Config) -> SolverConfig:
+    """Solver config of a run.  Only the documented sentinels mean "tie to
+    the step" or "automatic": ``yosida_lambda = 0``, ``mobility_floor_tau =
+    -1`` and ``linear_max_iter = 0``; every other value reaches
+    :class:`SolverConfig`, which checks it."""
     return SolverConfig(
         T=config.T,
         n_steps=config.N,
         epsilon=config.epsilon,
         delta=config.delta,
-        yosida_lambda=config.yosida_lambda if config.yosida_lambda > 0 else None,
+        yosida_lambda=(None if config.yosida_lambda == 0
+                       else config.yosida_lambda),
         newton_tol=config.newton_tol,
         newton_max_iter=config.newton_max_iter,
         linear_tol=config.linear_tol,
-        linear_max_iter=config.linear_max_iter or None,
+        linear_max_iter=(None if config.linear_max_iter == 0
+                         else config.linear_max_iter),
         sign_split_reaction=config.sign_split_reaction,
-        mobility_floor_tau=(config.mobility_floor_tau
-                            if config.mobility_floor_tau >= 0 else None),
+        mobility_floor_tau=(None if config.mobility_floor_tau == -1
+                            else config.mobility_floor_tau),
         face_average=config.face_average,
     )
 
@@ -300,7 +288,11 @@ def build_field(recipe: tuple, grid: Grid) -> ScalarField:
             profile = np.cos(freq * x) * np.cos(freq * y)
         return field_of(grid, mean + amplitude * profile)
     if kind == "file":
-        field, _t = read_snapshot(recipe[1])
+        try:
+            field, _t = read_snapshot(recipe[1])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"cannot read initial-data file {recipe[1]!r}: {exc}") from exc
         if field.grid != grid:
             raise ConfigError(
                 f"initial-data file {recipe[1]!r} was written for grid "
@@ -317,8 +309,3 @@ def build_run(config: Config):
     mu0 = build_field(config.mu0, grid)
     rho0 = build_field(config.rho0, grid)
     return grid, cfg, laws, (mu0, rho0)
-
-
-def with_steps(config: Config, n_steps: int) -> Config:
-    """Copy of the config with a different step count (same final time)."""
-    return replace(config, N=n_steps)

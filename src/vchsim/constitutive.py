@@ -65,7 +65,8 @@ class LogGraph:
 
     def __post_init__(self):
         if not self.alpha1 > 0:
-            raise ValueError("alpha1 must be positive")
+            raise ValueError(f"alpha1 must be positive for the log potential, "
+                             f"got {self.alpha1}")
         if not self.a < self.b:
             raise ValueError("need a < b")
 
@@ -284,7 +285,8 @@ def make_linear_coupling(epsilon: float = 1.0) -> CouplingLaw:
 def make_constant_coupling(g0: float = 0.0, epsilon: float = 1.0) -> CouplingLaw:
     """g identically g0 >= 0; decouples the two equations (g' = 0)."""
     if g0 < 0:
-        raise ValueError("constant coupling must be nonnegative")
+        raise ValueError(
+            f"violates (hpfg): the coupling must be nonnegative, g0 = {g0}")
 
     def const(r):
         return np.full_like(np.asarray(r, dtype=float), g0)
@@ -331,7 +333,8 @@ class MobilityLaw:
 
 def make_constant_mobility(kappa0: float = 1.0) -> MobilityLaw:
     if not kappa0 > 0:
-        raise ValueError("constant mobility must be positive")
+        raise ValueError(
+            f"violates (hpcost): kappa0 must be positive, got {kappa0}")
 
     def kappa(r):
         return np.full_like(np.asarray(r, dtype=float), kappa0)
@@ -351,7 +354,8 @@ def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
     ln(cosh(r)) in closed form; other exponents fall back to quadrature.
     """
     if not m > 1:
-        raise ValueError("tanh-power mobility needs m > 1")
+        raise ValueError(
+            f"violates (hpcost): tanh-power mobility needs m > 1, got {m}")
 
     def kappa(r):
         r = np.asarray(r, dtype=float)

@@ -37,7 +37,7 @@ from .mesh import (
     div_faces,
     div_k_grad_arrays,
     face_weights,
-    h1_seminorm_sq,
+    field_of,
     laplacian_matrix,
 )
 from .stepper import Trajectory, mu_system_coefficients
@@ -149,13 +149,15 @@ def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
     visc = np.zeros(n_rows)
     work = np.zeros(n_rows)
     f1_int = np.zeros(n_rows)
+    unit = field_of(grid, 1.0)
 
     def free_energy(state):
         fvals = f_total(laws.potential, state.rho.values)
         f1vals = laws.potential.f1_value(state.rho.values)
         if np.any(np.isinf(fvals)):
             return np.inf, np.inf
-        return (0.5 * h1_seminorm_sq(grid, state.rho) + vol * float(np.sum(fvals)),
+        return (0.5 * dirichlet_energy(grid, unit, state.rho)
+                + vol * float(np.sum(fvals)),
                 vol * float(np.sum(f1vals)))
 
     F[0], f1_int[0] = free_energy(traj.states[0])

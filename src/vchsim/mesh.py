@@ -103,35 +103,6 @@ def field_of(grid: Grid, value) -> ScalarField:
     return ScalarField(grid, np.asarray(value, dtype=float))
 
 
-def _require_same_grid(*fields: ScalarField) -> Grid:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise ValueError("fields live on different grids")
-    return g
-
-
-def laplace_neumann(grid: Grid, u: ScalarField) -> ScalarField:
-    """Discrete Laplacian with reflected ghost values (zero normal flux).
-
-    3-point (1-D) / 5-point (2-D) stencil divided by h^2.  Constants are in
-    the kernel exactly; boundary rows see the reflected ghost, which is what
-    makes the cell-centered Neumann closure second order.
-    """
-    if u.grid != grid:
-        raise ValueError("field does not live on the given grid")
-    v = u.values
-    h2 = grid.h ** 2
-    out = np.zeros_like(v)
-    for axis in range(grid.dim):
-        p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(grid.dim)],
-                   mode="edge")
-        sl_lo = tuple(slice(0, -2) if a == axis else slice(None) for a in range(grid.dim))
-        sl_hi = tuple(slice(2, None) if a == axis else slice(None) for a in range(grid.dim))
-        out += (p[sl_lo] - 2.0 * v + p[sl_hi]) / h2
-    return ScalarField(grid, out).check_finite()
-
-
 def _face_coefficient(k_lo: np.ndarray, k_hi: np.ndarray,
                       harmonic: bool) -> np.ndarray:
     if not harmonic:
@@ -170,26 +141,14 @@ def div_faces(weights: tuple, uv: np.ndarray) -> np.ndarray:
 
 def div_k_grad_arrays(grid: Grid, kv: np.ndarray, uv: np.ndarray,
                       harmonic: bool = False) -> np.ndarray:
-    """Raw-array core of :func:`div_k_grad` (no wrapping, no checks)."""
-    return div_faces(face_weights(grid, kv, harmonic), uv)
-
-
-def div_k_grad(grid: Grid, k: ScalarField, u: ScalarField,
-               harmonic: bool = False) -> ScalarField:
     """Divergence of the flux ``k grad u`` in conservation form.
 
     Face coefficients are arithmetic means of the node values of ``k`` by
     default (``harmonic=True`` switches the averaging); boundary faces carry
-    zero flux.  With ``k == 1`` this reduces to :func:`laplace_neumann` to
-    machine precision.
+    zero flux.  With ``k == 1`` it equals :func:`laplacian_matrix` applied
+    to ``u`` up to rounding.
     """
-    _require_same_grid(k, u)
-    if u.grid != grid:
-        raise ValueError("field does not live on the given grid")
-    if k.values.min() < 0.0:
-        raise ValueError("flux coefficient must be nonnegative")
-    out = div_k_grad_arrays(grid, k.values, u.values, harmonic)
-    return ScalarField(grid, out).check_finite()
+    return div_faces(face_weights(grid, kv, harmonic), uv)
 
 
 def _slab_index(ndim: int, axis: int, start, stop) -> tuple:
@@ -209,27 +168,14 @@ def integrate(grid: Grid, u: ScalarField) -> float:
     return float(grid.cell_volume * u.values.sum())
 
 
-def h1_seminorm_sq(grid: Grid, u: ScalarField) -> float:
-    """Face-based discrete Dirichlet energy: sum over interior faces of
-    h^dim ((u_q - u_p)/h)^2.  Zero exactly iff the field is constant."""
-    if u.grid != grid:
-        raise ValueError("field does not live on the given grid")
-    h = grid.h
-    total = 0.0
-    for axis in range(grid.dim):
-        du = np.diff(u.values, axis=axis)
-        total += float(np.sum((du / h) ** 2))
-    return grid.cell_volume * total
-
-
 def dirichlet_energy(grid: Grid, k: ScalarField, u: ScalarField,
                      harmonic: bool = False) -> float:
     """Weighted face energy sum_faces k_face h^dim ((u_q - u_p)/h)^2.
 
-    Matches the bilinear form of :func:`div_k_grad` for the same averaging:
-    ``integrate(v * (-div_k_grad(k, u))) == dirichlet_form(k, u, v)``.
+    Matches the bilinear form of :func:`div_k_grad_arrays` for the same
+    averaging.  With ``k == 1`` (face coefficient exactly 1.0) it is the
+    squared discrete H1 seminorm, zero exactly iff ``u`` is constant.
     """
-    _require_same_grid(k, u)
     h = grid.h
     total = 0.0
     for axis in range(grid.dim):
@@ -242,9 +188,13 @@ def dirichlet_energy(grid: Grid, k: ScalarField, u: ScalarField,
 
 @lru_cache(maxsize=32)
 def laplacian_matrix(grid: Grid) -> sps.csr_matrix:
-    """Sparse matrix of :func:`laplace_neumann` (row-major node ordering).
+    """Discrete Laplacian with reflected ghost values (zero normal flux),
+    as a sparse matrix in row-major node ordering.
 
-    Cached per grid; used by the Newton solver of the implicit stage.
+    3-point (1-D) / 5-point (2-D) stencil divided by h^2.  Constants are in
+    its kernel exactly; boundary rows see the reflected ghost, which is what
+    makes the cell-centered Neumann closure second order.  Cached per grid;
+    used by the Newton solver of the implicit stage.
     :func:`shifted_laplacian_solve` inverts shifts of it in O(n log n).
     """
     n, h2 = grid.n, grid.h ** 2

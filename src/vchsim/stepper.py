@@ -92,15 +92,16 @@ class SolverFailure(RuntimeError):
 class SolverConfig:
     """Time-integration parameters.
 
-    The step is tied to the final time by tau = T/N; only such steps are
-    admitted.  ``yosida_lambda`` and ``mobility_floor_tau`` default to the
+    The step is derived, tau = T/N, and is not an argument.
+    ``yosida_lambda`` and ``mobility_floor_tau`` default (``None``) to the
     step size, so refining the step simultaneously tightens the graph
-    regularization and removes the parabolicity floor.
+    regularization and removes the parabolicity floor;
+    ``linear_max_iter = None`` picks the cap from the grid size.
     """
 
     T: float
     n_steps: int
-    tau: float = None
+    tau: float = field(init=False)
     epsilon: float = 1.0
     delta: float = 1.0
     yosida_lambda: float = None
@@ -117,33 +118,34 @@ class SolverConfig:
             raise ValidationError("final time must be nonnegative")
         if self.n_steps < 0:
             raise ValidationError("step count must be nonnegative")
-        if self.n_steps == 0:
-            if self.T != 0.0:
-                raise ValidationError("N = 0 is admitted only with T = 0")
-            object.__setattr__(self, "tau", 0.0)
-        else:
-            exact = self.T / self.n_steps
-            if self.tau is None:
-                object.__setattr__(self, "tau", exact)
-            elif self.tau != exact:
-                raise ValidationError(
-                    f"violates tau = T/N: tau = {self.tau!r} but T/N = {exact!r}"
-                )
-            if not self.tau > 0:
-                raise ValidationError("step size must be positive")
+        if self.n_steps == 0 and self.T != 0.0:
+            raise ValidationError("N = 0 is admitted only with T = 0")
+        tau = self.T / self.n_steps if self.n_steps > 0 else 0.0
+        if self.n_steps > 0 and not tau > 0:
+            raise ValidationError("step size must be positive")
+        object.__setattr__(self, "tau", tau)
         if self.yosida_lambda is None:
             object.__setattr__(self, "yosida_lambda",
-                               self.tau if self.n_steps > 0 else 1.0)
+                               tau if self.n_steps > 0 else 1.0)
         if not self.yosida_lambda > 0:
-            raise ValidationError("yosida_lambda must be positive")
+            raise ValidationError(
+                f"yosida_lambda must be positive, got {self.yosida_lambda!r}")
         if self.mobility_floor_tau is None:
-            object.__setattr__(self, "mobility_floor_tau", self.tau)
-        if self.mobility_floor_tau < 0:
-            raise ValidationError("mobility floor must be nonnegative")
+            object.__setattr__(self, "mobility_floor_tau", tau)
+        if not self.mobility_floor_tau >= 0:
+            raise ValidationError(
+                f"mobility_floor_tau must be nonnegative, got "
+                f"{self.mobility_floor_tau!r}")
         if not (self.epsilon > 0 and self.delta > 0):
             raise ValidationError("epsilon and delta must be positive")
         if not (self.newton_tol > 0 and self.linear_tol > 0):
             raise ValidationError("solver tolerances must be positive")
+        if self.newton_max_iter < 1:
+            raise ValidationError(f"newton_max_iter must be at least 1, "
+                                  f"got {self.newton_max_iter}")
+        if self.linear_max_iter is not None and self.linear_max_iter < 1:
+            raise ValidationError(f"linear_max_iter must be at least 1, "
+                                  f"got {self.linear_max_iter}")
         if self.face_average not in ("arithmetic", "harmonic"):
             raise ValidationError("face_average must be arithmetic or harmonic")
 
@@ -412,8 +414,9 @@ def validate_initial_data(mu0: ScalarField, rho0: ScalarField, cfg: SolverConfig
     """Machine check of the data hypotheses before any stepping."""
     if mu0.grid != rho0.grid:
         raise ValidationError("mu0 and rho0 live on different grids")
-    mu0.check_finite()
-    rho0.check_finite()
+    for name, f in (("mu0", mu0), ("rho0", rho0)):
+        if not np.all(np.isfinite(f.values)):
+            raise ValidationError(f"{name} has non-finite values")
     if mu0.min() < 0.0:
         raise ValidationError(
             f"violates (hpzero): mu0 has negative values (min {mu0.min():g})")

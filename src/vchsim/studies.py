@@ -24,31 +24,35 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import Config, build_laws, build_run, with_steps
-from .constitutive import Laws, yosida
+from .config import Config, build_laws, build_run
+from .constitutive import K_tau_array, Laws, yosida
 from .diagnostics import contraction_metric
-from .mesh import field_of, h1_seminorm_sq, integrate, ScalarField
-from .constitutive import K_tau_array
-from .stepper import SolverConfig, Trajectory, run
+from .mesh import ScalarField, dirichlet_energy, field_of, integrate
+from .stepper import (
+    SolverConfig,
+    Trajectory,
+    ValidationError,
+    run,
+    validate_initial_data,
+)
 
 
 @dataclass(frozen=True)
 class StudySpec:
-    """A sweep over one variable of a base configuration."""
+    """A step-count sweep of a base configuration."""
 
     base: Config
-    sweep: str                 # "tau", the one sweep tau_refinement runs
-    values: tuple
-    reference: int = 512       # finest-step member used as reference (tau sweeps)
+    values: tuple              # member step counts
+    reference: int = 512       # finest-step member used as reference
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if len(vals) >= 2:
-            diffs = np.diff(vals)
-            if not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ValueError("sweep values must be strictly monotone")
-        if self.sweep == "tau" and len(vals) < 3:
-            raise ValueError("order estimation needs at least 3 sweep values")
+        if len(vals) < 3:
+            raise ValidationError(
+                "order estimation needs at least 3 sweep values")
+        diffs = np.diff(vals)
+        if not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ValidationError("sweep values must be strictly monotone")
 
 
 @dataclass
@@ -79,12 +83,9 @@ def _space_l2_sq(grid, a: np.ndarray, b: np.ndarray) -> float:
 def _l2q_error(member: Trajectory, reference: Trajectory) -> float:
     """Discrete space-time L2 distance of (mu, rho) on the coarse time grid."""
     n_member = len(member) - 1
-    n_ref = len(reference) - 1
     if n_member == 0:
         return 0.0
-    if n_ref % n_member:
-        raise ValueError("reference steps must be a multiple of member steps")
-    stride = n_ref // n_member
+    stride = (len(reference) - 1) // n_member
     tau = member.cfg.tau
     grid = member.grid
     total = 0.0
@@ -97,23 +98,26 @@ def _l2q_error(member: Trajectory, reference: Trajectory) -> float:
 
 def tau_refinement(spec: StudySpec) -> OrderTable:
     """Run the sweep, measure each member against the reference run, and
-    estimate the convergence order between consecutive members."""
-    if spec.sweep != "tau":
-        raise ValueError("tau_refinement expects a tau sweep")
+    estimate the convergence order between consecutive members.  Every
+    member is built and checked before the first run."""
     laws = build_laws(spec.base)
     if laws.mobility.r_star != 0.0:
-        raise ValueError("refinement study needs a nondegenerate mobility")
+        raise ValidationError(
+            "refinement study needs a nondegenerate mobility")
     counts = [int(v) for v in spec.values]
     if spec.base.T > 0:
-        reference = _run_config(with_steps(spec.base, spec.reference))
+        members = [_prepare(replace(spec.base, N=n))
+                   for n in (spec.reference, *counts)]
+        uneven = [n for n in counts if spec.reference % n]
+        if uneven:
+            raise ValidationError(
+                f"study_reference = {spec.reference} must be a multiple of "
+                f"every member step count (not of {uneven[0]})")
     else:
-        reference = _run_config(spec.base)
+        members = [_prepare(spec.base)] * (len(counts) + 1)
+    reference = run(*members[0])
+    errors = [_l2q_error(run(*member), reference) for member in members[1:]]
     rows = []
-    errors = []
-    for n_steps in counts:
-        member = _run_config(with_steps(spec.base, n_steps)) \
-            if spec.base.T > 0 else _run_config(spec.base)
-        errors.append(_l2q_error(member, reference))
     for i, n_steps in enumerate(counts):
         order = None
         if i > 0 and errors[i - 1] > 0 and errors[i] > 0:
@@ -123,9 +127,11 @@ def tau_refinement(spec: StudySpec) -> OrderTable:
     return OrderTable(rows)
 
 
-def _run_config(config: Config) -> Trajectory:
+def _prepare(config: Config) -> tuple:
+    """Build a member run's ``(cfg, laws, initial)`` and check its data."""
     _grid, cfg, laws, initial = build_run(config)
-    return run(cfg, laws, initial)
+    validate_initial_data(*initial, cfg, laws)
+    return cfg, laws, initial
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +246,28 @@ def spread_radius(field: ScalarField, threshold: float, center: float) -> float:
 
 def degenerate_demo(base: Config, step_counts=(64, 128, 256),
                     n_samples: int = 8, threshold: float = 1e-3) -> DegenerateReport:
-    """Paired degenerate/control runs over shrinking parabolicity floors."""
+    """Paired degenerate/control runs over shrinking parabolicity floors.
+    Every member is built and checked before the first run."""
     if base.mobility != "tanhpow":
-        raise ValueError("the degenerate demo expects the tanh-power mobility")
+        raise ValidationError(
+            "the degenerate demo expects the tanh-power mobility")
     if base.mu0[0] != "bump":
-        raise ValueError("the demo expects a compact bump over a zero background")
+        raise ValidationError(
+            "the demo expects a compact bump over a zero background")
+    if any(n_steps % n_samples for n_steps in step_counts):
+        raise ValidationError(
+            f"step counts must be divisible by the sample count {n_samples}")
     center = base.mu0[1]
-    radii = {}
-    control_radii = {}
-    vnorm = {}
+    members = [replace(base, N=n_steps) for n_steps in step_counts]
+    pairs = [(_prepare(member), _prepare(
+        replace(member, mobility="constant", kappa0=1.0))) for member in members]
+    radii, control_radii, vnorm = {}, {}, {}
     sample_times = None
-    for n_steps in step_counts:
-        member = with_steps(base, n_steps)
-        if n_steps % n_samples:
-            raise ValueError("step counts must be divisible by the sample count")
+    for n_steps, (member_run, control_run) in zip(step_counts, pairs):
         stride = n_steps // n_samples
-        traj = _run_config(member)
-        control = _run_config(replace(member, mobility="constant", kappa0=1.0))
-        laws = build_laws(member)
+        traj = run(*member_run)
+        control = run(*control_run)
+        laws = member_run[1]
         times = []
         r_deg, r_ctl, vn = [], [], []
         for k in range(1, n_samples + 1):
@@ -269,7 +279,8 @@ def degenerate_demo(base: Config, step_counts=(64, 128, 256),
             kt = ScalarField(traj.grid, K_tau_array(
                 laws.mobility, traj.cfg.mobility_floor_tau, state.mu.values))
             vn.append(math.sqrt(integrate(traj.grid, ScalarField(
-                traj.grid, kt.values ** 2)) + h1_seminorm_sq(traj.grid, kt)))
+                traj.grid, kt.values ** 2)) + dirichlet_energy(
+                    traj.grid, field_of(traj.grid, 1.0), kt)))
         radii[n_steps] = np.array(r_deg)
         control_radii[n_steps] = np.array(r_ctl)
         vnorm[n_steps] = float(max(vn))
@@ -294,16 +305,18 @@ class PerturbationReport:
 def perturbation_pairs(base: Config, amplitudes, seed: int = 0) -> PerturbationReport:
     """Run the base config against perturbed copies of mu0 (one fixed random
     direction, scaled by each amplitude) and report the final contraction
-    metric plus the largest per-step growth rate."""
+    metric plus the largest per-step growth rate.  Every perturbed datum is
+    checked before the base run."""
     grid, cfg, laws, (mu0, rho0) = build_run(base)
     direction = np.random.default_rng(seed).standard_normal(grid.shape)
     direction /= np.max(np.abs(direction))
+    perturbed = [field_of(grid, mu0.values + amp * direction)
+                 for amp in amplitudes]
+    for mu0_pert in perturbed:
+        validate_initial_data(mu0_pert, rho0, cfg, laws)
     base_traj = run(cfg, laws, (mu0, rho0))
     finals, rates = [], []
-    for amp in amplitudes:
-        mu0_pert = field_of(grid, mu0.values + amp * direction)
-        if mu0_pert.min() < 0:
-            raise ValueError("perturbation drives mu0 negative; shrink it")
+    for mu0_pert in perturbed:
         pert_traj = run(cfg, laws, (mu0_pert, rho0))
         series = contraction_metric(base_traj, pert_traj, laws)
         finals.append(float(series.total[-1]))

@@ -6,11 +6,12 @@ stated.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from vchsim.cli import simulate_to_dir
-from vchsim.config import Config, build_run, with_steps
+from vchsim.config import Config, build_run
 from vchsim.diagnostics import contraction_metric, mu_energy_ledger
 from vchsim.mesh import Grid, ScalarField, field_of
 from vchsim.stepper import (
@@ -194,9 +195,9 @@ def test_criterion_5_tau_refinement_order():
                      kappa0=1.0, mu0=("cosine", 1.0, 0.5),
                      rho0=("cosine", 0.5, 0.25))
     values = (16, 32, 64, 128)
-    lin = tau_refinement(StudySpec(base=linear, sweep="tau", values=values,
+    lin = tau_refinement(StudySpec(base=linear, values=values,
                                    reference=512)).fit_order()
-    cpl = tau_refinement(StudySpec(base=coupled, sweep="tau", values=values,
+    cpl = tau_refinement(StudySpec(base=coupled, values=values,
                                    reference=512)).fit_order()
     elapsed = time.monotonic() - t0
     ok = 0.9 <= lin <= 1.1 and cpl >= 0.8 and elapsed <= 60.0
@@ -257,7 +258,7 @@ def test_criterion_7_boundedness():
                      kappa0=1.0, mu0=("cosine", 1.0, 0.5),
                      rho0=("cosine", 0.5, 0.2))
     for N in (64, 128):
-        traj_c, _, _ = run_cfg(with_steps(coupled, N))
+        traj_c, _, _ = run_cfg(replace(coupled, N=N))
         sups[N] = max(s.mu.max() for s in traj_c.states)
     rel_change = abs(sups[64] - sups[128]) / sups[128]
     ok = sup_heat <= 1.0 + 1e-9 and np.isfinite(sups[64]) and rel_change <= 0.05

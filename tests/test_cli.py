@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vchsim import stepper, studies
 from vchsim.cli import main, simulate_to_dir, write_series
 from vchsim.config import (
     Config,
     ConfigError,
     build_field,
     build_grid,
+    build_run,
     parse_config,
     render_config,
 )
@@ -57,6 +59,57 @@ class TestParseConfig:
     def test_negative_g0_rejected(self):
         with pytest.raises(ConfigError, match=r"\(hpfg\)"):
             parse_config(MINIMAL + "coupling = constant\ng0 = -1\n")
+
+    # each rule lives in the layer that owns the value; parse_config still
+    # rejects it, with the same rule code, under every law that reads it
+    @pytest.mark.parametrize("extra,message", [
+        ("dim = 3\n", "dim must be 1 or 2"),
+        ("n = 2\n", "at least 3 nodes"),
+        ("length = 0\n", "length must be positive"),
+        ("T = -1\n", "final time must be nonnegative"),
+        ("N = -1\n", "step count must be nonnegative"),
+        ("N = 0\n", "N = 0 is admitted only with T = 0"),
+        ("epsilon = 0\n", "epsilon and delta must be positive"),
+        ("delta = -1\n", "epsilon and delta must be positive"),
+        ("face_average = geometric\n", "face_average"),
+        ("newton_tol = 0\n", "tolerances must be positive"),
+        ("potential = log\nalpha1 = 0\n", "alpha1 must be positive"),
+        ("mobility = constant\nkappa0 = 0\n", r"\(hpcost\): kappa0"),
+        ("mobility = tanhpow\nm = 1\n", r"\(hpcost\): tanh-power"),
+        ("coupling = constant\ng0 = -0.5\n", r"\(hpfg\)"),
+        ("mu0 = bump 0.5 0.2 -1\n", r"\(hpzero\): mu0"),
+        ("mu0 = cosine 0.1 0.5\n", r"\(hpzero\): mu0"),
+        ("mu0 = constant nan\n", "mu0 has non-finite values"),
+        ("potential = clamp\nrho0 = constant 1.5\n", r"\(hpzero\): rho0"),
+        ("potential = log\nrho0 = constant -0.1\n", r"\(hpzero\): rho0"),
+        ("yosida_lambda = -1\n", "yosida_lambda must be positive"),
+        ("mobility_floor_tau = -0.5\n", "mobility_floor_tau must be nonneg"),
+        ("newton_max_iter = 0\n", "newton_max_iter must be at least 1"),
+        ("linear_max_iter = -5\n", "linear_max_iter must be at least 1"),
+    ])
+    def test_layer_rules_rejected_with_their_code(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + extra)
+
+    @pytest.mark.parametrize("extra", [
+        "yosida_lambda = 0\n", "mobility_floor_tau = -1\n",
+        "linear_max_iter = 0\n",
+        # parameters of a law that is not selected are not read
+        "mobility = tanhpow\nkappa0 = 0\n", "coupling = linear\ng0 = -1\n",
+        "potential = clamp\nalpha1 = 0\n", "mobility = constant\nm = 1\n",
+    ])
+    def test_sentinels_and_unread_parameters_accepted(self, extra):
+        parse_config(MINIMAL + extra)
+
+    def test_sentinels_tie_to_the_step(self):
+        _grid, cfg, _laws, _initial = build_run(parse_config(MINIMAL))
+        assert cfg.yosida_lambda == cfg.mobility_floor_tau == cfg.tau
+        assert cfg.linear_max_iter is None
+        _grid, cfg, _laws, _initial = build_run(parse_config(
+            MINIMAL + "yosida_lambda = 0.5\nmobility_floor_tau = 0\n"
+                      "linear_max_iter = 7\n"))
+        assert (cfg.yosida_lambda, cfg.mobility_floor_tau,
+                cfg.linear_max_iter) == (0.5, 0.0, 7)
 
     @pytest.mark.parametrize("cfg", [
         Config(),
@@ -185,6 +238,73 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
         assert main(["simulate", "--config", path, "--out",
                      str(tmp_path / "out")]) == 2
+
+    RUN = ("validate", "simulate")
+
+    @pytest.mark.parametrize("commands,extra,message", [
+        (RUN, "yosida_lambda = -1\n", "yosida_lambda must be positive"),
+        (RUN, "mobility_floor_tau = -0.5\n",
+         "mobility_floor_tau must be nonnegative"),
+        (RUN, "newton_max_iter = 0\n", "newton_max_iter must be at least 1"),
+        (RUN, "linear_max_iter = -5\n", "linear_max_iter must be at least 1"),
+        (("study",), "study = tau_refinement\nstudy_values = 8 16\n",
+         "at least 3 sweep values"),
+        (("study",), "study = tau_refinement\nstudy_values = 8 32 16\n",
+         "strictly monotone"),
+        (("study",), "mobility = tanhpow\nstudy = tau_refinement\n"
+                     "study_values = 8 16 32\n", "nondegenerate mobility"),
+        (("study",), "mu0 = bump 0.5 0.2 1\nstudy = degenerate_demo\n"
+                     "study_values = 8 16\n", "tanh-power mobility"),
+        (("study",), "mu0 = constant 0.001\nstudy = perturbation\n"
+                     "study_values = 1\nperturb_amplitude = 10\n",
+         "(hpzero): mu0"),
+        (RUN, "mu0 = file {tmp}/absent.txt\n", "absent.txt"),
+        (RUN, "mu0 = file {tmp}/malformed.txt\n", "malformed snapshot header"),
+        (("diagnose absent",), "", "absent"),
+        (("diagnose corrupt",), "", "state_00004_mu.txt"),
+        (("diagnose regrid",), "", "was written for grid"),
+    ], ids=["yosida_lambda", "mobility_floor_tau", "newton_max_iter",
+            "linear_max_iter", "two_values", "non_monotone",
+            "refinement_degenerate", "demo_constant", "perturbation_negative",
+            "missing_mu0_file", "malformed_mu0_file", "missing_traj",
+            "corrupt_snapshot", "snapshot_on_other_grid"])
+    def test_input_errors_exit_2_before_any_step(self, tmp_path, capsys,
+                                                 monkeypatch, commands,
+                                                 extra, message):
+        (tmp_path / "malformed.txt").write_text("1 16\n0.5\n")
+        path = self._write(tmp_path, MINIMAL + extra.format(tmp=tmp_path))
+        if commands[0] in ("diagnose corrupt", "diagnose regrid"):
+            rundir = tmp_path / commands[0].split()[1]
+            assert main(["simulate", "--config", path,
+                         "--out", str(rundir)]) == 0
+            snap = rundir / "state_00004_mu.txt"
+            lines = snap.read_text().splitlines()
+            if commands[0] == "diagnose corrupt":
+                lines[3] = "not-a-number"
+            else:
+                lines = ["1 8 1 0.25"] + lines[1:9]
+            snap.write_text("\n".join(lines) + "\n")
+
+        def no_step(*_args):
+            raise AssertionError("a step ran before the rejection")
+
+        monkeypatch.setattr(stepper, "step", no_step)
+        monkeypatch.setattr(studies, "run", no_step)
+        for command in commands:
+            if command == "validate":
+                argv = ["validate", "--config", path]
+            elif command == "study":
+                argv = ["study", "--spec", path, "--out", str(tmp_path / "s")]
+            elif command == "simulate":
+                argv = ["simulate", "--config", path,
+                        "--out", str(tmp_path / "out")]
+            else:
+                argv = ["diagnose", "--traj",
+                        str(tmp_path / command.split()[1]),
+                        "--out", str(tmp_path / "rep.csv")]
+            assert main(argv) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.txt")]) == 2

@@ -49,8 +49,10 @@ class TestSolverConfig:
         assert cfg.mobility_floor_tau == 0.125
 
     def test_inconsistent_tau_rejected(self):
-        with pytest.raises(ValidationError, match="tau = T/N"):
+        # the step is derived, tau = T/N, so no other value can be passed
+        with pytest.raises(TypeError, match="tau"):
             SolverConfig(T=1.0, n_steps=7, tau=0.2)
+        assert SolverConfig(T=1.0, n_steps=7).tau == 1.0 / 7
 
     def test_zero_steps_requires_zero_time(self):
         with pytest.raises(ValidationError):
@@ -61,6 +63,14 @@ class TestSolverConfig:
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ValidationError):
             SolverConfig(T=1.0, n_steps=4, newton_tol=0.0)
+
+    @pytest.mark.parametrize("control", [
+        {"yosida_lambda": -1.0}, {"mobility_floor_tau": -0.5},
+        {"newton_max_iter": 0}, {"linear_max_iter": 0},
+        {"linear_max_iter": -5}])
+    def test_out_of_range_controls_rejected(self, control):
+        with pytest.raises(ValidationError, match=next(iter(control))):
+            SolverConfig(T=1.0, n_steps=4, **control)
 
 
 class TestStepRho:

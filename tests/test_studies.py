@@ -28,23 +28,23 @@ DEGENERATE_BASE = Config(dim=1, n=64, length=4.0, T=0.5, N=32,
 class TestStudySpec:
     def test_rejects_nonmonotone_values(self):
         with pytest.raises(ValueError):
-            StudySpec(base=LINEAR_CONTROL, sweep="tau", values=(16, 8, 32))
+            StudySpec(base=LINEAR_CONTROL, values=(16, 8, 32))
 
     def test_tau_sweep_needs_three_members(self):
         with pytest.raises(ValueError):
-            StudySpec(base=LINEAR_CONTROL, sweep="tau", values=(16, 32))
+            StudySpec(base=LINEAR_CONTROL, values=(16, 32))
 
 
 class TestTauRefinement:
     def test_zero_time_study_has_zero_errors(self):
         base = Config(dim=1, n=16, T=0.0, N=0, potential="clamp",
                       mu0=("constant", 1.0), rho0=("constant", 0.5))
-        table = tau_refinement(StudySpec(base=base, sweep="tau",
-                                         values=(8, 16, 32), reference=64))
+        table = tau_refinement(StudySpec(base=base, values=(8, 16, 32),
+                                         reference=64))
         assert all(e == 0.0 for _, e, _ in table.rows)
 
     def test_linear_control_first_order(self):
-        table = tau_refinement(StudySpec(base=LINEAR_CONTROL, sweep="tau",
+        table = tau_refinement(StudySpec(base=LINEAR_CONTROL,
                                          values=(8, 16, 32), reference=128))
         fit = table.fit_order()
         assert 0.8 <= fit <= 1.25
@@ -55,11 +55,11 @@ class TestTauRefinement:
         base = Config(dim=1, n=16, T=0.5, N=8, mobility="tanhpow", m=2.0,
                       mu0=("constant", 1.0), rho0=("constant", 0.5))
         with pytest.raises(ValueError, match="nondegenerate"):
-            tau_refinement(StudySpec(base=base, sweep="tau",
-                                     values=(8, 16, 32), reference=64))
+            tau_refinement(StudySpec(base=base, values=(8, 16, 32),
+                                     reference=64))
 
     def test_reproducible_tables(self):
-        spec = StudySpec(base=LINEAR_CONTROL, sweep="tau", values=(8, 16, 32),
+        spec = StudySpec(base=LINEAR_CONTROL, values=(8, 16, 32),
                          reference=64)
         t1 = tau_refinement(spec)
         t2 = tau_refinement(spec)
