@@ -7,22 +7,19 @@ suggests."""
 from .constitutive import (
     ClampIndicator,
     CouplingLaw,
-    K_eval,
-    K_tau_eval,
+    K_tau_array,
     Laws,
     LogGraph,
     MobilityLaw,
     Potential,
     f_total,
-    graph_select,
     make_clamp_potential,
     make_constant_coupling,
     make_constant_mobility,
     make_linear_coupling,
     make_log_potential,
     make_tanh_power_mobility,
-    resolvent,
-    yosida,
+    yosida_array,
 )
 from .diagnostics import (
     ContractionSeries,

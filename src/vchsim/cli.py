@@ -197,7 +197,7 @@ def run_study(config: Config, outdir) -> None:
         spec = StudySpec(base=config, values=tuple(config.study_values),
                          reference=config.study_reference)
         table = tau_refinement(spec)
-        rows = [{"n_steps": int(v), "error": e,
+        rows = [{"n_steps": v, "error": e,
                  "order": o if o is not None else float("nan")}
                 for v, e, o in table.rows]
         write_series(outdir / "orders.csv", rows, ("n_steps", "error", "order"))
@@ -217,8 +217,7 @@ def run_study(config: Config, outdir) -> None:
         write_series(outdir / "oracle.csv", rows,
                      ("t", "mu_stepper", "rho_stepper", "mu_oracle", "rho_oracle"))
     elif config.study == "degenerate_demo":
-        report = degenerate_demo(config,
-                                 step_counts=[int(v) for v in config.study_values])
+        report = degenerate_demo(config, step_counts=config.study_values)
         rows = []
         for n_steps in report.step_counts:
             for i, t in enumerate(report.sample_times):

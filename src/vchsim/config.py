@@ -253,9 +253,9 @@ def build_laws(config: Config) -> laws_mod.Laws:
     else:
         potential = laws_mod.make_log_potential(config.alpha1, config.alpha2)
     if config.coupling == "linear":
-        coupling = laws_mod.make_linear_coupling(config.epsilon)
+        coupling = laws_mod.make_linear_coupling()
     else:
-        coupling = laws_mod.make_constant_coupling(config.g0, config.epsilon)
+        coupling = laws_mod.make_constant_coupling(config.g0)
     if config.mobility == "constant":
         mobility = laws_mod.make_constant_mobility(config.kappa0)
     else:

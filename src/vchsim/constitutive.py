@@ -17,11 +17,10 @@ pure, so they can be shared freely between concurrent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 
 # ---------------------------------------------------------------------------
@@ -115,27 +114,10 @@ class LogGraph:
 MonotoneGraph = ClampIndicator | LogGraph
 
 
-def resolvent(graph: MonotoneGraph, lam: float, y: float) -> float:
-    """The unique r with r + lam*beta(r) containing y (nonexpansive in y)."""
-    if not lam > 0:
-        raise ValueError("resolvent step must be positive")
-    return float(graph.resolvent_array(lam, np.asarray(float(y))))
-
-
-def graph_select(graph: MonotoneGraph, lam: float, y: float) -> float:
-    """Selection (y - resolvent)/lam; lies in beta(resolvent(y)) for the
-    clamp graph exactly, and equals the Yosida value in general."""
-    if not lam > 0:
-        raise ValueError("resolvent step must be positive")
-    return (float(y) - resolvent(graph, lam, y)) / lam
-
-
-def yosida(graph: MonotoneGraph, lam: float, r: float) -> float:
-    """Yosida regularization beta_lam(r): monotone, Lipschitz with 1/lam."""
-    return graph_select(graph, lam, r)
-
-
 def yosida_array(graph: MonotoneGraph, lam: float, r: np.ndarray) -> np.ndarray:
+    """Yosida regularization beta_lam(r) = (r - resolvent(r))/lam, lam > 0:
+    monotone and Lipschitz with 1/lam; for the clamp graph it is a selection
+    of beta at the resolvent."""
     r = np.asarray(r, dtype=float)
     return (r - graph.resolvent_array(lam, r)) / lam
 
@@ -162,11 +144,6 @@ class Potential:
     f2_value: Callable[[np.ndarray], np.ndarray]
     f2_prime: Callable[[np.ndarray], np.ndarray]
     f2_second: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
-
-    @property
-    def domain(self) -> tuple:
-        return self.graph.domain
 
 
 def make_clamp_potential(alpha2: float = 2.0, a: float = 0.0, b: float = 1.0) -> Potential:
@@ -182,7 +159,6 @@ def make_clamp_potential(alpha2: float = 2.0, a: float = 0.0, b: float = 1.0) ->
         f2_value=lambda r: alpha2 * np.asarray(r) * (1.0 - np.asarray(r)),
         f2_prime=lambda r: alpha2 * (1.0 - 2.0 * np.asarray(r)),
         f2_second=lambda r: -2.0 * alpha2 * np.ones_like(np.asarray(r, dtype=float)),
-        name="clamp",
     )
 
 
@@ -210,7 +186,6 @@ def make_log_potential(alpha1: float = 0.5, alpha2: float = 2.0) -> Potential:
         f2_value=lambda r: alpha2 * np.asarray(r) * (1.0 - np.asarray(r)),
         f2_prime=lambda r: alpha2 * (1.0 - 2.0 * np.asarray(r)),
         f2_second=lambda r: -2.0 * alpha2 * np.ones_like(np.asarray(r, dtype=float)),
-        name="log",
     )
 
 
@@ -233,8 +208,6 @@ class CouplingLaw:
     g: Callable[[np.ndarray], np.ndarray]
     g_prime: Callable[[np.ndarray], np.ndarray]
     g_second: Callable[[np.ndarray], np.ndarray]
-    epsilon: float = 1.0
-    name: str = "custom"
 
 
 _SMOOTH_W = 0.1  # width of the C2 blend between the flat and linear branches
@@ -253,7 +226,7 @@ def _blend_d2(s: np.ndarray) -> np.ndarray:
     return s * (36.0 - 96.0 * s + 60.0 * s * s)
 
 
-def make_linear_coupling(epsilon: float = 1.0) -> CouplingLaw:
+def make_linear_coupling() -> CouplingLaw:
     """g(r) = r, continued so it stays nonnegative and C2 on all of R.
 
     Below 0 the value is held at 0; the kink this would create at the origin
@@ -279,10 +252,10 @@ def make_linear_coupling(epsilon: float = 1.0) -> CouplingLaw:
         s = np.clip(r / w, 0.0, 1.0)
         return np.where((r <= 0.0) | (r >= w), 0.0, _blend_d2(s) / w)
 
-    return CouplingLaw(g, gp, gpp, epsilon=epsilon, name="linear")
+    return CouplingLaw(g, gp, gpp)
 
 
-def make_constant_coupling(g0: float = 0.0, epsilon: float = 1.0) -> CouplingLaw:
+def make_constant_coupling(g0: float = 0.0) -> CouplingLaw:
     """g identically g0 >= 0; decouples the two equations (g' = 0)."""
     if g0 < 0:
         raise ValueError(
@@ -294,7 +267,7 @@ def make_constant_coupling(g0: float = 0.0, epsilon: float = 1.0) -> CouplingLaw
     def zero(r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
-    return CouplingLaw(const, zero, zero, epsilon=epsilon, name="constant")
+    return CouplingLaw(const, zero, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +280,32 @@ def _ln_cosh(r: np.ndarray) -> np.ndarray:
     return r + np.log1p(np.exp(-2.0 * r)) - math.log(2.0)
 
 
+# K(r) = int_0^1 kappa(r u^4) 4 r u^3 du (the substitution s = r u^4
+# smooths the power law of kappa at the origin) by a composite
+# Gauss-Legendre rule, 24 points on each of 8 equal panels of [0, 1];
+# within 1e-14 relative of adaptive quadrature for m in [1.05, 4] and
+# r in [1e-8, 100]
+_X, _WX = np.polynomial.legendre.leggauss(24)
+_U = ((np.arange(8)[:, None] + 0.5 * (_X + 1.0)) / 8).ravel()
+_U4, _WU3 = _U ** 4, 4.0 * np.tile(_WX / 16.0, 8) * _U ** 3
+
+
 @dataclass(frozen=True)
 class MobilityLaw:
     """Mobility kappa on [0, inf) with its structural constants.
 
-    ``kappa_sup`` bounds kappa from above everywhere, ``kappa_star`` bounds
-    it from below for arguments >= ``r_star``; ``r_star == 0`` means uniform
-    parabolicity, ``r_star > 0`` admits degeneracy near the origin.
+    ``K`` is the vectorized antiderivative of kappa from 0 (the Kirchhoff
+    transform), for nonnegative arguments.  ``kappa_sup`` bounds kappa from
+    above everywhere, ``kappa_star`` bounds it from below for arguments >=
+    ``r_star``; ``r_star == 0`` means uniform parabolicity, ``r_star > 0``
+    admits degeneracy near the origin.
     """
 
     kappa: Callable[[np.ndarray], np.ndarray]
+    K: Callable[[np.ndarray], np.ndarray]
     kappa_star: float
     kappa_sup: float
     r_star: float
-    name: str
-    kind: str
-    _primitive: Callable[[float], float] = field(repr=False, default=None)
 
     def __post_init__(self):
         if not (self.kappa_star > 0 and self.kappa_sup > 0):
@@ -340,10 +323,8 @@ def make_constant_mobility(kappa0: float = 1.0) -> MobilityLaw:
         return np.full_like(np.asarray(r, dtype=float), kappa0)
 
     return MobilityLaw(
-        kappa=kappa, kappa_star=kappa0, kappa_sup=kappa0, r_star=0.0,
-        name=f"constant({kappa0:g})", kind="constant",
-        _primitive=lambda r: kappa0 * r,
-    )
+        kappa=kappa, K=lambda r: kappa0 * r, kappa_star=kappa0,
+        kappa_sup=kappa0, r_star=0.0)
 
 
 def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
@@ -351,7 +332,8 @@ def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
 
     Vanishes at the origin, so slow diffusion sets in where the potential is
     small -- the porous-medium-like regime.  For m = 2 the antiderivative is
-    ln(cosh(r)) in closed form; other exponents fall back to quadrature.
+    ln(cosh(r)) in closed form; other exponents use the fixed composite
+    Gauss-Legendre rule.
     """
     if not m > 1:
         raise ValueError(
@@ -361,49 +343,19 @@ def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
         r = np.asarray(r, dtype=float)
         return np.tanh(np.maximum(r, 0.0) ** (m - 1.0))
 
-    primitive = None
-    if m == 2.0:
-        primitive = lambda r: float(_ln_cosh(np.asarray(r)))
+    def K(r):
+        return r * (kappa(np.multiply.outer(r, _U4)) @ _WU3)
+
     return MobilityLaw(
-        kappa=kappa, kappa_star=math.tanh(1.0), kappa_sup=1.0, r_star=1.0,
-        name=f"tanhpow({m:g})", kind="tanhpow",
-        _primitive=primitive,
-    )
-
-
-def K_eval(mob: MobilityLaw, r: float) -> float:
-    """Kirchhoff transform K(r) = integral of kappa from 0 to r (r >= 0)."""
-    r = float(r)
-    if r < 0:
-        raise ValueError("K is defined for nonnegative arguments")
-    if mob._primitive is not None:
-        return float(mob._primitive(r))
-    val, err = quad(lambda s: float(mob.kappa(np.asarray(s))), 0.0, r,
-                    epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise RuntimeError(f"mobility quadrature failed (error estimate {err:.2e})")
-    return float(val)
-
-
-def K_tau_eval(mob: MobilityLaw, tau: float, r: float) -> float:
-    """Floored transform: antiderivative of kappa(|s|) + tau, odd in r."""
-    if tau < 0:
-        raise ValueError("floor must be nonnegative")
-    r = float(r)
-    return math.copysign(K_eval(mob, abs(r)), r) + tau * r
+        kappa=kappa, K=_ln_cosh if m == 2.0 else K, kappa_star=math.tanh(1.0),
+        kappa_sup=1.0, r_star=1.0)
 
 
 def K_tau_array(mob: MobilityLaw, tau: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`K_tau_eval`; closed forms where the variant has one."""
+    """Floored Kirchhoff transform: the antiderivative of kappa(|s|) + tau,
+    odd in r."""
     r = np.asarray(r, dtype=float)
-    if mob.kind == "constant":
-        kappa0 = float(mob.kappa(np.asarray(1.0)))
-        return (kappa0 + tau) * r
-    if mob.kind == "tanhpow" and mob._primitive is not None:
-        return np.sign(r) * _ln_cosh(r) + tau * r
-    flat = r.ravel()
-    out = np.array([K_tau_eval(mob, tau, v) for v in flat])
-    return out.reshape(r.shape)
+    return np.sign(r) * mob.K(np.abs(r)) + tau * r
 
 
 # ---------------------------------------------------------------------------

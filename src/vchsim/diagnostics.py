@@ -40,17 +40,7 @@ from .mesh import (
     field_of,
     laplacian_matrix,
 )
-from .stepper import Trajectory, mu_system_coefficients
-
-
-def _cumsum(values: np.ndarray) -> np.ndarray:
-    # explicit running sum so cumulative columns match per-step sums bit for bit
-    out = np.empty_like(values)
-    acc = 0.0
-    for i, v in enumerate(values):
-        acc += v
-        out[i] = acc
-    return out
+from .stepper import Trajectory, mu_system_coefficients, rho_stage_residual
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +103,7 @@ def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
         resid[n] = E[n] - E[n - 1] + diss[n] - cross[n]
     return EnergyLedger(
         t=traj.times(), E_mu=E, diss=diss, extra=extra, cross=cross,
-        resid=resid, diss_cum=_cumsum(diss), extra_cum=_cumsum(extra))
+        resid=resid, diss_cum=np.cumsum(diss), extra_cum=np.cumsum(extra))
 
 
 @dataclass
@@ -137,7 +127,6 @@ class RhoLedger:
     visc_cum: np.ndarray
     work_cum: np.ndarray
     violation: np.ndarray
-    f1_integral: np.ndarray
 
 
 def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
@@ -148,32 +137,29 @@ def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
     F = np.zeros(n_rows)
     visc = np.zeros(n_rows)
     work = np.zeros(n_rows)
-    f1_int = np.zeros(n_rows)
     unit = field_of(grid, 1.0)
 
     def free_energy(state):
         fvals = f_total(laws.potential, state.rho.values)
-        f1vals = laws.potential.f1_value(state.rho.values)
         if np.any(np.isinf(fvals)):
-            return np.inf, np.inf
+            return np.inf
         return (0.5 * dirichlet_energy(grid, unit, state.rho)
-                + vol * float(np.sum(fvals)),
-                vol * float(np.sum(f1vals)))
+                + vol * float(np.sum(fvals)))
 
-    F[0], f1_int[0] = free_energy(traj.states[0])
+    F[0] = free_energy(traj.states[0])
     for n in range(1, n_rows):
         prev, cur = traj.states[n - 1], traj.states[n]
-        F[n], f1_int[n] = free_energy(cur)
+        F[n] = free_energy(cur)
         visc[n] = cfg.delta * cfg.tau * vol * float(np.sum(cur.dt_rho.values ** 2))
         work[n] = cfg.tau * vol * float(np.sum(
             laws.coupling.g_prime(cur.rho.values) * prev.mu.values
             * cur.dt_rho.values))
-    visc_cum = _cumsum(visc)
-    work_cum = _cumsum(work)
+    visc_cum = np.cumsum(visc)
+    work_cum = np.cumsum(work)
     violation = F + visc_cum - F[0] - work_cum
     return RhoLedger(t=traj.times(), F_rho=F, visc=visc, work=work,
                      visc_cum=visc_cum, work_cum=work_cum,
-                     violation=violation, f1_integral=f1_int)
+                     violation=violation)
 
 
 def boundedness_report(traj: Trajectory) -> tuple:
@@ -191,7 +177,8 @@ class ResidualRows:
     """Max-norm residuals of the discrete equation forms, step by step.
 
     ``mu_native`` / ``rho_native`` are the forms the solvers drove to zero
-    and must sit at the solver tolerances; ``mu_kirchhoff`` tests the
+    and must sit at the solver tolerances (``rho_native`` is the stage's
+    own residual, :func:`rho_stage_residual`); ``mu_kirchhoff`` tests the
     conservative form (difference of the weighted potential, Kirchhoff flux
     of the current step, unsplit reaction) against localized bump fields,
     i.e. takes bump-weighted means of its strong residual, and
@@ -223,7 +210,6 @@ def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
     cfg = traj.cfg
     grid = traj.grid
     vol = grid.cell_volume
-    L = laplacian_matrix(grid)
     graph = laws.graph
     lam = cfg.yosida_lambda
     eps = cfg.epsilon
@@ -258,33 +244,25 @@ def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
         out["mu_kirchhoff"][n] = float(np.max(np.abs(
             vol * (bumps @ strong.ravel()))))
 
-        # native order-parameter stage: for the clamp graph the committed
-        # pair is the resolvent projection of the Newton iterate, so the
-        # solved equation is recovered at rho + lam*xi
-        if isinstance(graph, ClampIndicator):
-            rr = (rho_c + lam * cur.xi.values).ravel()
-        else:
-            rr = rho_c.ravel()
-        res_rho = (cfg.delta * (rr - prev.rho.values.ravel()) / cfg.tau
-                   - L @ rr + cur.xi.values.ravel()
-                   + laws.potential.f2_prime(rr)
-                   - mu_p.ravel() * laws.coupling.g_prime(rr))
-        out["rho_native"][n] = float(np.max(np.abs(res_rho)))
+        # native order-parameter stage, the residual the Newton solve
+        # stopped at: for the clamp graph the committed pair is the
+        # resolvent projection of the Newton iterate, so the iterate is
+        # recovered as rho + lam*xi
+        rc, xi_c = rho_c.ravel(), cur.xi.values.ravel()
+        rr = rc + lam * xi_c if isinstance(graph, ClampIndicator) else rc
+        out["rho_native"][n] = float(np.max(np.abs(rho_stage_residual(
+            prev.rho, prev.mu, rr, xi_c, cfg, laws))))
 
         # strong inclusion at the committed pair; for the log graph the
         # committed selection is the Yosida value, so this shows the O(lam) gap
-        rc = rho_c.ravel()
         if isinstance(graph, LogGraph):
             inside = (rc > graph.a) & (rc < graph.b)
             xi_strong = np.where(inside, graph.value(np.clip(
                 rc, graph.a + 1e-300, graph.b - 1e-300)), np.inf)
         else:
-            xi_strong = cur.xi.values.ravel()
-        res_strong = (cfg.delta * (rc - prev.rho.values.ravel()) / cfg.tau
-                      - L @ rc + xi_strong
-                      + laws.potential.f2_prime(rc)
-                      - mu_p.ravel() * laws.coupling.g_prime(rc))
-        out["rho_strong"][n] = float(np.max(np.abs(res_strong)))
+            xi_strong = xi_c
+        out["rho_strong"][n] = float(np.max(np.abs(rho_stage_residual(
+            prev.rho, prev.mu, rc, xi_strong, cfg, laws))))
 
     return ResidualRows(t=traj.times(), mu_native=out["mu_native"],
                         mu_kirchhoff=out["mu_kirchhoff"],
@@ -301,15 +279,13 @@ class ContractionSeries:
     """Squared gaps of two runs in the rescaled variables, step by step.
 
     ``z = mu * sqrt(eps + 2 g(rho))`` is the variable in which the
-    constant-mobility uniqueness argument contracts; ``backed`` records
-    whether the mobility actually is constant (otherwise the series is
-    still computable but has no theoretical backing).
+    constant-mobility uniqueness argument contracts; under other mobilities
+    the series is still computable but has no theoretical backing.
     """
 
     t: np.ndarray
     z_gap: np.ndarray
     rho_gap: np.ndarray
-    backed: bool
 
     @property
     def total(self) -> np.ndarray:
@@ -341,8 +317,7 @@ def contraction_metric(trajA: Trajectory, trajB: Trajectory,
         zb = sb.mu.values * np.sqrt(eps + 2.0 * laws.coupling.g(sb.rho.values))
         z_gap[n] = vol * float(np.sum((za - zb) ** 2))
         rho_gap[n] = vol * float(np.sum((sa.rho.values - sb.rho.values) ** 2))
-    return ContractionSeries(t=trajA.times(), z_gap=z_gap, rho_gap=rho_gap,
-                             backed=laws.mobility.kind == "constant")
+    return ContractionSeries(t=trajA.times(), z_gap=z_gap, rho_gap=rho_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,6 @@ class ScalarField:
             raise FloatingPointError("field contains non-finite values")
         return self
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def min(self) -> float:
         return float(self.values.min())
 

@@ -211,6 +211,19 @@ class Trajectory:
 # stages
 
 
+def rho_stage_residual(rho_prev: ScalarField, mu_delayed: ScalarField,
+                       r: np.ndarray, xi: np.ndarray, cfg: SolverConfig,
+                       laws: Laws) -> np.ndarray:
+    """delta (r - rho_prev)/tau - Lap r + xi + pi(r) - mu_delayed g'(r) at
+    flat node values: the equation :func:`step_rho` drives to zero with xi
+    the Yosida value at r, and the diagnostics evaluate."""
+    dt_coef = cfg.delta / cfg.tau
+    return (dt_coef * (r - rho_prev.values.ravel())
+            - laplacian_matrix(rho_prev.grid) @ r + xi
+            + laws.potential.f2_prime(r)
+            - mu_delayed.values.ravel() * laws.coupling.g_prime(r))
+
+
 def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
              laws: Laws):
     """Implicit order-parameter stage.
@@ -237,8 +250,8 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     dt_coef = cfg.delta / cfg.tau
 
     def residual(r):
-        return (dt_coef * (r - rho_prev) - L @ r + yosida_array(graph, lam, r)
-                + pot.f2_prime(r) - mu_d * cpl.g_prime(r))
+        return rho_stage_residual(prev.rho, mu_del, r,
+                                  yosida_array(graph, lam, r), cfg, laws)
 
     r = rho_prev.copy()
     res = residual(r)

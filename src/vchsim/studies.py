@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .config import Config, build_laws, build_run
-from .constitutive import K_tau_array, Laws, yosida
+from .constitutive import K_tau_array, Laws, yosida_array
 from .diagnostics import contraction_metric
 from .mesh import ScalarField, dirichlet_energy, field_of, integrate
 from .stepper import (
@@ -37,6 +37,16 @@ from .stepper import (
 )
 
 
+def _step_counts(values) -> list:
+    """Sweep values that are step counts, as ints; each must be a positive
+    whole number."""
+    bad = [v for v in values if not (v > 0 and float(v).is_integer())]
+    if bad:
+        raise ValidationError(f"study step counts must be positive whole "
+                              f"numbers, got {bad[0]!r}")
+    return [int(v) for v in values]
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """A step-count sweep of a base configuration."""
@@ -46,7 +56,7 @@ class StudySpec:
     reference: int = 512       # finest-step member used as reference
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(_step_counts(self.values), dtype=float)
         if len(vals) < 3:
             raise ValidationError(
                 "order estimation needs at least 3 sweep values")
@@ -61,9 +71,6 @@ class OrderTable:
     None on the first row and between non-finite pairs."""
 
     rows: list
-
-    def orders(self) -> list:
-        return [r[2] for r in self.rows if r[2] is not None]
 
     def fit_order(self):
         """Least-squares slope of log error vs log step count -- the sweep's
@@ -160,7 +167,7 @@ def reduced_ode_rhs(cfg: SolverConfig, laws: Laws):
     def rhs(_t, y):
         mu, rho = y
         gp = float(laws.coupling.g_prime(np.asarray(rho)))
-        rho_dot = (mu * gp - yosida(laws.graph, lam, rho)
+        rho_dot = (mu * gp - float(yosida_array(laws.graph, lam, rho))
                    - float(laws.potential.f2_prime(np.asarray(rho)))) / cfg.delta
         a = cfg.epsilon + 2.0 * float(laws.coupling.g(np.asarray(rho)))
         mu_dot = -mu * gp * rho_dot / a
@@ -254,6 +261,7 @@ def degenerate_demo(base: Config, step_counts=(64, 128, 256),
     if base.mu0[0] != "bump":
         raise ValidationError(
             "the demo expects a compact bump over a zero background")
+    step_counts = _step_counts(step_counts)
     if any(n_steps % n_samples for n_steps in step_counts):
         raise ValidationError(
             f"step counts must be divisible by the sample count {n_samples}")
@@ -286,7 +294,7 @@ def degenerate_demo(base: Config, step_counts=(64, 128, 256),
         vnorm[n_steps] = float(max(vn))
         sample_times = np.array(times)
     return DegenerateReport(sample_times=sample_times,
-                            step_counts=list(step_counts), radii=radii,
+                            step_counts=step_counts, radii=radii,
                             control_radii=control_radii, ktau_vnorm_sup=vnorm,
                             threshold=threshold, center=center)
 

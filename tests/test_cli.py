@@ -255,6 +255,13 @@ class TestCliExitCodes:
                      "study_values = 8 16 32\n", "nondegenerate mobility"),
         (("study",), "mu0 = bump 0.5 0.2 1\nstudy = degenerate_demo\n"
                      "study_values = 8 16\n", "tanh-power mobility"),
+        (("study",), "study = tau_refinement\nstudy_values = 8 16 inf\n",
+         "positive whole numbers, got inf"),
+        (("study",), "study = tau_refinement\nstudy_values = 8 16.5 32\n",
+         "positive whole numbers, got 16.5"),
+        (("study",), "mobility = tanhpow\nmu0 = bump 0.5 0.2 1\n"
+                     "study = degenerate_demo\nstudy_values = 8 16.5 32\n",
+         "positive whole numbers, got 16.5"),
         (("study",), "mu0 = constant 0.001\nstudy = perturbation\n"
                      "study_values = 1\nperturb_amplitude = 10\n",
          "(hpzero): mu0"),
@@ -265,7 +272,9 @@ class TestCliExitCodes:
         (("diagnose regrid",), "", "was written for grid"),
     ], ids=["yosida_lambda", "mobility_floor_tau", "newton_max_iter",
             "linear_max_iter", "two_values", "non_monotone",
-            "refinement_degenerate", "demo_constant", "perturbation_negative",
+            "refinement_degenerate", "demo_constant", "refinement_inf_steps",
+            "refinement_fractional_steps", "demo_fractional_steps",
+            "perturbation_negative",
             "missing_mu0_file", "malformed_mu0_file", "missing_traj",
             "corrupt_snapshot", "snapshot_on_other_grid"])
     def test_input_errors_exit_2_before_any_step(self, tmp_path, capsys,

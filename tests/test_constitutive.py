@@ -1,26 +1,29 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from vchsim.constitutive import (
     ClampIndicator,
-    K_eval,
     K_tau_array,
-    K_tau_eval,
     LogGraph,
     f_total,
-    graph_select,
     make_clamp_potential,
     make_constant_coupling,
     make_constant_mobility,
     make_linear_coupling,
     make_log_potential,
     make_tanh_power_mobility,
-    resolvent,
-    yosida,
+    yosida_array,
 )
+from vchsim.stepper import SolverConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # frozen oracle values (bisection / quadrature, computed independently)
 LOG_RESOLVENT_Y2 = 0.7732493551656519   # root of r + ln(r/(1-r)) = 2 on (0,1)
@@ -28,12 +31,30 @@ LN_COSH_1 = 0.4337808304830271          # integral of tanh over [0,1]
 LN_9 = 2.1972245773362196
 
 
+def resolvent(graph, lam, y):
+    return float(graph.resolvent_array(lam, np.asarray(y, dtype=float)))
+
+
+def yosida(graph, lam, r):
+    return float(yosida_array(graph, lam, np.asarray(r, dtype=float)))
+
+
+def k_tau_reference(mob, tau, r):
+    """K_tau(r) by adaptive quadrature of kappa(|s|) + tau, one node at a
+    time: the reference the vectorized transform is held to."""
+    val, _ = quad(lambda s: float(mob.kappa(np.asarray(s))), 0.0, abs(r),
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return math.copysign(val, r) + tau * r
+
+
 class TestResolvent:
     def test_clamp_interior_point(self):
         assert resolvent(ClampIndicator(0, 1), 0.5, 0.4) == 0.4
 
     def test_clamp_projects(self):
-        assert resolvent(ClampIndicator(0, 1), 2.0, 1.7) == 1.0
+        y = np.array([1.7, -0.2])
+        assert np.array_equal(ClampIndicator(0, 1).resolvent_array(2.0, y),
+                              [1.0, 0.0])
         assert resolvent(ClampIndicator(0, 1), 1e-3, -0.2) == 0.0
 
     def test_log_symmetric_point(self):
@@ -45,21 +66,24 @@ class TestResolvent:
         assert abs(r + math.log(r / (1 - r)) - 2.0) <= 1e-13
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            resolvent(ClampIndicator(), 0.0, 1.0)
+        # the resolvent step is the solver config's yosida_lambda, which
+        # rejects nonpositive values before any resolvent is taken
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="yosida_lambda"):
+                SolverConfig(T=1.0, n_steps=4, yosida_lambda=lam)
 
 
 class TestGraphSelect:
     def test_interior_selection_vanishes(self):
-        assert graph_select(ClampIndicator(0, 1), 1.0, 0.5) == 0.0
+        assert yosida(ClampIndicator(0, 1), 1.0, 0.5) == 0.0
 
     def test_upper_endpoint_sign(self):
         # (1.5 - 1)/0.5 = 1.0 >= 0 at r = 1
-        assert graph_select(ClampIndicator(0, 1), 0.5, 1.5) == 1.0
+        assert yosida(ClampIndicator(0, 1), 0.5, 1.5) == 1.0
 
     def test_lower_endpoint_sign(self):
         # (-0.1 - 0)/0.25 = -0.4 <= 0 at r = 0
-        assert graph_select(ClampIndicator(0, 1), 0.25, -0.1) == pytest.approx(-0.4, abs=1e-15)
+        assert yosida(ClampIndicator(0, 1), 0.25, -0.1) == pytest.approx(-0.4, abs=1e-15)
 
 
 class TestYosida:
@@ -139,31 +163,65 @@ class TestCouplingLaw:
 class TestMobilityTransforms:
     def test_constant_closed_forms(self):
         mob = make_constant_mobility(1.0)
-        assert K_eval(mob, 2.0) == 2.0
-        assert K_tau_eval(mob, 0.1, 2.0) == pytest.approx(2.2, abs=1e-14)
-        assert K_tau_eval(mob, 0.1, -2.0) == pytest.approx(-2.2, abs=1e-14)
+        assert mob.K(2.0) == 2.0
+        assert np.allclose(K_tau_array(mob, 0.1, np.array([2.0, -2.0])),
+                           [2.2, -2.2], rtol=0.0, atol=1e-14)
 
     def test_tanh_matches_quadrature_oracle(self):
-        from scipy.integrate import quad
         mob = make_tanh_power_mobility(2.0)
         oracle, _ = quad(math.tanh, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-        assert K_eval(mob, 1.0) == pytest.approx(oracle, abs=1e-12)
-        assert K_eval(mob, 1.0) == pytest.approx(LN_COSH_1, abs=1e-12)
+        assert float(K_tau_array(mob, 0.0, 1.0)) == pytest.approx(oracle, abs=1e-12)
+        assert float(K_tau_array(mob, 0.0, 1.0)) == pytest.approx(LN_COSH_1, abs=1e-12)
 
     def test_general_exponent_uses_quadrature(self):
         mob = make_tanh_power_mobility(2.5)
-        from scipy.integrate import quad
         oracle, _ = quad(lambda s: math.tanh(s ** 1.5), 0.0, 2.0,
                          epsabs=1e-13, epsrel=1e-13)
-        assert K_eval(mob, 2.0) == pytest.approx(oracle, abs=1e-11)
+        assert float(K_tau_array(mob, 0.0, 2.0)) == pytest.approx(oracle, abs=1e-11)
 
     def test_k_tau_array_matches_scalar(self):
         for mob in (make_constant_mobility(1.3), make_tanh_power_mobility(2.0),
                     make_tanh_power_mobility(2.3)):
             r = np.array([-2.0, -0.3, 0.0, 0.7, 4.0])
             vec = K_tau_array(mob, 0.05, r)
-            scal = np.array([K_tau_eval(mob, 0.05, v) for v in r])
+            scal = np.array([k_tau_reference(mob, 0.05, v) for v in r])
             assert np.max(np.abs(vec - scal)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1.05, 1.5, 2.5, 3.0, 4.0])
+    def test_matches_adaptive_quadrature(self, m):
+        # no floor, so the relative error is that of K itself
+        mob = make_tanh_power_mobility(m)
+        mags = np.logspace(-8.0, 2.0, 31)
+        r = np.concatenate([-mags[::-1], mags]).reshape(2, -1)
+        vec = K_tau_array(mob, 0.0, r)
+        ref = np.array([k_tau_reference(mob, 0.0, v) for v in r.ravel()])
+        assert vec.shape == r.shape
+        assert np.max(np.abs(vec.ravel() - ref) / np.abs(ref)) <= 1e-12
+
+    def test_m2_closed_form_bitwise_unchanged(self):
+        mob = make_tanh_power_mobility(2.0)
+        r = np.linspace(-30.0, 30.0, 602).reshape(2, -1)
+        a = np.abs(r)
+        ln_cosh = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+        for tau in (0.0, 0.02 / 12):
+            assert np.array_equal(K_tau_array(mob, tau, r),
+                                  np.sign(r) * ln_cosh + tau * r)
+
+    def test_import_leaves_scipy_integrate_out(self):
+        # the module alone, loaded from its file: the package import also
+        # runs vchsim.studies, whose ODE oracle needs scipy.integrate
+        code = ("import importlib.util, sys\n"
+                "spec = importlib.util.spec_from_file_location("
+                "'constitutive', sys.argv[1])\n"
+                "module = importlib.util.module_from_spec(spec)\n"
+                "sys.modules['constitutive'] = module\n"
+                "spec.loader.exec_module(module)\n"
+                "module.K_tau_array(module.make_tanh_power_mobility(2.5), "
+                "0.0, [1.0])\n"
+                "sys.exit('scipy.integrate' in sys.modules)\n")
+        assert subprocess.run([sys.executable, "-c", code,
+                               str(SRC / "vchsim" / "constitutive.py")],
+                              ).returncode == 0
 
     def test_mobility_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -186,7 +244,7 @@ reals = st.floats(min_value=-50.0, max_value=50.0,
        lam_i=st.integers(0, len(LAMBDAS) - 1))
 def test_resolvent_nonexpansive(y1, y2, graph_i, lam_i):
     graph, lam = GRAPHS[graph_i], LAMBDAS[lam_i]
-    r1, r2 = resolvent(graph, lam, y1), resolvent(graph, lam, y2)
+    r1, r2 = graph.resolvent_array(lam, np.array([y1, y2]))
     assert abs(r1 - r2) <= abs(y1 - y2) + 1e-11 * max(1.0, abs(y1), abs(y2))
 
 
@@ -195,7 +253,7 @@ def test_resolvent_nonexpansive(y1, y2, graph_i, lam_i):
        lam_i=st.integers(0, len(LAMBDAS) - 1))
 def test_yosida_monotone_and_lipschitz(r1, r2, graph_i, lam_i):
     graph, lam = GRAPHS[graph_i], LAMBDAS[lam_i]
-    b1, b2 = yosida(graph, lam, r1), yosida(graph, lam, r2)
+    b1, b2 = yosida_array(graph, lam, np.array([r1, r2]))
     scale = max(1.0, abs(r1), abs(r2)) / lam
     assert (b1 - b2) * (r1 - r2) >= -1e-10 * scale * max(1.0, abs(r1 - r2))
     assert abs(b1 - b2) <= abs(r1 - r2) / lam + 1e-10 * scale

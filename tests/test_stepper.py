@@ -27,11 +27,11 @@ from vchsim.stepper import (
 
 
 def make_laws(potential="clamp", alpha1=0.5, alpha2=2.0, coupling="linear",
-              g0=0.0, kappa0=1.0, epsilon=1.0):
+              g0=0.0, kappa0=1.0):
     pot = (make_clamp_potential(alpha2) if potential == "clamp"
            else make_log_potential(alpha1, alpha2))
-    cpl = (make_linear_coupling(epsilon) if coupling == "linear"
-           else make_constant_coupling(g0, epsilon))
+    cpl = (make_linear_coupling() if coupling == "linear"
+           else make_constant_coupling(g0))
     return Laws(pot, cpl, make_constant_mobility(kappa0))
 
 
