@@ -71,6 +71,10 @@ def write_series(path, rows, columns=SERIES_COLUMNS) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_manifest(outdir) -> Path:
     """Checksum every file in the directory into manifest.txt (sorted)."""
     outdir = Path(outdir)
@@ -78,11 +82,33 @@ def write_manifest(outdir) -> Path:
     for p in sorted(outdir.iterdir()):
         if p.name == "manifest.txt" or p.is_dir():
             continue
-        digest = hashlib.sha256(p.read_bytes()).hexdigest()
-        lines.append(f"{digest}  {p.name}")
+        lines.append(f"{_sha256(p)}  {p.name}")
     manifest = outdir / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+def verify_manifest(rundir) -> list:
+    """Check every file manifest.txt lists against its checksum; returns one
+    problem per file that is missing or has changed (empty when all match).
+    An unreadable or malformed manifest is an input error."""
+    manifest = Path(rundir) / "manifest.txt"
+    try:
+        lines = manifest.read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest {str(manifest)!r}: {exc}") from exc
+    problems = []
+    for line in lines:
+        digest, sep, name = line.partition("  ")
+        if not (sep and name):
+            raise ConfigError(f"malformed manifest line {line!r} in "
+                              f"{str(manifest)!r}")
+        path = manifest.parent / name
+        if not path.is_file():
+            problems.append(f"manifest: {name} is missing")
+        elif _sha256(path) != digest:
+            problems.append(f"manifest: checksum mismatch for {name}")
+    return problems
 
 
 def simulate_to_dir(config: Config, outdir) -> Trajectory:
@@ -143,7 +169,12 @@ def load_trajectory(rundir):
 
 def diagnose_to_report(rundir, report_path) -> list:
     """Compute the full diagnostic report for a stored run; returns the list
-    of violated checks (empty when the run is clean)."""
+    of violated checks (empty when the run is clean).  The run's files are
+    first checked against manifest.txt; a missing or changed file is
+    reported as a violation, and nothing is loaded or diagnosed."""
+    tampered = verify_manifest(rundir)
+    if tampered:
+        return tampered
     traj, laws, config = load_trajectory(rundir)
     ledger = mu_energy_ledger(traj, laws)
     rho_led = rho_energy_ledger(traj, laws)

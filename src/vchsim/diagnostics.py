@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from .constitutive import (
     ClampIndicator,
@@ -36,9 +35,8 @@ from .mesh import (
     dirichlet_energy,
     div_faces,
     div_k_grad_arrays,
-    face_weights,
     field_of,
-    laplacian_matrix,
+    unit_face_weights,
 )
 from .stepper import Trajectory, mu_system_coefficients, rho_stage_residual
 
@@ -193,28 +191,30 @@ class ResidualRows:
     rho_strong: np.ndarray
 
 
-def _bump_matrix(grid) -> sps.csr_matrix:
-    """Discrete hat-like test bumps at every 4th node, one per row: weight 1
-    at the node and 1/2 at each stencil neighbour, scaled to unit mass."""
-    # the Laplacian's sparsity pattern is the node plus its stencil neighbours
-    pattern = laplacian_matrix(grid)[::4].tocoo()
-    centers = np.arange(0, grid.num_nodes, 4)
-    weights = np.where(pattern.col == centers[pattern.row], 1.0, 0.5)
-    bumps = sps.csr_matrix((weights, (pattern.row, pattern.col)),
-                           shape=pattern.shape)
-    mass = np.asarray(bumps.sum(axis=1)).ravel() * grid.cell_volume
-    return sps.diags(1.0 / mass) @ bumps
+def _bump_means(r: np.ndarray) -> np.ndarray:
+    """Means ``h^dim sum v r`` of node values ``r`` under discrete hat-like
+    test bumps ``v`` at every 4th node in row-major order: weight 1 at the
+    node and 1/2 at each stencil neighbour, scaled to unit mass
+    ``h^dim sum v = 1``."""
+    total = r.copy()
+    weight = np.ones_like(r)
+    for axis in range(r.ndim):
+        # views with ``axis`` first, so the stencil shift is a leading slice
+        rv, tv, wv = (np.moveaxis(a, axis, 0) for a in (r, total, weight))
+        tv[:-1] += 0.5 * rv[1:]
+        tv[1:] += 0.5 * rv[:-1]
+        wv[:-1] += 0.5
+        wv[1:] += 0.5
+    return (total / weight).ravel()[::4]
 
 
 def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
     cfg = traj.cfg
     grid = traj.grid
-    vol = grid.cell_volume
     graph = laws.graph
     lam = cfg.yosida_lambda
     eps = cfg.epsilon
-    bumps = _bump_matrix(grid)
-    unit_faces = face_weights(grid, np.ones(grid.shape))
+    unit_faces = unit_face_weights(grid)
     n_rows = len(traj.states)
     out = {k: np.zeros(n_rows) for k in
            ("mu_native", "mu_kirchhoff", "rho_native", "rho_strong")}
@@ -241,8 +241,7 @@ def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
         coupling_term = mu_c * laws.coupling.g_prime(rho_c) * cur.dt_rho.values
         ktau_c = K_tau_array(laws.mobility, cfg.mobility_floor_tau, mu_c)
         strong = dt_weighted - coupling_term - div_faces(unit_faces, ktau_c)
-        out["mu_kirchhoff"][n] = float(np.max(np.abs(
-            vol * (bumps @ strong.ravel()))))
+        out["mu_kirchhoff"][n] = float(np.max(np.abs(_bump_means(strong))))
 
         # native order-parameter stage, the residual the Newton solve
         # stopped at: for the clamp graph the committed pair is the

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.fft import dctn, idctn
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,8 @@ def div_k_grad_arrays(grid: Grid, kv: np.ndarray, uv: np.ndarray,
 
     Face coefficients are arithmetic means of the node values of ``k`` by
     default (``harmonic=True`` switches the averaging); boundary faces carry
-    zero flux.  With ``k == 1`` it equals :func:`laplacian_matrix` applied
-    to ``u`` up to rounding.
+    zero flux.  With ``k == 1`` it is the Laplacian, as the rho stage applies
+    it through :func:`unit_face_weights`.
     """
     return div_faces(face_weights(grid, kv, harmonic), uv)
 
@@ -184,16 +182,32 @@ def dirichlet_energy(grid: Grid, k: ScalarField, u: ScalarField,
 
 
 @lru_cache(maxsize=32)
-def laplacian_matrix(grid: Grid) -> sps.csr_matrix:
+def unit_face_weights(grid: Grid) -> tuple:
+    """:func:`face_weights` of ``k == 1`` (every weight 1/h^2), so that
+    ``div_faces(unit_face_weights(grid), u)`` is the Laplacian of
+    :func:`laplacian_matrix` applied matrix-free.  Cached per grid and
+    read-only."""
+    weights = face_weights(grid, np.ones(grid.shape))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=32)
+def laplacian_matrix(grid: Grid):
     """Discrete Laplacian with reflected ghost values (zero normal flux),
-    as a sparse matrix in row-major node ordering.
+    as a scipy.sparse CSR matrix in row-major node ordering.
 
     3-point (1-D) / 5-point (2-D) stencil divided by h^2.  Constants are in
     its kernel exactly; boundary rows see the reflected ghost, which is what
     makes the cell-centered Neumann closure second order.  Cached per grid;
-    used by the Newton solver of the implicit stage.
-    :func:`shifted_laplacian_solve` inverts shifts of it in O(n log n).
+    the rho stage assembles it only for the SuperLU factorization of an
+    indefinite Jacobian and applies it matrix-free otherwise
+    (:func:`unit_face_weights`).  :func:`shifted_laplacian_solve` inverts
+    shifts of it in O(n log n).
     """
+    import scipy.sparse as sps
+
     n, h2 = grid.n, grid.h ** 2
     main = -2.0 * np.ones(n)
     main[0] = main[-1] = -1.0  # reflected ghost merges into the diagonal
@@ -230,6 +244,8 @@ def shifted_laplacian_solve(grid: Grid, s: float, k: float,
     grid; ``x`` comes back in the same layout.  One DCT-II and one inverse
     on a single worker, so the result is bitwise reproducible.
     """
+    from scipy.fft import dctn, idctn
+
     lam = laplacian_eigenvalues(grid)
     coef = dctn(rhs.reshape(grid.shape), type=2, norm="ortho", workers=1)
     x = idctn(coef / (s - k * lam), type=2, norm="ortho", workers=1)
@@ -240,10 +256,10 @@ def write_snapshot(path, field: ScalarField, t: float) -> None:
     """Write a field snapshot: header ``dim n length t`` then one node value
     per line in row-major order, 17 significant digits (lossless round trip)."""
     g = field.grid
-    lines = [f"{g.dim} {g.n} {g.length:.17g} {t:.17g}"]
-    lines.extend(f"{v:.17g}" for v in field.values.ravel())
+    header = f"{g.dim} {g.n} {g.length:.17g} {t:.17g}"
+    body = "\n".join(map("{:.17g}".format, field.values.ravel().tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{header}\n{body}\n")
 
 
 def read_snapshot(path) -> tuple:

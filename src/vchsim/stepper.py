@@ -28,14 +28,16 @@ Stage order is fixed rho-then-mu; the mu stage consumes rho_new and its
 backward difference as frozen coefficients.
 
 Both stages solve systems of one shape, diag(d) - div(k grad .) on the
-cell-centered Neumann grid, and both use one preconditioned conjugate
-gradient loop whose preconditioner is, where it fits, the exact DCT
-inverse of the mean-coefficient operator (``shifted_laplacian_solve``):
+cell-centered Neumann grid.  Both apply the operator matrix-free through
+the face-flux divergence ``div_faces`` (unit face weights in the rho
+stage), and both use one preconditioned conjugate gradient loop whose
+preconditioner is, where it fits, the exact DCT inverse of the
+mean-coefficient operator (``shifted_laplacian_solve``):
 
 - rho stage (k = 1): DCT-preconditioned CG for each Newton direction
-  while the Jacobian is provably SPD (delta/tau + min d > 0); a SuperLU
-  factorization only for the indefinite Jacobians a concave potential
-  part can produce under a small viscosity;
+  while the Jacobian is provably SPD (delta/tau + min d > 0); only for the
+  indefinite Jacobians a concave potential part can produce under a small
+  viscosity is the sparse Jacobian assembled and factorized by SuperLU;
 - mu stage: DCT-preconditioned CG while the lagged mobility varies by at
   most ``DCT_CONTRAST_MAX``, Jacobi-preconditioned CG beyond it.
 
@@ -48,8 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
 from .constitutive import ClampIndicator, Laws, yosida_array
 from .mesh import (
@@ -60,6 +60,7 @@ from .mesh import (
     field_of,
     laplacian_matrix,
     shifted_laplacian_solve,
+    unit_face_weights,
 )
 
 # The mu stage preconditions with the exact inverse of its mean-coefficient
@@ -216,10 +217,13 @@ def rho_stage_residual(rho_prev: ScalarField, mu_delayed: ScalarField,
                        laws: Laws) -> np.ndarray:
     """delta (r - rho_prev)/tau - Lap r + xi + pi(r) - mu_delayed g'(r) at
     flat node values: the equation :func:`step_rho` drives to zero with xi
-    the Yosida value at r, and the diagnostics evaluate."""
+    the Yosida value at r, and the diagnostics evaluate.  The Laplacian is
+    the unit-coefficient flux divergence, applied matrix-free."""
+    grid = rho_prev.grid
     dt_coef = cfg.delta / cfg.tau
+    lap_r = div_faces(unit_face_weights(grid), r.reshape(grid.shape)).ravel()
     return (dt_coef * (r - rho_prev.values.ravel())
-            - laplacian_matrix(rho_prev.grid) @ r + xi
+            - lap_r + xi
             + laws.potential.f2_prime(r)
             - mu_delayed.values.ravel() * laws.coupling.g_prime(r))
 
@@ -236,10 +240,14 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     Each Newton direction solves J = diag(delta/tau + d) - L.  When
     delta/tau + min d > 0, J is SPD (-L is PSD) and CG preconditioned by
     the DCT solve of ``mean(delta/tau + d) I - L`` takes it to a 2-norm
-    residual of ``0.1 newton_tol``; otherwise J is factorized by SuperLU.
+    residual of ``0.1 newton_tol``, with L applied matrix-free as the
+    unit-coefficient flux divergence; otherwise J is assembled from the
+    sparse :func:`laplacian_matrix` and factorized by SuperLU, the only
+    place the stage loads ``scipy.sparse``.
     """
     grid = prev.grid
-    L = laplacian_matrix(grid)
+    unit_faces = unit_face_weights(grid)
+    shape = grid.shape
     nn = grid.num_nodes
     rho_prev = prev.rho.values.ravel()
     mu_d = mu_del.values.ravel()
@@ -272,14 +280,18 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
             # inverse of its mean-shift Laplacian part
             shift = float(diag.mean())
             step, _, cg_res = _pcg(
-                lambda x: diag * x - L @ x, res,
+                lambda x: diag * x - div_faces(unit_faces,
+                                               x.reshape(shape)).ravel(), res,
                 lambda z: shifted_laplacian_solve(grid, shift, 1.0, z),
                 np.zeros(nn), inner_tol, max_inner)
             if cg_res > inner_tol:
                 raise StepFailure("conjugate gradients did not converge in "
                                   "the rho stage", res_norm)
         else:
-            J = (sps.diags(diag) - L).tocsc()
+            import scipy.sparse as sps
+            from scipy.sparse.linalg import splu
+
+            J = (sps.diags(diag) - laplacian_matrix(grid)).tocsc()
             try:
                 step = splu(J).solve(res)
             except RuntimeError as exc:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import Config, build_laws, build_run
 from .constitutive import K_tau_array, Laws, yosida_array
@@ -178,6 +177,10 @@ def reduced_ode_rhs(cfg: SolverConfig, laws: Laws):
 
 def integrate_reduced_ode(cfg: SolverConfig, laws: Laws, mu0: float,
                           rho0: float, t_eval: np.ndarray):
+    # the only scipy.integrate user: imported here, so that no other command
+    # pays for loading it
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(reduced_ode_rhs(cfg, laws), (0.0, float(t_eval[-1])),
                     [mu0, rho0], method="DOP853", t_eval=t_eval,
                     rtol=1e-11, atol=1e-13, max_step=np.inf)

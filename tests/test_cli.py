@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vchsim import stepper, studies
-from vchsim.cli import main, simulate_to_dir, write_series
+from vchsim import cli, stepper, studies
+from vchsim.cli import main, simulate_to_dir, write_manifest, write_series
 from vchsim.config import (
     Config,
     ConfigError,
@@ -17,6 +22,7 @@ from vchsim.mesh import read_snapshot
 
 
 MINIMAL = "n = 16\nT = 0.5\nN = 8\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParseConfig:
@@ -293,6 +299,8 @@ class TestCliExitCodes:
             else:
                 lines = ["1 8 1 0.25"] + lines[1:9]
             snap.write_text("\n".join(lines) + "\n")
+            # re-checksum, so that the edit reaches the snapshot reader
+            write_manifest(rundir)
 
         def no_step(*_args):
             raise AssertionError("a step ran before the rejection")
@@ -339,14 +347,41 @@ class TestCliExitCodes:
         path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
         out = tmp_path / "out"
         main(["simulate", "--config", path, "--out", str(out)])
-        # corrupt one potential snapshot with a negative excursion
+        # corrupt one potential snapshot with a negative excursion and
+        # re-checksum, so that the edit reaches the positivity gate
         snap = out / "state_00004_mu.txt"
         lines = snap.read_text().splitlines()
         lines[3] = "-1.0"
         snap.write_text("\n".join(lines) + "\n")
+        write_manifest(out)
         assert main(["diagnose", "--traj", str(out),
                      "--out", str(tmp_path / "rep.csv")]) == 4
-        assert "violation" in capsys.readouterr().err
+        assert "violation: positivity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["changed", "deleted"])
+    def test_run_files_are_checked_against_the_manifest(self, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        edit):
+        path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        snap = out / "state_00004_mu.txt"
+        if edit == "changed":
+            # a harmless edit the snapshot reader would accept
+            snap.write_text(snap.read_text() + "\n")
+        else:
+            snap.unlink()
+
+        def no_read(*_args):
+            raise AssertionError("a snapshot was read before the check")
+
+        monkeypatch.setattr(cli, "read_snapshot", no_read)
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 4
+        expected = {"changed": "checksum mismatch for state_00004_mu.txt",
+                    "deleted": "state_00004_mu.txt is missing"}[edit]
+        assert f"violation: manifest: {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "rep.csv").exists()
 
     def test_study_subcommand_writes_orders(self, tmp_path):
         text = ("n = 24\nT = 0.5\nN = 8\npotential = log\nalpha1 = 1\n"
@@ -402,3 +437,42 @@ class TestCliExitCodes:
         lines = (out / "perturbation.csv").read_text().splitlines()
         assert lines[0] == "amplitude,final_metric,growth_rate"
         assert len(lines) == 3
+
+
+class TestImportBudget:
+    """Each command loads only the scipy it uses: which modules a fresh
+    ``python -m vchsim.cli`` process imports, read from its
+    ``-X importtime`` report (which modules, not how long they take)."""
+
+    @staticmethod
+    def _scipy_modules(cwd, *args) -> set:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "vchsim.cli", *args],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        names = {line.rsplit("|", 1)[1].strip()
+                 for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")}
+        return {name for name in names if name.split(".")[0] == "scipy"}
+
+    def test_run_commands(self, tmp_path):
+        # delta/tau = 16 outweighs the concave part 2 alpha2 = 4, so every
+        # rho-stage Jacobian is SPD and SuperLU (scipy.sparse) is not needed
+        (tmp_path / "c.txt").write_text(MINIMAL + "mu0 = bump 0.25 0.2 1\n")
+        assert self._scipy_modules(tmp_path, "validate",
+                                   "--config", "c.txt") == set()
+        loaded = self._scipy_modules(tmp_path, "simulate", "--config", "c.txt",
+                                     "--out", "run")
+        assert "scipy.fft" in loaded
+        assert not {"scipy.sparse", "scipy.integrate"} & loaded
+        assert self._scipy_modules(tmp_path, "diagnose", "--traj", "run",
+                                   "--out", "rep.csv") == set()
+
+    def test_oracle_study_loads_the_ode_integrator(self, tmp_path):
+        (tmp_path / "s.txt").write_text(
+            "n = 4\nT = 0.1\nN = 10\npotential = log\ncoupling = linear\n"
+            "mu0 = constant 1\nrho0 = constant 0.5\n"
+            "study = homogeneous_oracle\n")
+        assert "scipy.integrate" in self._scipy_modules(
+            tmp_path, "study", "--spec", "s.txt", "--out", "study")

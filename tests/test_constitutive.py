@@ -1,7 +1,4 @@
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +20,6 @@ from vchsim.constitutive import (
 )
 from vchsim.stepper import SolverConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # frozen oracle values (bisection / quadrature, computed independently)
 LOG_RESOLVENT_Y2 = 0.7732493551656519   # root of r + ln(r/(1-r)) = 2 on (0,1)
@@ -206,22 +202,6 @@ class TestMobilityTransforms:
         for tau in (0.0, 0.02 / 12):
             assert np.array_equal(K_tau_array(mob, tau, r),
                                   np.sign(r) * ln_cosh + tau * r)
-
-    def test_import_leaves_scipy_integrate_out(self):
-        # the module alone, loaded from its file: the package import also
-        # runs vchsim.studies, whose ODE oracle needs scipy.integrate
-        code = ("import importlib.util, sys\n"
-                "spec = importlib.util.spec_from_file_location("
-                "'constitutive', sys.argv[1])\n"
-                "module = importlib.util.module_from_spec(spec)\n"
-                "sys.modules['constitutive'] = module\n"
-                "spec.loader.exec_module(module)\n"
-                "module.K_tau_array(module.make_tanh_power_mobility(2.5), "
-                "0.0, [1.0])\n"
-                "sys.exit('scipy.integrate' in sys.modules)\n")
-        assert subprocess.run([sys.executable, "-c", code,
-                               str(SRC / "vchsim" / "constitutive.py")],
-                              ).returncode == 0
 
     def test_mobility_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

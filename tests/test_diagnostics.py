@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from vchsim.config import Config, build_run
 from vchsim.diagnostics import (
+    _bump_means,
     boundedness_report,
     contraction_metric,
     formulation_residuals,
@@ -11,7 +13,7 @@ from vchsim.diagnostics import (
     series_rows,
 )
 from vchsim.constitutive import K_tau_array
-from vchsim.mesh import ScalarField, field_of, laplacian_matrix
+from vchsim.mesh import Grid, ScalarField, field_of, laplacian_matrix
 from vchsim.stepper import run
 
 
@@ -276,7 +278,28 @@ def kirchhoff_reference(traj, laws) -> np.ndarray:
     return out
 
 
+def sparse_bump_matrix(grid):
+    """The bumps as one sparse row each, built from the Laplacian's sparsity
+    pattern (the node plus its stencil neighbours), scaled to unit mass."""
+    pattern = laplacian_matrix(grid)[::4].tocoo()
+    centers = np.arange(0, grid.num_nodes, 4)
+    weights = np.where(pattern.col == centers[pattern.row], 1.0, 0.5)
+    bumps = sps.csr_matrix((weights, (pattern.row, pattern.col)),
+                           shape=pattern.shape)
+    mass = np.asarray(bumps.sum(axis=1)).ravel() * grid.cell_volume
+    return sps.diags(1.0 / mass) @ bumps
+
+
 class TestKirchhoffResidual:
+    @pytest.mark.parametrize("dim,n", [(1, 32), (1, 33), (2, 16), (2, 17)])
+    def test_bump_means_match_the_sparse_bump_product(self, dim, n):
+        grid = Grid(dim, n, 1.3)
+        r = np.random.default_rng(n).standard_normal(grid.shape)
+        ref = grid.cell_volume * (sparse_bump_matrix(grid) @ r.ravel())
+        got = _bump_means(r)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(r))
+
     @pytest.mark.parametrize("mobility", ["constant", "tanhpow"])
     @pytest.mark.parametrize("dim,n", [(1, 32), (1, 33), (2, 16), (2, 17)])
     def test_matches_per_bump_reference(self, dim, n, mobility):

@@ -5,12 +5,15 @@ from vchsim.mesh import (
     Grid,
     ScalarField,
     dirichlet_energy,
+    div_faces,
     div_k_grad_arrays,
+    face_weights,
     field_of,
     integrate,
     laplacian_matrix,
     read_snapshot,
     shifted_laplacian_solve,
+    unit_face_weights,
     write_snapshot,
 )
 
@@ -92,6 +95,23 @@ class TestDivKGrad:
         a = div_k_grad_arrays(g, np.ones(g.shape), u)
         b = apply_laplacian(g, u)
         assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("dim,n,length", [(1, 64, 1.0), (1, 33, 4.0),
+                                              (2, 32, 1.0), (2, 17, 2.5)])
+    def test_unit_faces_apply_the_laplacian_matrix(self, dim, n, length):
+        # the rho stage's matrix-free Laplacian against the assembled one
+        g = Grid(dim, n, length)
+        u = np.random.default_rng(n).standard_normal(g.shape)
+        a = div_faces(unit_face_weights(g), u)
+        b = apply_laplacian(g, u)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(u)) / g.h ** 2
+
+    def test_unit_face_weights_are_cached_and_read_only(self):
+        g = Grid(2, 9, 1.3)
+        weights = unit_face_weights(g)
+        assert unit_face_weights(Grid(2, 9, 1.3)) is weights
+        for w, ref in zip(weights, face_weights(g, np.ones(g.shape))):
+            assert np.array_equal(w, ref) and not w.flags.writeable
 
     def test_constant_field_gives_zero(self):
         g = Grid(2, 7, 1.0)
@@ -271,6 +291,20 @@ class TestSnapshots:
         assert t == 0.7331
         assert back.grid == g
         assert np.array_equal(back.values, u.values)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5)])
+    def test_bytes_match_the_per_value_format(self, tmp_path, dim, n):
+        g = Grid(dim, n, 1.7)
+        rng = np.random.default_rng(9)
+        values = (rng.standard_normal(g.num_nodes)
+                  * np.exp(rng.uniform(-300, 300, g.num_nodes)))
+        values[:5] = [-0.0, 5e-324, 1.0, 0.1, -1e300]
+        u = field_of(g, values.reshape(g.shape))
+        path = tmp_path / "snap.txt"
+        write_snapshot(path, u, t=0.25)
+        lines = [f"{g.dim} {g.n} {g.length:.17g} {0.25:.17g}"]
+        lines.extend(f"{v:.17g}" for v in u.values.ravel())
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from vchsim.config import Config, build_run
 from vchsim.constitutive import (
@@ -236,13 +237,14 @@ class TestIndefiniteJacobian:
                    mu0=("bump", 0.5, 0.2, 1.0), rho0=("cosine", 0.5, 0.2))
         _, cfg, laws, initial = build_run(c)
         factorizations = []
-        real_splu = stepper.splu
+        real_splu = scipy.sparse.linalg.splu
 
         def counting_splu(J):
             factorizations.append(J.shape)
             return real_splu(J)
 
-        monkeypatch.setattr(stepper, "splu", counting_splu)
+        # step_rho imports splu from scipy.sparse.linalg on that branch
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
         traj = run(cfg, laws, initial)
         assert len(traj.states) == cfg.n_steps + 1
         assert factorizations
