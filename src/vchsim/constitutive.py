@@ -45,7 +45,11 @@ class ClampIndicator:
     def resolvent_array(self, lam: float, y: np.ndarray) -> np.ndarray:
         return np.clip(y, self.a, self.b)
 
-    def yosida_derivative(self, lam: float, r: np.ndarray) -> np.ndarray:
+    def yosida_derivative(self, lam: float, r: np.ndarray,
+                          p: np.ndarray) -> np.ndarray:
+        """Derivative of the Yosida regularization at ``r``.  ``p`` (the
+        resolvent at ``r``) keeps the signature of :class:`LogGraph`; the
+        clamp needs only ``r``."""
         outside = (r < self.a) | (r > self.b)
         return np.where(outside, 1.0 / lam, 0.0)
 
@@ -105,9 +109,11 @@ class LogGraph:
             r = np.where(bad, 0.5 * (lo + hi), r_new)
         return r
 
-    def yosida_derivative(self, lam: float, r: np.ndarray) -> np.ndarray:
-        res = self.resolvent_array(lam, np.asarray(r, dtype=float))
-        bprime = self.alpha1 * (1.0 / (res - self.a) + 1.0 / (self.b - res))
+    def yosida_derivative(self, lam: float, r: np.ndarray,
+                          p: np.ndarray) -> np.ndarray:
+        """Derivative of the Yosida regularization at ``r``, read off the
+        resolvent ``p = resolvent_array(lam, r)``: beta'(p) / (1 + lam beta'(p))."""
+        bprime = self.alpha1 * (1.0 / (p - self.a) + 1.0 / (self.b - p))
         return bprime / (1.0 + lam * bprime)
 
 

@@ -128,9 +128,12 @@ def div_faces(weights: tuple, uv: np.ndarray) -> np.ndarray:
     adds its flux to the node below it and subtracts it from the node above."""
     out = np.zeros_like(uv)
     for axis, w in enumerate(weights):
-        flux = w * np.diff(uv, axis=axis)
-        out[_slab_index(uv.ndim, axis, None, -1)] += flux
-        out[_slab_index(uv.ndim, axis, 1, None)] -= flux
+        lo = _slab_index(uv.ndim, axis, None, -1)
+        hi = _slab_index(uv.ndim, axis, 1, None)
+        flux = uv[hi] - uv[lo]
+        flux *= w
+        out[lo] += flux
+        out[hi] -= flux
     return out
 
 
@@ -204,7 +207,8 @@ def laplacian_matrix(grid: Grid):
     the rho stage assembles it only for the SuperLU factorization of an
     indefinite Jacobian and applies it matrix-free otherwise
     (:func:`unit_face_weights`).  :func:`shifted_laplacian_solve` inverts
-    shifts of it in O(n log n).
+    shifts of it with the cached dense DCT-II of :func:`dct_matrix`, which
+    needs no scipy.
     """
     import scipy.sparse as sps
 
@@ -225,8 +229,9 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
 
     The reflected-ghost stencil is diagonalized exactly by the DCT-II
     (Strang, SIAM Review 41, 1999): mode ``j`` of one axis has eigenvalue
-    ``-4 sin^2(pi j / 2n) / h^2`` and the 2-D eigenvalues are sums over the
-    two axes.  Cached per grid and read-only.
+    ``-4 sin^2(pi j / 2n) / h^2``, so ``C L C^T = diag(lam)`` with ``C`` the
+    matrix of :func:`dct_matrix`; the 2-D eigenvalues are sums over the two
+    axes.  Cached per grid and read-only.
     """
     modes = np.arange(grid.n)
     lam = -4.0 * np.sin(0.5 * np.pi * modes / grid.n) ** 2 / grid.h ** 2
@@ -236,19 +241,45 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
+@lru_cache(maxsize=32)
+def dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II as an n x n matrix: ``C[k, j] = c_k cos(pi k
+    (2j + 1) / 2n)`` with ``c_0 = sqrt(1/n)`` and ``c_k = sqrt(2/n)``
+    otherwise, so ``C C^T = I`` and ``C u`` is scipy's ``dct(u, norm="ortho")``.
+
+    The integer ``k (2j + 1)`` is reduced modulo ``4n`` before the cosine,
+    so every angle lies in ``[0, 2 pi)`` and the entries are accurate to a
+    few ulp at any ``n``.  Built in place in the one n x n array, cached per
+    ``n`` and read-only.
+    """
+    c = np.outer(np.arange(n, dtype=float), np.arange(1.0, 2 * n, 2.0))
+    np.fmod(c, 4 * n, out=c)
+    c *= 0.5 * np.pi / n
+    np.cos(c, out=c)
+    c *= np.sqrt(2.0 / n)
+    c[0] = np.sqrt(1.0 / n)
+    c.flags.writeable = False
+    return c
+
+
 def shifted_laplacian_solve(grid: Grid, s: float, k: float,
                             rhs: np.ndarray) -> np.ndarray:
     """Solve ``(s I - k L) x = rhs`` exactly, L = :func:`laplacian_matrix`.
 
     Needs ``s > 0`` and ``k >= 0``.  ``rhs`` may be flat or shaped like the
-    grid; ``x`` comes back in the same layout.  One DCT-II and one inverse
-    on a single worker, so the result is bitwise reproducible.
+    grid; ``x`` comes back in the same layout.  The orthonormal DCT-II is
+    applied as the cached dense matrix ``C`` of :func:`dct_matrix` along
+    each axis, ``x = C^T ((C u) / (s - k lam))`` in 1-D and
+    ``X = C^T ((C U C^T) / (s - k lam)) C`` in 2-D, so the solve is numpy
+    matrix products only and loads no scipy.
     """
-    from scipy.fft import dctn, idctn
-
-    lam = laplacian_eigenvalues(grid)
-    coef = dctn(rhs.reshape(grid.shape), type=2, norm="ortho", workers=1)
-    x = idctn(coef / (s - k * lam), type=2, norm="ortho", workers=1)
+    c = dct_matrix(grid.n)
+    u = rhs.reshape(grid.shape)
+    denom = s - k * laplacian_eigenvalues(grid)
+    if grid.dim == 1:
+        x = c.T @ ((c @ u) / denom)
+    else:
+        x = c.T @ ((c @ u @ c.T) / denom) @ c
     return x.reshape(rhs.shape)
 
 

@@ -32,7 +32,9 @@ cell-centered Neumann grid.  Both apply the operator matrix-free through
 the face-flux divergence ``div_faces`` (unit face weights in the rho
 stage), and both use one preconditioned conjugate gradient loop whose
 preconditioner is, where it fits, the exact DCT inverse of the
-mean-coefficient operator (``shifted_laplacian_solve``):
+mean-coefficient operator (``shifted_laplacian_solve``, an orthonormal
+DCT-II applied as a cached dense numpy matrix, so no scipy module loads
+while every rho Jacobian is SPD):
 
 - rho stage (k = 1): DCT-preconditioned CG for each Newton direction
   while the Jacobian is provably SPD (delta/tau + min d > 0); only for the
@@ -41,12 +43,18 @@ mean-coefficient operator (``shifted_laplacian_solve``):
 - mu stage: DCT-preconditioned CG while the lagged mobility varies by at
   most ``DCT_CONTRAST_MAX``, Jacobi-preconditioned CG beyond it.
 
-Every solve runs on one thread in a fixed operation order, so identical
-inputs give bitwise-identical steps.
+Every solve runs in a fixed operation order, so identical inputs give
+bitwise-identical steps.  The CG inner products and norms use numpy's own
+summation loop, not BLAS ``ddot``, whose multithreaded sum changes with
+the thread count; the DCT's dense matrix products gave the same bits under
+one and two OpenBLAS threads at every size tried (1-D up to 4096 nodes,
+2-D up to 256^2).  So manifests of a 2-D 128^2 run are byte-identical
+under one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,11 +266,14 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     dt_coef = cfg.delta / cfg.tau
 
     def residual(r):
-        return rho_stage_residual(prev.rho, mu_del, r,
-                                  yosida_array(graph, lam, r), cfg, laws)
+        # the resolvent is the costly part of the Yosida value; it is
+        # returned so the Jacobian and the final xi reuse it at this r
+        p = graph.resolvent_array(lam, r)
+        return rho_stage_residual(prev.rho, mu_del, r, (r - p) / lam,
+                                  cfg, laws), p
 
     r = rho_prev.copy()
-    res = residual(r)
+    res, p = residual(r)
     res_norm = float(np.max(np.abs(res)))
     iters = 0
     # the direction's linear residual adds at most this much (max norm)
@@ -272,7 +283,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     while res_norm > cfg.newton_tol:
         if iters >= cfg.newton_max_iter:
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
-        dcoef = (graph.yosida_derivative(lam, r) + pot.f2_second(r)
+        dcoef = (graph.yosida_derivative(lam, r, p) + pot.f2_second(r)
                  - mu_d * cpl.g_second(r))
         diag = dt_coef + dcoef
         if float(diag.min()) > 0.0:
@@ -300,22 +311,19 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
         alpha = 1.0
         for _ in range(40):
             trial = r - alpha * step
-            trial_res = residual(trial)
+            trial_res, trial_p = residual(trial)
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm <= cfg.newton_tol:
                 break
             alpha *= 0.5
         else:
             raise StepFailure("Newton line search stalled in the rho stage", res_norm)
-        r, res, res_norm = trial, trial_res, trial_norm
+        r, res, p, res_norm = trial, trial_res, trial_p, trial_norm
         iters += 1
 
-    if isinstance(graph, ClampIndicator):
-        rho_vals = np.clip(r, graph.a, graph.b)
-        xi_vals = (r - rho_vals) / lam
-    else:
-        rho_vals = r
-        xi_vals = yosida_array(graph, lam, r)
+    # the clamp resolvent is the projection onto [a, b]
+    rho_vals = p if isinstance(graph, ClampIndicator) else r
+    xi_vals = (r - p) / lam
     rho_new = ScalarField(grid, rho_vals.reshape(grid.shape)).check_finite()
     xi_new = ScalarField(grid, xi_vals.reshape(grid.shape)).check_finite()
     return rho_new, xi_new, iters, res_norm
@@ -386,27 +394,34 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
     return mu_new, iters, rnorm
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's own summation loop.  BLAS ``ddot`` splits
+    long sums across its threads, so its rounding, and with it every CG
+    iterate, would depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _pcg(apply_A, b, precondition, x0, tol, max_iter):
     """Preconditioned conjugate gradients, deterministic, warm start; stops
     on the 2-norm of the recursive residual."""
     x = x0
     r = b - apply_A(x)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(_dot(r, r))
     if rnorm <= tol:
         return x, 0, rnorm
     z = precondition(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     for k in range(1, max_iter + 1):
         Ap = apply_A(p)
-        alpha = rz / float(p @ Ap)
+        alpha = rz / _dot(p, Ap)
         x = x + alpha * p
         r = r - alpha * Ap
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(_dot(r, r))
         if rnorm <= tol:
             return x, k, rnorm
         z = precondition(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, max_iter, rnorm

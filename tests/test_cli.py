@@ -458,16 +458,26 @@ class TestImportBudget:
 
     def test_run_commands(self, tmp_path):
         # delta/tau = 16 outweighs the concave part 2 alpha2 = 4, so every
-        # rho-stage Jacobian is SPD and SuperLU (scipy.sparse) is not needed
+        # rho-stage Jacobian is SPD and SuperLU (scipy.sparse) is not needed;
+        # the DCT preconditioner is numpy matrix products
         (tmp_path / "c.txt").write_text(MINIMAL + "mu0 = bump 0.25 0.2 1\n")
         assert self._scipy_modules(tmp_path, "validate",
                                    "--config", "c.txt") == set()
-        loaded = self._scipy_modules(tmp_path, "simulate", "--config", "c.txt",
-                                     "--out", "run")
-        assert "scipy.fft" in loaded
-        assert not {"scipy.sparse", "scipy.integrate"} & loaded
+        assert self._scipy_modules(tmp_path, "simulate", "--config", "c.txt",
+                                   "--out", "run") == set()
         assert self._scipy_modules(tmp_path, "diagnose", "--traj", "run",
                                    "--out", "rep.csv") == set()
+
+    def test_indefinite_jacobian_loads_the_sparse_solver(self, tmp_path):
+        # log potential, delta = 0.1: delta/tau + min d < 0 at the first
+        # Newton iteration, so SuperLU takes the step
+        (tmp_path / "c.txt").write_text(
+            "dim = 2\nn = 16\nT = 1.0\nN = 4\npotential = log\ndelta = 0.1\n"
+            "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n")
+        loaded = self._scipy_modules(tmp_path, "simulate", "--config", "c.txt",
+                                     "--out", "run")
+        assert {"scipy.sparse", "scipy.sparse.linalg"} <= loaded
+        assert not {"scipy.fft", "scipy.integrate"} & loaded
 
     def test_oracle_study_loads_the_ode_integrator(self, tmp_path):
         (tmp_path / "s.txt").write_text(
@@ -476,3 +486,27 @@ class TestImportBudget:
             "study = homogeneous_oracle\n")
         assert "scipy.integrate" in self._scipy_modules(
             tmp_path, "study", "--spec", "s.txt", "--out", "study")
+
+
+class TestBlasThreads:
+    """The CG sums avoid BLAS ``ddot``, whose multithreaded sum changes with
+    the thread count, so a run's manifest does not depend on it.  16384
+    nodes (2-D 128^2) is long enough for OpenBLAS to split a ``ddot``."""
+
+    def test_manifest_is_the_same_under_one_and_two_threads(self, tmp_path):
+        config = ("dim = 2\nn = 128\nT = 0.0025\nN = 2\npotential = log\n"
+                  "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n")
+        manifests = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            (cwd / "c.txt").write_text(config)
+            proc = subprocess.run(
+                [sys.executable, "-m", "vchsim.cli", "simulate",
+                 "--config", "c.txt", "--out", "run"],
+                cwd=cwd, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC),
+                         OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            manifests.append((cwd / "run" / "manifest.txt").read_text())
+        assert manifests[0] == manifests[1]

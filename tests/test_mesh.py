@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from vchsim.mesh import (
     Grid,
     ScalarField,
+    dct_matrix,
     dirichlet_energy,
     div_faces,
     div_k_grad_arrays,
     face_weights,
     field_of,
     integrate,
+    laplacian_eigenvalues,
     laplacian_matrix,
     read_snapshot,
     shifted_laplacian_solve,
@@ -189,7 +192,8 @@ class TestDivKGrad:
 
 
 class TestShiftedLaplacianSolve:
-    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 17), (2, 8), (2, 9)])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 17), (2, 8), (2, 9),
+                                       (2, 128)])
     @pytest.mark.parametrize("s,k", [(1.0, 1.0), (100.0, 0.5), (1e4, 2.0)])
     def test_inverts_the_stencil(self, dim, n, s, k):
         g = Grid(dim, n, 1.0)
@@ -205,6 +209,34 @@ class TestShiftedLaplacianSolve:
         flat = shifted_laplacian_solve(g, 2.0, 1.0, rhs.ravel())
         assert shaped.shape == g.shape and flat.shape == (g.num_nodes,)
         assert np.array_equal(shaped.ravel(), flat)
+
+
+class TestDctMatrix:
+    @pytest.mark.parametrize("n", [3, 17, 64, 128])
+    def test_is_orthonormal(self, n):
+        c = dct_matrix(n)
+        assert np.max(np.abs(c @ c.T - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 17, 64, 128])
+    def test_diagonalizes_the_1d_laplacian(self, n):
+        g = Grid(1, n, 1.0)
+        c = dct_matrix(n)
+        lap = laplacian_matrix(g).toarray()
+        off = c @ lap @ c.T - np.diag(laplacian_eigenvalues(g))
+        assert np.max(np.abs(off)) <= 1e-12 * 4.0 / g.h ** 2
+
+    @pytest.mark.parametrize("n", [3, 17, 64, 128])
+    def test_matches_scipy_orthonormal_dct2(self, n):
+        # reference built independently: scipy's DCT-II of each unit vector
+        reference = scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
+        assert np.max(np.abs(dct_matrix(n) - reference)) <= 1e-13
+
+    def test_is_cached_and_read_only(self):
+        c = dct_matrix(9)
+        assert dct_matrix(9) is c
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.0
 
 
 def _dirichlet_pairing(g, k, u, v):

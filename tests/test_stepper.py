@@ -130,6 +130,30 @@ class TestStepRho:
         rho_new, _, _, _ = step_rho(prev, field_of(grid, mu_val), cfg, laws)
         assert np.max(np.abs(rho_new.values - oracle_rho)) <= 1e-9
 
+    def test_one_resolvent_per_residual_evaluation(self, monkeypatch):
+        # the Jacobian and the final xi reuse the resolvent the residual
+        # computed at the same iterate
+        c = Config(dim=2, n=16, potential="log", T=0.01, N=8,
+                   mu0=("bump", 0.5, 0.2, 1.0), rho0=("cosine", 0.5, 0.2))
+        _, cfg, laws, (mu0, rho0) = build_run(c)
+        prev = initial_state(mu0, rho0, cfg, laws)
+        counts = {"resolvent": 0, "residual": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        graph_type = type(laws.graph)
+        monkeypatch.setattr(graph_type, "resolvent_array",
+                            counting("resolvent", graph_type.resolvent_array))
+        monkeypatch.setattr(stepper, "rho_stage_residual",
+                            counting("residual", stepper.rho_stage_residual))
+        _, _, iters, _ = step_rho(prev, prev.mu, cfg, laws)
+        assert iters >= 2
+        assert counts["resolvent"] == counts["residual"] >= iters + 1
+
     def test_saturation_pins_rho_and_sign_of_xi(self):
         grid = Grid(1, 12, 1.0)
         laws = make_laws(potential="clamp", alpha2=0.0, coupling="linear")
