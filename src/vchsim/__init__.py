@@ -46,6 +46,7 @@ from .stepper import (
     StepReport,
     Trajectory,
     ValidationError,
+    iterate,
     run,
     step,
     step_mu,

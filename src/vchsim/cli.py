@@ -9,7 +9,6 @@ checksums, so identical runs are identical byte for byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -23,11 +22,11 @@ from .config import (
     render_config,
 )
 from .diagnostics import (
+    SeriesFold,
     boundedness_report,
     formulation_residuals,
     mu_energy_ledger,
     rho_energy_ledger,
-    series_rows,
 )
 from .mesh import ScalarField, field_of, read_snapshot, write_snapshot
 from .stepper import (
@@ -35,7 +34,7 @@ from .stepper import (
     SolverFailure,
     Trajectory,
     ValidationError,
-    run,
+    iterate,
     validate_initial_data,
 )
 from .studies import (
@@ -63,15 +62,21 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _csv_row(row, columns) -> str:
+    return ",".join(_fmt(row[c]) for c in columns) + "\n"
+
+
 def write_series(path, rows, columns=SERIES_COLUMNS) -> None:
     """CSV with a fixed column order and lossless float formatting."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(_csv_row(row, columns) for row in rows)
 
 
 def _sha256(path: Path) -> str:
+    # imported here: hashlib maps libcrypto, which validate does not need
+    import hashlib
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -111,26 +116,50 @@ def verify_manifest(rundir) -> list:
     return problems
 
 
+def _write_state(outdir: Path, n: int, state: SimState) -> None:
+    for name in ("mu", "rho", "xi"):
+        write_snapshot(outdir / f"state_{n:05d}_{name}.txt",
+                       getattr(state, name), state.t)
+
+
 def simulate_to_dir(config: Config, outdir) -> Trajectory:
     """Run a config and write the canonical artifact set into a directory:
     the rendered config, series.csv, per-step field snapshots at the
-    configured stride, and the checksum manifest."""
+    configured stride, and the checksum manifest.
+
+    The run is streamed: each series.csv row and each due snapshot is
+    written as its step lands, and only the previous and the current state
+    are held.  Returns a trajectory of the final state and every step's
+    report.  On a solver failure the completed steps' rows and snapshots
+    stay, the last completed state is written, failure.txt records the
+    failed step, the manifest is written, and the failure is re-raised.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _grid, cfg, laws, initial = build_run(config)
-    traj = run(cfg, laws, initial)
+    steps = iterate(cfg, laws, initial)  # checks the data before any file
     (outdir / "config.txt").write_text(render_config(config))
-    write_series(outdir / "series.csv", series_rows(traj, laws))
-    stride = config.snapshot_stride
-    last = len(traj.states) - 1
-    for n, state in enumerate(traj.states):
-        if stride and (n % stride == 0 or n == last) or n in (0, last):
-            for name, fieldval in (("mu", state.mu), ("rho", state.rho),
-                                   ("xi", state.xi)):
-                write_snapshot(outdir / f"state_{n:05d}_{name}.txt",
-                               fieldval, state.t)
+    stride, last = config.snapshot_stride, cfg.n_steps
+    series = SeriesFold(cfg, laws)
+    reports = []
+    try:
+        with open(outdir / "series.csv", "w") as fh:
+            fh.write(",".join(SERIES_COLUMNS) + "\n")
+            for n, (state, report) in enumerate(steps):
+                fh.write(_csv_row(series.row(state, report), SERIES_COLUMNS))
+                if stride and n % stride == 0 or n in (0, last):
+                    _write_state(outdir, n, state)
+                if report is not None:
+                    reports.append(report)
+    except SolverFailure as exc:
+        # rewriting a snapshot already due gives the same bytes
+        _write_state(outdir, series.step, series.prev)
+        (outdir / "failure.txt").write_text(
+            f"step = {exc.step}\nt = {exc.t:.17g}\nmessage = {exc}\n")
+        write_manifest(outdir)
+        raise
     write_manifest(outdir)
-    return traj
+    return Trajectory([series.prev], reports, cfg=cfg)
 
 
 def load_trajectory(rundir):

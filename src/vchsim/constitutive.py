@@ -89,9 +89,11 @@ class LogGraph:
             return r + c * np.log((r - a) / (b - r)) - y
 
         width = b - a
-        # start the bracket a hair inside the interval; F -> -inf / +inf there
-        lo = a + width * 1e-17 + np.zeros_like(y)
-        hi = b - width * 1e-17 + np.zeros_like(y)
+        # start the bracket a hair inside the interval, where F tends to
+        # -inf / +inf; at least one ulp inside, so that F and F' stay finite
+        # at both ends (b - width * 1e-17 rounds to b = 1)
+        lo = max(a + width * 1e-17, math.nextafter(a, b)) + np.zeros_like(y)
+        hi = min(b - width * 1e-17, math.nextafter(b, a)) + np.zeros_like(y)
         r = np.clip(y, a + 0.25 * width, b - 0.25 * width)
         tol = 1e-13 * np.maximum(1.0, np.abs(y))
         for _ in range(120):

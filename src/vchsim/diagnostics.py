@@ -14,7 +14,9 @@ module recasts each of these as a discrete, computable quantity:
 * the two-run contraction series in the rescaled variable z = mu/alpha(rho)
   with alpha(r) = (eps + 2 g(r))^(-1/2).
 
-Everything here is pure post-processing over immutable trajectories.
+Everything here is pure post-processing of immutable states.  Each ledger
+is a fold of one per-step entry over consecutive state pairs, so the same
+entry serves a whole trajectory and a run streamed step by step.
 """
 
 from __future__ import annotations
@@ -66,39 +68,62 @@ class EnergyLedger:
     extra_cum: np.ndarray
 
 
-def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
-    cfg = traj.cfg
-    grid = traj.grid
+def mu_ledger_entry(prev, cur, cfg, laws: Laws) -> tuple:
+    """One step's potential-energy terms ``(E_mu, diss, extra, cross)``
+    from the states before (``prev``) and after (``cur``) it; at the
+    initial state (``prev`` None) only ``E_mu`` is nonzero."""
+    grid = cur.grid
     vol = grid.cell_volume
-    eps = cfg.epsilon
-    n_rows = len(traj.states)
-    E = np.zeros(n_rows)
-    diss = np.zeros(n_rows)
-    extra = np.zeros(n_rows)
-    cross = np.zeros(n_rows)
-    resid = np.zeros(n_rows)
 
     def weight(state):
-        return eps + 2.0 * laws.coupling.g(state.rho.values)
+        return cfg.epsilon + 2.0 * laws.coupling.g(state.rho.values)
 
-    E[0] = 0.5 * vol * float(np.sum(weight(traj.states[0]) * traj.states[0].mu.values ** 2))
-    for n in range(1, n_rows):
-        prev, cur = traj.states[n - 1], traj.states[n]
-        a_cur = weight(cur)
-        a_prev = weight(prev)
-        E[n] = 0.5 * vol * float(np.sum(a_cur * cur.mu.values ** 2))
-        _, b_plus, b_minus, k_lag = mu_system_coefficients(
-            prev.mu, cur.rho, cur.dt_rho, cfg, laws)
-        diss[n] = cfg.tau * dirichlet_energy(grid, ScalarField(grid, k_lag),
-                                             cur.mu,
-                                             cfg.face_average == "harmonic")
-        dmu = cur.mu.values - prev.mu.values
-        extra[n] = 0.5 * vol * float(np.sum(a_cur * dmu ** 2))
-        cross[n] = (0.5 * vol * float(np.sum((a_cur - a_prev) * prev.mu.values ** 2))
-                    - cfg.tau * vol * float(np.sum(
-                        (b_plus * cur.mu.values - b_minus * prev.mu.values)
-                        * cur.mu.values)))
-        resid[n] = E[n] - E[n - 1] + diss[n] - cross[n]
+    a_cur = weight(cur)
+    E = 0.5 * vol * float(np.sum(a_cur * cur.mu.values ** 2))
+    if prev is None:
+        return E, 0.0, 0.0, 0.0
+    _, b_plus, b_minus, k_lag = mu_system_coefficients(
+        prev.mu, cur.rho, cur.dt_rho, cfg, laws)
+    diss = cfg.tau * dirichlet_energy(grid, ScalarField(grid, k_lag), cur.mu,
+                                      cfg.face_average == "harmonic")
+    dmu = cur.mu.values - prev.mu.values
+    extra = 0.5 * vol * float(np.sum(a_cur * dmu ** 2))
+    cross = (0.5 * vol * float(np.sum((a_cur - weight(prev)) * prev.mu.values ** 2))
+             - cfg.tau * vol * float(np.sum(
+                 (b_plus * cur.mu.values - b_minus * prev.mu.values)
+                 * cur.mu.values)))
+    return E, diss, extra, cross
+
+
+def rho_ledger_entry(prev, cur, cfg, laws: Laws) -> tuple:
+    """One step's free-energy terms ``(F_rho, visc, work)``, as
+    :func:`mu_ledger_entry`; ``F_rho`` is infinite when rho escaped the
+    potential domain."""
+    grid = cur.grid
+    vol = grid.cell_volume
+    fvals = f_total(laws.potential, cur.rho.values)
+    F = (np.inf if np.any(np.isinf(fvals)) else
+         0.5 * dirichlet_energy(grid, field_of(grid, 1.0), cur.rho)
+         + vol * float(np.sum(fvals)))
+    if prev is None:
+        return F, 0.0, 0.0
+    visc = cfg.delta * cfg.tau * vol * float(np.sum(cur.dt_rho.values ** 2))
+    work = cfg.tau * vol * float(np.sum(
+        laws.coupling.g_prime(cur.rho.values) * prev.mu.values
+        * cur.dt_rho.values))
+    return F, visc, work
+
+
+def _entries(entry, traj: Trajectory, laws: Laws) -> np.ndarray:
+    """The per-step entries of a trajectory, one row per state."""
+    prevs = [None, *traj.states[:-1]]
+    return np.array([entry(prev, cur, traj.cfg, laws)
+                     for prev, cur in zip(prevs, traj.states)])
+
+
+def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
+    E, diss, extra, cross = _entries(mu_ledger_entry, traj, laws).T
+    resid = np.diff(E, prepend=E[0]) + diss - cross
     return EnergyLedger(
         t=traj.times(), E_mu=E, diss=diss, extra=extra, cross=cross,
         resid=resid, diss_cum=np.cumsum(diss), extra_cum=np.cumsum(extra))
@@ -128,30 +153,7 @@ class RhoLedger:
 
 
 def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
-    cfg = traj.cfg
-    grid = traj.grid
-    vol = grid.cell_volume
-    n_rows = len(traj.states)
-    F = np.zeros(n_rows)
-    visc = np.zeros(n_rows)
-    work = np.zeros(n_rows)
-    unit = field_of(grid, 1.0)
-
-    def free_energy(state):
-        fvals = f_total(laws.potential, state.rho.values)
-        if np.any(np.isinf(fvals)):
-            return np.inf
-        return (0.5 * dirichlet_energy(grid, unit, state.rho)
-                + vol * float(np.sum(fvals)))
-
-    F[0] = free_energy(traj.states[0])
-    for n in range(1, n_rows):
-        prev, cur = traj.states[n - 1], traj.states[n]
-        F[n] = free_energy(cur)
-        visc[n] = cfg.delta * cfg.tau * vol * float(np.sum(cur.dt_rho.values ** 2))
-        work[n] = cfg.tau * vol * float(np.sum(
-            laws.coupling.g_prime(cur.rho.values) * prev.mu.values
-            * cur.dt_rho.values))
+    F, visc, work = _entries(rho_ledger_entry, traj, laws).T
     visc_cum = np.cumsum(visc)
     work_cum = np.cumsum(work)
     violation = F + visc_cum - F[0] - work_cum
@@ -323,25 +325,43 @@ def contraction_metric(trajA: Trajectory, trajB: Trajectory,
 # run summary for the series file
 
 
-def series_rows(traj: Trajectory, laws: Laws) -> list:
-    """Per-step rows for series.csv: energies, dissipation, ranges, iteration
-    counts, in the documented column order."""
-    ledger = mu_energy_ledger(traj, laws)
-    rho_led = rho_energy_ledger(traj, laws)
-    rows = []
-    for n, state in enumerate(traj.states):
-        rep = traj.reports[n - 1] if n >= 1 else None
-        rows.append({
-            "step": n,
+class SeriesFold:
+    """Rows of series.csv, one per state fed in step order: the step's
+    ledger entries, ranges and iteration counts, in the documented column
+    order.  Only the previous state is kept, and ``diss_cum`` is a running
+    sum, which adds in the order ``np.cumsum`` does."""
+
+    def __init__(self, cfg, laws: Laws):
+        self.cfg, self.laws = cfg, laws
+        self.prev = None
+        self.step = -1
+        self.diss_cum = 0.0
+
+    def row(self, state, report) -> dict:
+        """The row of ``state``, reached by a step that reported ``report``
+        (None for the initial state)."""
+        E_mu, diss, _, _ = mu_ledger_entry(self.prev, state, self.cfg, self.laws)
+        F_rho = rho_ledger_entry(self.prev, state, self.cfg, self.laws)[0]
+        self.diss_cum += diss
+        self.step += 1
+        self.prev = state
+        return {
+            "step": self.step,
             "t": state.t,
-            "E_mu": ledger.E_mu[n],
-            "F_rho": rho_led.F_rho[n],
-            "diss_cum": ledger.diss_cum[n],
+            "E_mu": E_mu,
+            "F_rho": F_rho,
+            "diss_cum": self.diss_cum,
             "min_mu": state.mu.min(),
             "max_mu": state.mu.max(),
             "min_rho": state.rho.min(),
             "max_rho": state.rho.max(),
-            "newton_iters": rep.newton_iters if rep else 0,
-            "cg_iters": rep.linear_iters if rep else 0,
-        })
-    return rows
+            "newton_iters": report.newton_iters if report else 0,
+            "cg_iters": report.linear_iters if report else 0,
+        }
+
+
+def series_rows(traj: Trajectory, laws: Laws) -> list:
+    """The series.csv rows of a whole trajectory."""
+    fold = SeriesFold(traj.cfg, laws)
+    return [fold.row(state, report)
+            for state, report in zip(traj.states, [None, *traj.reports])]

@@ -90,11 +90,14 @@ class StepFailure(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """A run aborted mid-way; the partial trajectory is attached."""
+    """A run aborted mid-way at ``step`` (the step that failed), from the
+    state at time ``t``; :func:`run` attaches the partial trajectory."""
 
-    def __init__(self, message: str, trajectory: "Trajectory"):
+    def __init__(self, message: str, step: int, t: float):
         super().__init__(message)
-        self.trajectory = trajectory
+        self.step = step
+        self.t = t
+        self.trajectory = None
 
 
 @dataclass(frozen=True)
@@ -483,21 +486,43 @@ def initial_state(mu0: ScalarField, rho0: ScalarField, cfg: SolverConfig,
     return SimState(t=0.0, mu=mu0, rho=rho0, xi=xi0, dt_rho=zeros)
 
 
-def run(cfg: SolverConfig, laws: Laws, initial) -> Trajectory:
-    """Integrate N steps from (mu0, rho0); pure function of its inputs.
+def iterate(cfg: SolverConfig, laws: Laws, initial):
+    """The run as it lands: an iterator of ``(state, report)`` for the
+    initial state (report ``None``) and then for each of the N steps.
 
-    Data hypotheses are rejected before stepping; a stage failure aborts
-    with the partial trajectory attached to the exception.
+    Data hypotheses are checked here, before any step; a stage failure
+    raises :class:`SolverFailure` from the iterator.  Each step needs only
+    the state before it, so nothing older is held.
     """
     mu0, rho0 = initial
     validate_initial_data(mu0, rho0, cfg, laws)
-    traj = Trajectory([initial_state(mu0, rho0, cfg, laws)], cfg=cfg)
-    for _ in range(cfg.n_steps):
+    return _advance(initial_state(mu0, rho0, cfg, laws), cfg, laws)
+
+
+def _advance(state: SimState, cfg: SolverConfig, laws: Laws):
+    yield state, None
+    for n in range(1, cfg.n_steps + 1):
         try:
-            state, report = step(traj.states[-1], cfg, laws)
+            state, report = step(state, cfg, laws)
         except StepFailure as exc:
-            raise SolverFailure(f"run aborted at t = {traj.states[-1].t:g}: {exc}",
-                                traj) from exc
-        traj.states.append(state)
-        traj.reports.append(report)
+            raise SolverFailure(f"run aborted at t = {state.t:g}: {exc}",
+                                n, state.t) from exc
+        yield state, report
+
+
+def run(cfg: SolverConfig, laws: Laws, initial) -> Trajectory:
+    """Integrate N steps from (mu0, rho0); pure function of its inputs.
+
+    Collects :func:`iterate`; a stage failure aborts with the partial
+    trajectory attached to the exception.
+    """
+    traj = Trajectory([], cfg=cfg)
+    try:
+        for state, report in iterate(cfg, laws, initial):
+            traj.states.append(state)
+            if report is not None:
+                traj.reports.append(report)
+    except SolverFailure as exc:
+        exc.trajectory = traj
+        raise
     return traj

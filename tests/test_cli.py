@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -210,12 +211,30 @@ class TestWriters:
         assert m1 == m2
         assert "series.csv" in m1 and "state_00000_mu.txt" in m1
 
+    def test_simulate_holds_two_states(self, tmp_path, monkeypatch):
+        # each snapshot is written as its step lands, from a loop that
+        # keeps only the previous and the current state
+        real_write = cli.write_snapshot
+        live = []
+
+        def counting_write(*args):
+            live.append(sum(isinstance(o, stepper.SimState)
+                            for o in gc.get_objects()))
+            real_write(*args)
+
+        monkeypatch.setattr(cli, "write_snapshot", counting_write)
+        gc.collect()
+        simulate_to_dir(parse_config("n = 16\nT = 0.5\nN = 64\n"
+                                     "snapshot_stride = 1\n"), tmp_path / "run")
+        assert len(live) == 3 * 65
+        assert max(live) <= 3
+
     def test_snapshot_roundtrip_through_run_dir(self, tmp_path):
         cfg = parse_config(MINIMAL)
         traj = simulate_to_dir(cfg, tmp_path / "run")
         back, t = read_snapshot(tmp_path / "run" / "state_00008_mu.txt")
-        assert np.array_equal(back.values, traj.states[8].mu.values)
-        assert t == traj.states[8].t
+        assert np.array_equal(back.values, traj.states[-1].mu.values)
+        assert t == traj.states[-1].t
 
 
 class TestCliExitCodes:
@@ -334,6 +353,36 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", path, "--out",
                      str(tmp_path / "out")]) == 3
 
+    def test_solver_failure_leaves_evidence(self, tmp_path, capsys,
+                                            monkeypatch):
+        real_step_mu = stepper.step_mu
+        calls = []
+
+        def failing_third_call(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise stepper.StepFailure("forced mu-stage failure", 1.0)
+            return real_step_mu(*args)
+
+        monkeypatch.setattr(stepper, "step_mu", failing_third_call)
+        path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        assert "forced mu-stage failure" in capsys.readouterr().err
+        snapshots = sorted(p.name for p in out.glob("state_*"))
+        assert snapshots == [f"state_{n:05d}_{name}.txt" for n in range(3)
+                             for name in ("mu", "rho", "xi")]
+        series = (out / "series.csv").read_text().splitlines()
+        assert series[0].startswith("step,t,E_mu")
+        assert [row.split(",")[0] for row in series[1:]] == ["0", "1", "2"]
+        failure = (out / "failure.txt").read_text().splitlines()
+        t2 = float(series[3].split(",")[1])
+        assert failure[:2] == ["step = 3", f"t = {t2:.17g}"]
+        assert failure[2].startswith("message = run aborted at t = ")
+        assert "forced mu-stage failure" in failure[2]
+        assert cli.verify_manifest(out) == []
+        assert "failure.txt" in (out / "manifest.txt").read_text()
+
     def test_simulate_and_diagnose_clean_run(self, tmp_path):
         path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
         out = tmp_path / "out"
@@ -440,29 +489,35 @@ class TestCliExitCodes:
 
 
 class TestImportBudget:
-    """Each command loads only the scipy it uses: which modules a fresh
-    ``python -m vchsim.cli`` process imports, read from its
+    """Each command loads only the scipy (and hashlib) it uses: which
+    modules a fresh ``python -m vchsim.cli`` process imports, read from its
     ``-X importtime`` report (which modules, not how long they take)."""
 
     @staticmethod
-    def _scipy_modules(cwd, *args) -> set:
+    def _modules(cwd, *args) -> set:
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "vchsim.cli", *args],
             cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        names = {line.rsplit("|", 1)[1].strip()
-                 for line in proc.stderr.splitlines()
-                 if line.startswith("import time:")}
-        return {name for name in names if name.split(".")[0] == "scipy"}
+        return {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    @classmethod
+    def _scipy_modules(cls, cwd, *args) -> set:
+        return {name for name in cls._modules(cwd, *args)
+                if name.split(".")[0] == "scipy"}
 
     def test_run_commands(self, tmp_path):
         # delta/tau = 16 outweighs the concave part 2 alpha2 = 4, so every
         # rho-stage Jacobian is SPD and SuperLU (scipy.sparse) is not needed;
         # the DCT preconditioner is numpy matrix products
         (tmp_path / "c.txt").write_text(MINIMAL + "mu0 = bump 0.25 0.2 1\n")
-        assert self._scipy_modules(tmp_path, "validate",
-                                   "--config", "c.txt") == set()
+        loaded = self._modules(tmp_path, "validate", "--config", "c.txt")
+        assert not {name for name in loaded if name.split(".")[0] == "scipy"}
+        # hashlib maps libcrypto; only the manifest checksums need it
+        assert not {"hashlib", "_hashlib"} & loaded
         assert self._scipy_modules(tmp_path, "simulate", "--config", "c.txt",
                                    "--out", "run") == set()
         assert self._scipy_modules(tmp_path, "diagnose", "--traj", "run",

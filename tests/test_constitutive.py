@@ -61,6 +61,28 @@ class TestResolvent:
         assert r == pytest.approx(LOG_RESOLVENT_Y2, abs=1e-12)
         assert abs(r + math.log(r / (1 - r)) - 2.0) <= 1e-13
 
+    @pytest.mark.parametrize("graph", [LogGraph(0.5), LogGraph(1.0, -1.0, 1.0),
+                                       LogGraph(2.0, 0.25, 0.75)])
+    @pytest.mark.parametrize("lam", [1e-3, 1 / 32, 1.0])
+    def test_log_stays_finite_up_to_the_endpoints(self, graph, lam):
+        # far outside the interval and within a few ulp of either end the
+        # bracket ends must keep F and F' finite: none of the floating-point
+        # errors numpy warns about by default
+        near = []
+        for end, inward, outward in ((graph.a, graph.b, -np.inf),
+                                     (graph.b, graph.a, np.inf)):
+            for direction in (inward, outward):
+                x = end
+                for _ in range(4):
+                    x = np.nextafter(x, direction)
+                    near.append(x)
+        y = np.concatenate([np.linspace(-1e3, 1e3, 2001), near,
+                            [graph.a, graph.b]])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            r = graph.resolvent_array(lam, y)
+        assert np.all((graph.a < r) & (r < graph.b))
+        assert np.all(np.diff(r[:2001]) >= 0.0)
+
     def test_rejects_nonpositive_step(self):
         # the resolvent step is the solver config's yosida_lambda, which
         # rejects nonpositive values before any resolvent is taken
