@@ -21,12 +21,16 @@ from .config import (
     parse_config,
     render_config,
 )
+# formulation_residuals and the two ledgers are not called here; they stay
+# cli attributes because perfbench/traced.py wraps them by name
 from .diagnostics import (
     SeriesFold,
-    boundedness_report,
     formulation_residuals,
     mu_energy_ledger,
+    mu_ledger_entry,
+    residual_entry,
     rho_energy_ledger,
+    rho_ledger_entry,
 )
 from .mesh import ScalarField, field_of, read_snapshot, write_snapshot
 from .stepper import (
@@ -36,13 +40,6 @@ from .stepper import (
     ValidationError,
     iterate,
     validate_initial_data,
-)
-from .studies import (
-    StudySpec,
-    degenerate_demo,
-    homogeneous_oracle,
-    perturbation_pairs,
-    tau_refinement,
 )
 
 SERIES_COLUMNS = ("step", "t", "E_mu", "F_rho", "diss_cum", "min_mu", "max_mu",
@@ -162,17 +159,24 @@ def simulate_to_dir(config: Config, outdir) -> Trajectory:
     return Trajectory([series.prev], reports, cfg=cfg)
 
 
-def load_trajectory(rundir):
-    """Rebuild (trajectory, laws, config) from a simulate output directory.
+def read_states(rundir, grid, cfg):
+    """Yield each state stored in a simulate output directory, in step
+    order.  Only the previous state is kept, to difference ``dt_rho``.
 
     Ledgers need every step, so the directory must have been written with
-    snapshot_stride = 1.
+    snapshot_stride = 1.  A run that failed (it left a failure.txt) has no
+    complete trajectory and is refused before any snapshot is read.
     """
     rundir = Path(rundir)
-    config = _load_config(rundir / "config.txt")
-    grid, cfg, laws, _initial = build_run(config)
-    states = []
-    for n in range(config.N + 1):
+    failure = rundir / "failure.txt"
+    if failure.exists():
+        step = next((line.partition(" = ")[2]
+                     for line in failure.read_text().splitlines()
+                     if line.startswith("step = ")), "?")
+        raise ConfigError(f"the run failed at step {step} (see {failure.name}); "
+                          f"diagnose needs a completed run")
+    prev = None
+    for n in range(cfg.n_steps + 1):
         snaps = []
         for name in ("mu", "rho", "xi"):
             path = rundir / f"state_{n:05d}_{name}.txt"
@@ -190,66 +194,97 @@ def load_trajectory(rundir):
                                   f"grid {field.grid}, run uses {grid}")
             snaps.append((field, t))
         (mu, t), (rho, _), (xi, _) = snaps
-        dt_rho = (field_of(grid, 0.0) if n == 0 else ScalarField(
-            grid, (rho.values - states[-1].rho.values) / cfg.tau))
-        states.append(SimState(t=t, mu=mu, rho=rho, xi=xi, dt_rho=dt_rho))
-    return Trajectory(states, cfg=cfg), laws, config
+        dt_rho = (field_of(grid, 0.0) if prev is None else ScalarField(
+            grid, (rho.values - prev.rho.values) / cfg.tau))
+        prev = SimState(t=t, mu=mu, rho=rho, xi=xi, dt_rho=dt_rho)
+        yield prev
+
+
+def load_trajectory(rundir):
+    """Rebuild (trajectory, laws, config) from a simulate output directory:
+    the states of :func:`read_states`, collected."""
+    rundir = Path(rundir)
+    config = _load_config(rundir / "config.txt")
+    grid, cfg, laws, _initial = build_run(config)
+    return Trajectory(list(read_states(rundir, grid, cfg)), cfg=cfg), laws, config
 
 
 def diagnose_to_report(rundir, report_path) -> list:
     """Compute the full diagnostic report for a stored run; returns the list
     of violated checks (empty when the run is clean).  The run's files are
     first checked against manifest.txt; a missing or changed file is
-    reported as a violation, and nothing is loaded or diagnosed."""
+    reported as a violation, and nothing is loaded or diagnosed.
+
+    The snapshots are then read in one pass that holds two states: each
+    row comes from the step's ledger and residual entries, the cumulative
+    columns are running sums (added in the order ``np.cumsum`` adds), and
+    the gates read the rows.  report.csv is written once the last state
+    has been read, so an unreadable run leaves no report.
+    """
     tampered = verify_manifest(rundir)
     if tampered:
         return tampered
-    traj, laws, config = load_trajectory(rundir)
-    ledger = mu_energy_ledger(traj, laws)
-    rho_led = rho_energy_ledger(traj, laws)
-    residuals = formulation_residuals(traj, laws)
-    rows = []
-    for n, state in enumerate(traj.states):
+    rundir = Path(rundir)
+    config = _load_config(rundir / "config.txt")
+    grid, cfg, laws, _initial = build_run(config)
+    rows, prev = [], None
+    visc_cum = work_cum = 0.0
+    for n, cur in enumerate(read_states(rundir, grid, cfg)):
+        E_mu, diss, extra, cross = mu_ledger_entry(prev, cur, cfg, laws)
+        F_rho, visc, work = rho_ledger_entry(prev, cur, cfg, laws)
+        res_mu, res_kirchhoff, res_rho, res_strong = residual_entry(
+            prev, cur, cfg, laws)
+        if prev is None:
+            E_prev, F_0 = E_mu, F_rho
+        visc_cum += visc
+        work_cum += work
         rows.append({
-            "step": n, "t": state.t,
-            "E_mu": ledger.E_mu[n], "diss": ledger.diss[n],
-            "extra": ledger.extra[n], "cross": ledger.cross[n],
-            "mu_energy_resid": ledger.resid[n],
-            "F_rho": rho_led.F_rho[n], "visc_cum": rho_led.visc_cum[n],
-            "work_cum": rho_led.work_cum[n],
-            "rho_violation": rho_led.violation[n],
-            "min_mu": state.mu.min(), "max_mu": state.mu.max(),
-            "res_mu_native": residuals.mu_native[n],
-            "res_mu_kirchhoff": residuals.mu_kirchhoff[n],
-            "res_rho_native": residuals.rho_native[n],
-            "res_rho_strong": residuals.rho_strong[n],
+            "step": n, "t": cur.t,
+            "E_mu": E_mu, "diss": diss, "extra": extra, "cross": cross,
+            "mu_energy_resid": (E_mu - E_prev) + diss - cross,
+            "F_rho": F_rho, "visc_cum": visc_cum, "work_cum": work_cum,
+            "rho_violation": F_rho + visc_cum - F_0 - work_cum,
+            "min_mu": cur.mu.min(), "max_mu": cur.mu.max(),
+            "res_mu_native": res_mu, "res_mu_kirchhoff": res_kirchhoff,
+            "res_rho_native": res_rho, "res_rho_strong": res_strong,
         })
+        E_prev, prev = E_mu, cur
     write_series(report_path, rows, REPORT_COLUMNS)
 
+    def column(name):
+        return np.array([row[name] for row in rows])
+
     violations = []
-    cfg = traj.cfg
-    min_mu = min(s.mu.min() for s in traj.states)
+    min_mu = min(row["min_mu"] for row in rows)
     if min_mu < -10.0 * cfg.linear_tol:
         violations.append(f"positivity: min mu = {min_mu:.3e} "
                           f"below -10*linear_tol")
     solver_band = 10.0 * (cfg.newton_tol + cfg.linear_tol)
-    if residuals.mu_native.max() > solver_band:
+    if column("res_mu_native").max() > solver_band:
         violations.append("native potential-stage residual exceeds the solver band")
-    if residuals.rho_native.max() > solver_band:
+    if column("res_rho_native").max() > solver_band:
         violations.append("native order-parameter residual exceeds the solver band")
-    if np.any(np.isinf(rho_led.F_rho)):
+    if np.any(np.isinf(column("F_rho"))):
         violations.append("free energy infinite: rho escaped the potential domain")
-    for arr in (ledger.E_mu, ledger.diss):
-        if not np.all(np.isfinite(arr)):
+    for name in ("E_mu", "diss"):
+        if not np.all(np.isfinite(column(name))):
             violations.append("non-finite ledger entry")
             break
-    sup_q, _sup0 = boundedness_report(traj)
-    if not np.isfinite(sup_q):
+    if not np.isfinite(max(row["max_mu"] for row in rows)):
         violations.append("potential unbounded over the run")
     return violations
 
 
 def run_study(config: Config, outdir) -> None:
+    # imported here: only the study command needs the experiment suites
+    from .studies import (
+        StudySpec,
+        degenerate_demo,
+        homogeneous_oracle,
+        perturbation_pairs,
+        tau_refinement,
+    )
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(render_config(config))

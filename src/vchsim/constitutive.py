@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -288,14 +289,19 @@ def _ln_cosh(r: np.ndarray) -> np.ndarray:
     return r + np.log1p(np.exp(-2.0 * r)) - math.log(2.0)
 
 
-# K(r) = int_0^1 kappa(r u^4) 4 r u^3 du (the substitution s = r u^4
-# smooths the power law of kappa at the origin) by a composite
-# Gauss-Legendre rule, 24 points on each of 8 equal panels of [0, 1];
-# within 1e-14 relative of adaptive quadrature for m in [1.05, 4] and
-# r in [1e-8, 100]
-_X, _WX = np.polynomial.legendre.leggauss(24)
-_U = ((np.arange(8)[:, None] + 0.5 * (_X + 1.0)) / 8).ravel()
-_U4, _WU3 = _U ** 4, 4.0 * np.tile(_WX / 16.0, 8) * _U ** 3
+@cache
+def _quadrature() -> tuple:
+    """Nodes ``u^4`` and weights ``4 w u^3`` of K(r) = int_0^1 kappa(r u^4)
+    4 r u^3 du (the substitution s = r u^4 smooths the power law of kappa
+    at the origin): a composite Gauss-Legendre rule, 24 points on each of
+    8 equal panels of [0, 1]; within 1e-14 relative of adaptive quadrature
+    for m in [1.05, 4] and r in [1e-8, 100].  Built on first use, since
+    only the quadrature K needs numpy.polynomial; cached and read-only."""
+    x, wx = np.polynomial.legendre.leggauss(24)
+    u = ((np.arange(8)[:, None] + 0.5 * (x + 1.0)) / 8).ravel()
+    u4, wu3 = u ** 4, 4.0 * np.tile(wx / 16.0, 8) * u ** 3
+    u4.flags.writeable = wu3.flags.writeable = False
+    return u4, wu3
 
 
 @dataclass(frozen=True)
@@ -352,7 +358,8 @@ def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
         return np.tanh(np.maximum(r, 0.0) ** (m - 1.0))
 
     def K(r):
-        return r * (kappa(np.multiply.outer(r, _U4)) @ _WU3)
+        u4, wu3 = _quadrature()
+        return r * (kappa(np.multiply.outer(r, u4)) @ wu3)
 
     return MobilityLaw(
         kappa=kappa, K=_ln_cosh if m == 2.0 else K, kappa_star=math.tanh(1.0),

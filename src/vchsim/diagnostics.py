@@ -15,8 +15,9 @@ module recasts each of these as a discrete, computable quantity:
   with alpha(r) = (eps + 2 g(r))^(-1/2).
 
 Everything here is pure post-processing of immutable states.  Each ledger
-is a fold of one per-step entry over consecutive state pairs, so the same
-entry serves a whole trajectory and a run streamed step by step.
+and the residual rows are a fold of one per-step entry over consecutive
+state pairs, so the same entry serves a whole trajectory and a run
+streamed step by step.
 """
 
 from __future__ import annotations
@@ -210,65 +211,69 @@ def _bump_means(r: np.ndarray) -> np.ndarray:
     return (total / weight).ravel()[::4]
 
 
-def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
-    cfg = traj.cfg
-    grid = traj.grid
+def residual_entry(prev, cur, cfg, laws: Laws) -> tuple:
+    """One step's max-norm residuals ``(mu_native, mu_kirchhoff,
+    rho_native, rho_strong)`` from the states before (``prev``) and after
+    (``cur``) it, as :func:`mu_ledger_entry`; all zero at the initial
+    state (``prev`` None)."""
+    if prev is None:
+        return 0.0, 0.0, 0.0, 0.0
+    grid = cur.grid
     graph = laws.graph
-    lam = cfg.yosida_lambda
-    eps = cfg.epsilon
-    unit_faces = unit_face_weights(grid)
-    n_rows = len(traj.states)
-    out = {k: np.zeros(n_rows) for k in
-           ("mu_native", "mu_kirchhoff", "rho_native", "rho_strong")}
+    mu_p, mu_c = prev.mu.values, cur.mu.values
+    rho_c = cur.rho.values
 
-    for n in range(1, n_rows):
-        prev, cur = traj.states[n - 1], traj.states[n]
-        mu_p, mu_c = prev.mu.values, cur.mu.values
-        rho_c = cur.rho.values
+    # native potential stage (lagged floored mobility, split reaction)
+    a, b_plus, b_minus, k_lag = mu_system_coefficients(
+        prev.mu, cur.rho, cur.dt_rho, cfg, laws)
+    res_mu = (a * (mu_c - mu_p) / cfg.tau + b_plus * mu_c - b_minus * mu_p
+              - div_k_grad_arrays(grid, k_lag, mu_c,
+                                  cfg.face_average == "harmonic"))
+    mu_native = float(np.max(np.abs(res_mu)))
 
-        # native potential stage (lagged floored mobility, split reaction)
-        a, b_plus, b_minus, k_lag = mu_system_coefficients(
-            prev.mu, cur.rho, cur.dt_rho, cfg, laws)
-        res_mu = (a * (mu_c - mu_p) / cfg.tau + b_plus * mu_c - b_minus * mu_p
-                  - div_k_grad_arrays(grid, k_lag, mu_c,
-                                      cfg.face_average == "harmonic"))
-        out["mu_native"][n] = float(np.max(np.abs(res_mu)))
+    # conservative Kirchhoff form tested against bump fields; the form
+    # is bilinear, so each test is a bump-weighted mean of the strong
+    # residual (summation by parts moves the face flux onto the
+    # divergence of grad K_tau, differenced before it is scaled)
+    a_prev = cfg.epsilon + 2.0 * laws.coupling.g(prev.rho.values)
+    dt_weighted = (a * mu_c - a_prev * mu_p) / cfg.tau
+    coupling_term = mu_c * laws.coupling.g_prime(rho_c) * cur.dt_rho.values
+    ktau_c = K_tau_array(laws.mobility, cfg.mobility_floor_tau, mu_c)
+    strong = dt_weighted - coupling_term - div_faces(unit_face_weights(grid),
+                                                     ktau_c)
+    mu_kirchhoff = float(np.max(np.abs(_bump_means(strong))))
 
-        # conservative Kirchhoff form tested against bump fields; the form
-        # is bilinear, so each test is a bump-weighted mean of the strong
-        # residual (summation by parts moves the face flux onto the
-        # divergence of grad K_tau, differenced before it is scaled)
-        a_prev = eps + 2.0 * laws.coupling.g(prev.rho.values)
-        dt_weighted = (a * mu_c - a_prev * mu_p) / cfg.tau
-        coupling_term = mu_c * laws.coupling.g_prime(rho_c) * cur.dt_rho.values
-        ktau_c = K_tau_array(laws.mobility, cfg.mobility_floor_tau, mu_c)
-        strong = dt_weighted - coupling_term - div_faces(unit_faces, ktau_c)
-        out["mu_kirchhoff"][n] = float(np.max(np.abs(_bump_means(strong))))
+    # native order-parameter stage, the residual the Newton solve
+    # stopped at: for the clamp graph the committed pair is the
+    # resolvent projection of the Newton iterate, so the iterate is
+    # recovered as rho + lam*xi
+    rc, xi_c = rho_c.ravel(), cur.xi.values.ravel()
+    rr = rc + cfg.yosida_lambda * xi_c if isinstance(graph, ClampIndicator) else rc
+    rho_native = float(np.max(np.abs(rho_stage_residual(
+        prev.rho, prev.mu, rr, xi_c, cfg, laws))))
 
-        # native order-parameter stage, the residual the Newton solve
-        # stopped at: for the clamp graph the committed pair is the
-        # resolvent projection of the Newton iterate, so the iterate is
-        # recovered as rho + lam*xi
-        rc, xi_c = rho_c.ravel(), cur.xi.values.ravel()
-        rr = rc + lam * xi_c if isinstance(graph, ClampIndicator) else rc
-        out["rho_native"][n] = float(np.max(np.abs(rho_stage_residual(
-            prev.rho, prev.mu, rr, xi_c, cfg, laws))))
+    # strong inclusion at the committed pair; for the log graph the
+    # committed selection is the Yosida value, so this shows the O(lam)
+    # gap.  The graph is evaluated at inside nodes only (the midpoint
+    # stands in elsewhere), so a node on an endpoint divides by nothing
+    if isinstance(graph, LogGraph):
+        inside = (rc > graph.a) & (rc < graph.b)
+        midpoint = 0.5 * (graph.a + graph.b)
+        xi_strong = np.where(inside, graph.value(np.where(inside, rc, midpoint)),
+                             np.inf)
+    else:
+        xi_strong = xi_c
+    rho_strong = float(np.max(np.abs(rho_stage_residual(
+        prev.rho, prev.mu, rc, xi_strong, cfg, laws))))
+    return mu_native, mu_kirchhoff, rho_native, rho_strong
 
-        # strong inclusion at the committed pair; for the log graph the
-        # committed selection is the Yosida value, so this shows the O(lam) gap
-        if isinstance(graph, LogGraph):
-            inside = (rc > graph.a) & (rc < graph.b)
-            xi_strong = np.where(inside, graph.value(np.clip(
-                rc, graph.a + 1e-300, graph.b - 1e-300)), np.inf)
-        else:
-            xi_strong = xi_c
-        out["rho_strong"][n] = float(np.max(np.abs(rho_stage_residual(
-            prev.rho, prev.mu, rc, xi_strong, cfg, laws))))
 
-    return ResidualRows(t=traj.times(), mu_native=out["mu_native"],
-                        mu_kirchhoff=out["mu_kirchhoff"],
-                        rho_native=out["rho_native"],
-                        rho_strong=out["rho_strong"])
+def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
+    mu_native, mu_kirchhoff, rho_native, rho_strong = _entries(
+        residual_entry, traj, laws).T
+    return ResidualRows(t=traj.times(), mu_native=mu_native,
+                        mu_kirchhoff=mu_kirchhoff, rho_native=rho_native,
+                        rho_strong=rho_strong)
 
 
 # ---------------------------------------------------------------------------

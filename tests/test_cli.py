@@ -19,6 +19,11 @@ from vchsim.config import (
     parse_config,
     render_config,
 )
+from vchsim.diagnostics import (
+    formulation_residuals,
+    mu_energy_ledger,
+    rho_energy_ledger,
+)
 from vchsim.mesh import read_snapshot
 
 
@@ -229,6 +234,56 @@ class TestWriters:
         assert len(live) == 3 * 65
         assert max(live) <= 3
 
+    def test_diagnose_holds_two_states(self, tmp_path, monkeypatch):
+        # diagnose reads the snapshots in one pass that keeps only the
+        # previous and the current state
+        simulate_to_dir(parse_config("n = 16\nT = 0.5\nN = 64\n"
+                                     "snapshot_stride = 1\n"), tmp_path / "run")
+        real_read = cli.read_snapshot
+        live = []
+
+        def counting_read(*args):
+            live.append(sum(isinstance(o, stepper.SimState)
+                            for o in gc.get_objects()))
+            return real_read(*args)
+
+        monkeypatch.setattr(cli, "read_snapshot", counting_read)
+        gc.collect()
+        assert cli.diagnose_to_report(tmp_path / "run", tmp_path / "rep.csv") == []
+        assert len(live) == 3 * 65
+        assert max(live) <= 3
+
+    def test_report_matches_the_whole_trajectory_folds(self, tmp_path):
+        # the one-pass report reproduces, bit for bit, the ledgers and
+        # residuals folded over the collected trajectory
+        simulate_to_dir(parse_config(
+            "dim = 2\nn = 12\nT = 0.1\nN = 6\npotential = log\n"
+            "coupling = linear\nmobility = tanhpow\nm = 2.5\n"
+            "mu0 = bump 0.5 0.3 1\nrho0 = cosine 0.5 0.2\n"), tmp_path / "run")
+        cli.diagnose_to_report(tmp_path / "run", tmp_path / "rep.csv")
+        traj, laws, _ = cli.load_trajectory(tmp_path / "run")
+        led = mu_energy_ledger(traj, laws)
+        rho_led = rho_energy_ledger(traj, laws)
+        res = formulation_residuals(traj, laws)
+        expected = {
+            "t": traj.times(), "E_mu": led.E_mu, "diss": led.diss,
+            "extra": led.extra, "cross": led.cross,
+            "mu_energy_resid": led.resid, "F_rho": rho_led.F_rho,
+            "visc_cum": rho_led.visc_cum, "work_cum": rho_led.work_cum,
+            "rho_violation": rho_led.violation,
+            "min_mu": [s.mu.min() for s in traj.states],
+            "max_mu": [s.mu.max() for s in traj.states],
+            "res_mu_native": res.mu_native,
+            "res_mu_kirchhoff": res.mu_kirchhoff,
+            "res_rho_native": res.rho_native, "res_rho_strong": res.rho_strong,
+        }
+        header, *rows = (tmp_path / "rep.csv").read_text().splitlines()
+        columns = dict(zip(header.split(","),
+                           zip(*(row.split(",") for row in rows))))
+        assert len(rows) == 7
+        for name, values in expected.items():
+            assert list(columns[name]) == [f"{v:.17g}" for v in values], name
+
     def test_snapshot_roundtrip_through_run_dir(self, tmp_path):
         cfg = parse_config(MINIMAL)
         traj = simulate_to_dir(cfg, tmp_path / "run")
@@ -383,6 +438,24 @@ class TestCliExitCodes:
         assert cli.verify_manifest(out) == []
         assert "failure.txt" in (out / "manifest.txt").read_text()
 
+    def test_diagnose_of_a_failed_run_names_failure_txt(self, tmp_path,
+                                                        capsys):
+        text = ("n = 16\nT = 0.5\nN = 2\npotential = log\nalpha2 = 50\n"
+                "newton_max_iter = 1\nmu0 = constant 10\nrho0 = constant 0.5\n")
+        path = self._write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        failed = (out / "failure.txt").read_text().splitlines()[0]
+        assert failed.startswith("step = ")
+        capsys.readouterr()
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 2
+        err = capsys.readouterr().err
+        assert (f"the run failed at step {failed[len('step = '):]} "
+                f"(see failure.txt)") in err
+        assert "snapshot_stride" not in err
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_simulate_and_diagnose_clean_run(self, tmp_path):
         path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
         out = tmp_path / "out"
@@ -489,7 +562,8 @@ class TestCliExitCodes:
 
 
 class TestImportBudget:
-    """Each command loads only the scipy (and hashlib) it uses: which
+    """Each command loads only the scipy, hashlib and package modules it
+    uses: which
     modules a fresh ``python -m vchsim.cli`` process imports, read from its
     ``-X importtime`` report (which modules, not how long they take)."""
 
@@ -514,14 +588,18 @@ class TestImportBudget:
         # rho-stage Jacobian is SPD and SuperLU (scipy.sparse) is not needed;
         # the DCT preconditioner is numpy matrix products
         (tmp_path / "c.txt").write_text(MINIMAL + "mu0 = bump 0.25 0.2 1\n")
-        loaded = self._modules(tmp_path, "validate", "--config", "c.txt")
-        assert not {name for name in loaded if name.split(".")[0] == "scipy"}
+        validate = self._modules(tmp_path, "validate", "--config", "c.txt")
         # hashlib maps libcrypto; only the manifest checksums need it
-        assert not {"hashlib", "_hashlib"} & loaded
-        assert self._scipy_modules(tmp_path, "simulate", "--config", "c.txt",
-                                   "--out", "run") == set()
-        assert self._scipy_modules(tmp_path, "diagnose", "--traj", "run",
-                                   "--out", "rep.csv") == set()
+        assert not {"hashlib", "_hashlib"} & validate
+        simulate = self._modules(tmp_path, "simulate", "--config", "c.txt",
+                                 "--out", "run")
+        diagnose = self._modules(tmp_path, "diagnose", "--traj", "run",
+                                 "--out", "rep.csv")
+        for loaded in (validate, simulate, diagnose):
+            assert not {name for name in loaded if name.split(".")[0] == "scipy"}
+            # the experiment suites and the quadrature rule's
+            # numpy.polynomial load only where they are used
+            assert not {"vchsim.studies", "numpy.polynomial"} & loaded
 
     def test_indefinite_jacobian_loads_the_sparse_solver(self, tmp_path):
         # log potential, delta = 0.1: delta/tau + min d < 0 at the first
@@ -539,8 +617,9 @@ class TestImportBudget:
             "n = 4\nT = 0.1\nN = 10\npotential = log\ncoupling = linear\n"
             "mu0 = constant 1\nrho0 = constant 0.5\n"
             "study = homogeneous_oracle\n")
-        assert "scipy.integrate" in self._scipy_modules(
-            tmp_path, "study", "--spec", "s.txt", "--out", "study")
+        loaded = self._modules(tmp_path, "study", "--spec", "s.txt",
+                               "--out", "study")
+        assert {"scipy.integrate", "vchsim.studies"} <= loaded
 
 
 class TestBlasThreads:

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -9,6 +12,7 @@ from vchsim.diagnostics import (
     contraction_metric,
     formulation_residuals,
     mu_energy_ledger,
+    residual_entry,
     rho_energy_ledger,
     series_rows,
 )
@@ -218,6 +222,19 @@ class TestFormulationResiduals:
         for arr in (res.mu_native, res.mu_kirchhoff, res.rho_native,
                     res.rho_strong):
             assert np.max(np.abs(arr)) <= 1e-12
+
+    def test_node_on_the_endpoint_raises_no_warning(self):
+        # the log graph's value is taken at inside nodes only; a node at
+        # exactly b gets an infinite strong residual, without dividing by 0
+        traj, laws, cfg = run_config(N=2, **SMOOTH_INTERIOR)
+        prev, cur = traj.states[0], traj.states[1]
+        rho = cur.rho.values.copy()
+        rho[5] = laws.graph.b
+        edge = replace(cur, rho=ScalarField(cur.grid, rho))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = residual_entry(prev, edge, cfg, laws)
+        assert np.all(np.isfinite(res[:3])) and res[3] == np.inf
 
     def test_other_form_gap_halves_with_tau(self):
         gaps = {}
