@@ -24,13 +24,12 @@ from .config import (
 # formulation_residuals and the two ledgers are not called here; they stay
 # cli attributes because perfbench/traced.py wraps them by name
 from .diagnostics import (
-    SeriesFold,
+    REPORT_COLUMNS,
+    SERIES_COLUMNS,
+    LedgerFold,
     formulation_residuals,
     mu_energy_ledger,
-    mu_ledger_entry,
-    residual_entry,
     rho_energy_ledger,
-    rho_ledger_entry,
 )
 from .mesh import ScalarField, field_of, read_snapshot, write_snapshot
 from .stepper import (
@@ -41,14 +40,6 @@ from .stepper import (
     iterate,
     validate_initial_data,
 )
-
-SERIES_COLUMNS = ("step", "t", "E_mu", "F_rho", "diss_cum", "min_mu", "max_mu",
-                  "min_rho", "max_rho", "newton_iters", "cg_iters")
-
-REPORT_COLUMNS = ("step", "t", "E_mu", "diss", "extra", "cross", "mu_energy_resid",
-                  "F_rho", "visc_cum", "work_cum", "rho_violation",
-                  "min_mu", "max_mu", "res_mu_native", "res_mu_kirchhoff",
-                  "res_rho_native", "res_rho_strong")
 
 
 def _fmt(value) -> str:
@@ -137,26 +128,26 @@ def simulate_to_dir(config: Config, outdir) -> Trajectory:
     steps = iterate(cfg, laws, initial)  # checks the data before any file
     (outdir / "config.txt").write_text(render_config(config))
     stride, last = config.snapshot_stride, cfg.n_steps
-    series = SeriesFold(cfg, laws)
+    fold = LedgerFold(cfg, laws)
     reports = []
     try:
         with open(outdir / "series.csv", "w") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
             for n, (state, report) in enumerate(steps):
-                fh.write(_csv_row(series.row(state, report), SERIES_COLUMNS))
+                fh.write(_csv_row(fold.row(state, report), SERIES_COLUMNS))
                 if stride and n % stride == 0 or n in (0, last):
                     _write_state(outdir, n, state)
                 if report is not None:
                     reports.append(report)
     except SolverFailure as exc:
         # rewriting a snapshot already due gives the same bytes
-        _write_state(outdir, series.step, series.prev)
+        _write_state(outdir, fold.step, fold.prev)
         (outdir / "failure.txt").write_text(
             f"step = {exc.step}\nt = {exc.t:.17g}\nmessage = {exc}\n")
         write_manifest(outdir)
         raise
     write_manifest(outdir)
-    return Trajectory([series.prev], reports, cfg=cfg)
+    return Trajectory([fold.prev], reports, cfg=cfg)
 
 
 def read_states(rundir, grid, cfg):
@@ -215,11 +206,11 @@ def diagnose_to_report(rundir, report_path) -> list:
     first checked against manifest.txt; a missing or changed file is
     reported as a violation, and nothing is loaded or diagnosed.
 
-    The snapshots are then read in one pass that holds two states: each
-    row comes from the step's ledger and residual entries, the cumulative
-    columns are running sums (added in the order ``np.cumsum`` adds), and
-    the gates read the rows.  report.csv is written once the last state
-    has been read, so an unreadable run leaves no report.
+    The snapshots are then read in one pass that holds two states, and
+    the ledger fold (the one behind series.csv, here with the residuals)
+    makes each report.csv row; the gates read the rows, and a NaN counts
+    as a violation.  report.csv is written once the last state has been
+    read, so an unreadable run leaves no report.
     """
     tampered = verify_manifest(rundir)
     if tampered:
@@ -227,42 +218,22 @@ def diagnose_to_report(rundir, report_path) -> list:
     rundir = Path(rundir)
     config = _load_config(rundir / "config.txt")
     grid, cfg, laws, _initial = build_run(config)
-    rows, prev = [], None
-    visc_cum = work_cum = 0.0
-    for n, cur in enumerate(read_states(rundir, grid, cfg)):
-        E_mu, diss, extra, cross = mu_ledger_entry(prev, cur, cfg, laws)
-        F_rho, visc, work = rho_ledger_entry(prev, cur, cfg, laws)
-        res_mu, res_kirchhoff, res_rho, res_strong = residual_entry(
-            prev, cur, cfg, laws)
-        if prev is None:
-            E_prev, F_0 = E_mu, F_rho
-        visc_cum += visc
-        work_cum += work
-        rows.append({
-            "step": n, "t": cur.t,
-            "E_mu": E_mu, "diss": diss, "extra": extra, "cross": cross,
-            "mu_energy_resid": (E_mu - E_prev) + diss - cross,
-            "F_rho": F_rho, "visc_cum": visc_cum, "work_cum": work_cum,
-            "rho_violation": F_rho + visc_cum - F_0 - work_cum,
-            "min_mu": cur.mu.min(), "max_mu": cur.mu.max(),
-            "res_mu_native": res_mu, "res_mu_kirchhoff": res_kirchhoff,
-            "res_rho_native": res_rho, "res_rho_strong": res_strong,
-        })
-        E_prev, prev = E_mu, cur
+    fold = LedgerFold(cfg, laws, residuals=True)
+    rows = [fold.row(state) for state in read_states(rundir, grid, cfg)]
     write_series(report_path, rows, REPORT_COLUMNS)
 
     def column(name):
         return np.array([row[name] for row in rows])
 
     violations = []
-    min_mu = min(row["min_mu"] for row in rows)
-    if min_mu < -10.0 * cfg.linear_tol:
+    min_mu = column("min_mu").min()
+    if not min_mu >= -10.0 * cfg.linear_tol:
         violations.append(f"positivity: min mu = {min_mu:.3e} "
                           f"below -10*linear_tol")
     solver_band = 10.0 * (cfg.newton_tol + cfg.linear_tol)
-    if column("res_mu_native").max() > solver_band:
+    if not column("res_mu_native").max() <= solver_band:
         violations.append("native potential-stage residual exceeds the solver band")
-    if column("res_rho_native").max() > solver_band:
+    if not column("res_rho_native").max() <= solver_band:
         violations.append("native order-parameter residual exceeds the solver band")
     if np.any(np.isinf(column("F_rho"))):
         violations.append("free energy infinite: rho escaped the potential domain")
@@ -270,7 +241,7 @@ def diagnose_to_report(rundir, report_path) -> list:
         if not np.all(np.isfinite(column(name))):
             violations.append("non-finite ledger entry")
             break
-    if not np.isfinite(max(row["max_mu"] for row in rows)):
+    if not np.isfinite(column("max_mu").max()):
         violations.append("potential unbounded over the run")
     return violations
 

@@ -14,15 +14,18 @@ module recasts each of these as a discrete, computable quantity:
 * the two-run contraction series in the rescaled variable z = mu/alpha(rho)
   with alpha(r) = (eps + 2 g(r))^(-1/2).
 
-Everything here is pure post-processing of immutable states.  Each ledger
-and the residual rows are a fold of one per-step entry over consecutive
-state pairs, so the same entry serves a whole trajectory and a run
-streamed step by step.
+Everything here is pure post-processing of immutable states.  One per-step
+entry computes a step's ledger terms (and, on request, its residuals) from
+consecutive states, and one fold turns the entries into rows with running
+sums.  series.csv, report.csv and the whole-trajectory ledgers are all
+read off those rows, so a whole trajectory and a run streamed step by step
+get the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -43,9 +46,15 @@ from .mesh import (
 )
 from .stepper import Trajectory, mu_system_coefficients, rho_stage_residual
 
+SERIES_COLUMNS = ("step", "t", "E_mu", "F_rho", "diss_cum", "min_mu", "max_mu",
+                  "min_rho", "max_rho", "newton_iters", "cg_iters")
 
-# ---------------------------------------------------------------------------
-# energy ledgers
+RESIDUAL_COLUMNS = ("res_mu_native", "res_mu_kirchhoff", "res_rho_native",
+                    "res_rho_strong")
+
+REPORT_COLUMNS = ("step", "t", "E_mu", "diss", "extra", "cross", "mu_energy_resid",
+                  "F_rho", "visc_cum", "work_cum", "rho_violation",
+                  "min_mu", "max_mu", *RESIDUAL_COLUMNS)
 
 
 @dataclass
@@ -69,67 +78,6 @@ class EnergyLedger:
     extra_cum: np.ndarray
 
 
-def mu_ledger_entry(prev, cur, cfg, laws: Laws) -> tuple:
-    """One step's potential-energy terms ``(E_mu, diss, extra, cross)``
-    from the states before (``prev``) and after (``cur``) it; at the
-    initial state (``prev`` None) only ``E_mu`` is nonzero."""
-    grid = cur.grid
-    vol = grid.cell_volume
-
-    def weight(state):
-        return cfg.epsilon + 2.0 * laws.coupling.g(state.rho.values)
-
-    a_cur = weight(cur)
-    E = 0.5 * vol * float(np.sum(a_cur * cur.mu.values ** 2))
-    if prev is None:
-        return E, 0.0, 0.0, 0.0
-    _, b_plus, b_minus, k_lag = mu_system_coefficients(
-        prev.mu, cur.rho, cur.dt_rho, cfg, laws)
-    diss = cfg.tau * dirichlet_energy(grid, ScalarField(grid, k_lag), cur.mu,
-                                      cfg.face_average == "harmonic")
-    dmu = cur.mu.values - prev.mu.values
-    extra = 0.5 * vol * float(np.sum(a_cur * dmu ** 2))
-    cross = (0.5 * vol * float(np.sum((a_cur - weight(prev)) * prev.mu.values ** 2))
-             - cfg.tau * vol * float(np.sum(
-                 (b_plus * cur.mu.values - b_minus * prev.mu.values)
-                 * cur.mu.values)))
-    return E, diss, extra, cross
-
-
-def rho_ledger_entry(prev, cur, cfg, laws: Laws) -> tuple:
-    """One step's free-energy terms ``(F_rho, visc, work)``, as
-    :func:`mu_ledger_entry`; ``F_rho`` is infinite when rho escaped the
-    potential domain."""
-    grid = cur.grid
-    vol = grid.cell_volume
-    fvals = f_total(laws.potential, cur.rho.values)
-    F = (np.inf if np.any(np.isinf(fvals)) else
-         0.5 * dirichlet_energy(grid, field_of(grid, 1.0), cur.rho)
-         + vol * float(np.sum(fvals)))
-    if prev is None:
-        return F, 0.0, 0.0
-    visc = cfg.delta * cfg.tau * vol * float(np.sum(cur.dt_rho.values ** 2))
-    work = cfg.tau * vol * float(np.sum(
-        laws.coupling.g_prime(cur.rho.values) * prev.mu.values
-        * cur.dt_rho.values))
-    return F, visc, work
-
-
-def _entries(entry, traj: Trajectory, laws: Laws) -> np.ndarray:
-    """The per-step entries of a trajectory, one row per state."""
-    prevs = [None, *traj.states[:-1]]
-    return np.array([entry(prev, cur, traj.cfg, laws)
-                     for prev, cur in zip(prevs, traj.states)])
-
-
-def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
-    E, diss, extra, cross = _entries(mu_ledger_entry, traj, laws).T
-    resid = np.diff(E, prepend=E[0]) + diss - cross
-    return EnergyLedger(
-        t=traj.times(), E_mu=E, diss=diss, extra=extra, cross=cross,
-        resid=resid, diss_cum=np.cumsum(diss), extra_cum=np.cumsum(extra))
-
-
 @dataclass
 class RhoLedger:
     """Free-energy side of the order parameter.
@@ -151,26 +99,6 @@ class RhoLedger:
     visc_cum: np.ndarray
     work_cum: np.ndarray
     violation: np.ndarray
-
-
-def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
-    F, visc, work = _entries(rho_ledger_entry, traj, laws).T
-    visc_cum = np.cumsum(visc)
-    work_cum = np.cumsum(work)
-    violation = F + visc_cum - F[0] - work_cum
-    return RhoLedger(t=traj.times(), F_rho=F, visc=visc, work=work,
-                     visc_cum=visc_cum, work_cum=work_cum,
-                     violation=violation)
-
-
-def boundedness_report(traj: Trajectory) -> tuple:
-    """(sup over all steps and nodes of mu, sup of the initial datum)."""
-    sup_q = max(s.mu.max() for s in traj.states)
-    return sup_q, traj.states[0].mu.max()
-
-
-# ---------------------------------------------------------------------------
-# formulation residuals
 
 
 @dataclass
@@ -211,45 +139,80 @@ def _bump_means(r: np.ndarray) -> np.ndarray:
     return (total / weight).ravel()[::4]
 
 
-def residual_entry(prev, cur, cfg, laws: Laws) -> tuple:
-    """One step's max-norm residuals ``(mu_native, mu_kirchhoff,
-    rho_native, rho_strong)`` from the states before (``prev``) and after
-    (``cur``) it, as :func:`mu_ledger_entry`; all zero at the initial
-    state (``prev`` None)."""
-    if prev is None:
-        return 0.0, 0.0, 0.0, 0.0
+# ---------------------------------------------------------------------------
+# the per-step entry
+
+
+def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
+    """One step's ledger terms from the states before (``prev``) and after
+    (``cur``) it, and the weight ``a = eps + 2 g(rho)`` of ``cur``, which is
+    the next step's ``a_prev``.  Returns ``(terms, a)``.
+
+    ``terms`` maps E_mu, diss, extra, cross (potential energy) and F_rho,
+    visc, work (free energy) to floats, and with ``residuals`` also the four
+    max-norm residuals of :data:`RESIDUAL_COLUMNS`.  At the initial state
+    (``prev`` None) only ``E_mu`` and ``F_rho`` are nonzero.  ``F_rho`` is
+    infinite when rho escaped the potential domain.  The potential stage's
+    coefficient fields are formed once and serve the ledger and the
+    residuals alike.
+    """
     grid = cur.grid
-    graph = laws.graph
-    mu_p, mu_c = prev.mu.values, cur.mu.values
-    rho_c = cur.rho.values
+    vol = grid.cell_volume
+    mu_c, rho_c = cur.mu.values, cur.rho.values
+    if prev is None:
+        a = cfg.epsilon + 2.0 * laws.coupling.g(rho_c)
+    else:
+        a, b_plus, b_minus, k_lag = mu_system_coefficients(
+            prev.mu, cur.rho, cur.dt_rho, cfg, laws)
+    fvals = f_total(laws.potential, rho_c)
+    terms = {
+        "E_mu": 0.5 * vol * float(np.sum(a * mu_c ** 2)),
+        "F_rho": (np.inf if np.any(np.isinf(fvals)) else
+                  0.5 * dirichlet_energy(grid, field_of(grid, 1.0), cur.rho)
+                  + vol * float(np.sum(fvals))),
+    }
+    if prev is None:
+        zero = ("diss", "extra", "cross", "visc", "work",
+                *(RESIDUAL_COLUMNS if residuals else ()))
+        return {**terms, **dict.fromkeys(zero, 0.0)}, a
+    mu_p, dt_rho = prev.mu.values, cur.dt_rho.values
+    harmonic = cfg.face_average == "harmonic"
+    terms["diss"] = cfg.tau * dirichlet_energy(grid, ScalarField(grid, k_lag),
+                                               cur.mu, harmonic)
+    terms["extra"] = 0.5 * vol * float(np.sum(a * (mu_c - mu_p) ** 2))
+    terms["cross"] = (0.5 * vol * float(np.sum((a - a_prev) * mu_p ** 2))
+                      - cfg.tau * vol * float(np.sum(
+                          (b_plus * mu_c - b_minus * mu_p) * mu_c)))
+    terms["visc"] = cfg.delta * cfg.tau * vol * float(np.sum(dt_rho ** 2))
+    terms["work"] = cfg.tau * vol * float(np.sum(
+        laws.coupling.g_prime(rho_c) * mu_p * dt_rho))
+    if not residuals:
+        return terms, a
 
     # native potential stage (lagged floored mobility, split reaction)
-    a, b_plus, b_minus, k_lag = mu_system_coefficients(
-        prev.mu, cur.rho, cur.dt_rho, cfg, laws)
     res_mu = (a * (mu_c - mu_p) / cfg.tau + b_plus * mu_c - b_minus * mu_p
-              - div_k_grad_arrays(grid, k_lag, mu_c,
-                                  cfg.face_average == "harmonic"))
-    mu_native = float(np.max(np.abs(res_mu)))
+              - div_k_grad_arrays(grid, k_lag, mu_c, harmonic))
+    terms["res_mu_native"] = float(np.max(np.abs(res_mu)))
 
     # conservative Kirchhoff form tested against bump fields; the form
     # is bilinear, so each test is a bump-weighted mean of the strong
     # residual (summation by parts moves the face flux onto the
     # divergence of grad K_tau, differenced before it is scaled)
-    a_prev = cfg.epsilon + 2.0 * laws.coupling.g(prev.rho.values)
     dt_weighted = (a * mu_c - a_prev * mu_p) / cfg.tau
-    coupling_term = mu_c * laws.coupling.g_prime(rho_c) * cur.dt_rho.values
+    coupling_term = mu_c * laws.coupling.g_prime(rho_c) * dt_rho
     ktau_c = K_tau_array(laws.mobility, cfg.mobility_floor_tau, mu_c)
     strong = dt_weighted - coupling_term - div_faces(unit_face_weights(grid),
                                                      ktau_c)
-    mu_kirchhoff = float(np.max(np.abs(_bump_means(strong))))
+    terms["res_mu_kirchhoff"] = float(np.max(np.abs(_bump_means(strong))))
 
     # native order-parameter stage, the residual the Newton solve
     # stopped at: for the clamp graph the committed pair is the
     # resolvent projection of the Newton iterate, so the iterate is
     # recovered as rho + lam*xi
+    graph = laws.graph
     rc, xi_c = rho_c.ravel(), cur.xi.values.ravel()
     rr = rc + cfg.yosida_lambda * xi_c if isinstance(graph, ClampIndicator) else rc
-    rho_native = float(np.max(np.abs(rho_stage_residual(
+    terms["res_rho_native"] = float(np.max(np.abs(rho_stage_residual(
         prev.rho, prev.mu, rr, xi_c, cfg, laws))))
 
     # strong inclusion at the committed pair; for the log graph the
@@ -263,17 +226,106 @@ def residual_entry(prev, cur, cfg, laws: Laws) -> tuple:
                              np.inf)
     else:
         xi_strong = xi_c
-    rho_strong = float(np.max(np.abs(rho_stage_residual(
+    terms["res_rho_strong"] = float(np.max(np.abs(rho_stage_residual(
         prev.rho, prev.mu, rc, xi_strong, cfg, laws))))
-    return mu_native, mu_kirchhoff, rho_native, rho_strong
+    return terms, a
+
+
+# ---------------------------------------------------------------------------
+# the ledger fold and its collectors
+
+
+class LedgerFold:
+    """The ledger rows of a run, one per state fed in step order.
+
+    A row holds the step's terms (:func:`step_entry`), the running values
+    ``diss_cum``, ``extra_cum``, ``visc_cum``, ``work_cum``,
+    ``mu_energy_resid = (E_n - E_(n-1)) + diss - cross`` and
+    ``rho_violation = F_rho + visc_cum - F_rho(0) - work_cum``, the ranges
+    of mu and rho, and the step's iteration counts; series.csv takes
+    :data:`SERIES_COLUMNS` of it and report.csv :data:`REPORT_COLUMNS`
+    (which need ``residuals``).  Only the previous state and its weight are
+    kept, and the cumulative values are running sums, which add in the
+    order ``np.cumsum`` does.
+    """
+
+    def __init__(self, cfg, laws: Laws, residuals=False):
+        self.cfg, self.laws, self.residuals = cfg, laws, residuals
+        self.prev = self.a = self.E_prev = self.F_0 = None
+        self.step = -1
+        self.cum = dict.fromkeys(("diss", "extra", "visc", "work"), 0.0)
+
+    def row(self, state, report=None) -> dict:
+        """The row of ``state``, reached by a step that reported ``report``
+        (None for the initial state and for stored states)."""
+        terms, a = step_entry(self.prev, state, self.a, self.cfg, self.laws,
+                              self.residuals)
+        if self.prev is None:
+            self.E_prev, self.F_0 = terms["E_mu"], terms["F_rho"]
+        for name in self.cum:
+            self.cum[name] += terms[name]
+        self.step += 1
+        row = {
+            "step": self.step, "t": state.t, **terms,
+            **{f"{name}_cum": value for name, value in self.cum.items()},
+            "mu_energy_resid": ((terms["E_mu"] - self.E_prev) + terms["diss"]
+                                - terms["cross"]),
+            "rho_violation": (terms["F_rho"] + self.cum["visc"] - self.F_0
+                              - self.cum["work"]),
+            "min_mu": state.mu.min(), "max_mu": state.mu.max(),
+            "min_rho": state.rho.min(), "max_rho": state.rho.max(),
+            "newton_iters": report.newton_iters if report else 0,
+            "cg_iters": report.linear_iters if report else 0,
+        }
+        self.prev, self.a, self.E_prev = state, a, terms["E_mu"]
+        return row
+
+
+def _fold(traj: Trajectory, laws: Laws, residuals=False) -> list:
+    """The fold's rows over a whole trajectory."""
+    fold = LedgerFold(traj.cfg, laws, residuals)
+    return [fold.row(state, report) for state, report
+            in zip_longest(traj.states, [None, *traj.reports])]
+
+
+def _columns(traj: Trajectory, laws: Laws, residuals=False) -> dict:
+    rows = _fold(traj, laws, residuals)
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
+    c = _columns(traj, laws)
+    return EnergyLedger(
+        t=c["t"], E_mu=c["E_mu"], diss=c["diss"], extra=c["extra"],
+        cross=c["cross"], resid=c["mu_energy_resid"], diss_cum=c["diss_cum"],
+        extra_cum=c["extra_cum"])
+
+
+def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
+    c = _columns(traj, laws)
+    return RhoLedger(t=c["t"], F_rho=c["F_rho"], visc=c["visc"],
+                     work=c["work"], visc_cum=c["visc_cum"],
+                     work_cum=c["work_cum"], violation=c["rho_violation"])
 
 
 def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
-    mu_native, mu_kirchhoff, rho_native, rho_strong = _entries(
-        residual_entry, traj, laws).T
-    return ResidualRows(t=traj.times(), mu_native=mu_native,
-                        mu_kirchhoff=mu_kirchhoff, rho_native=rho_native,
-                        rho_strong=rho_strong)
+    c = _columns(traj, laws, residuals=True)
+    return ResidualRows(t=c["t"], mu_native=c["res_mu_native"],
+                        mu_kirchhoff=c["res_mu_kirchhoff"],
+                        rho_native=c["res_rho_native"],
+                        rho_strong=c["res_rho_strong"])
+
+
+def series_rows(traj: Trajectory, laws: Laws) -> list:
+    """The series.csv rows of a whole trajectory."""
+    return [{name: row[name] for name in SERIES_COLUMNS}
+            for row in _fold(traj, laws)]
+
+
+def boundedness_report(traj: Trajectory) -> tuple:
+    """(sup over all steps and nodes of mu, sup of the initial datum)."""
+    sup_q = max(s.mu.max() for s in traj.states)
+    return sup_q, traj.states[0].mu.max()
 
 
 # ---------------------------------------------------------------------------
@@ -326,47 +378,3 @@ def contraction_metric(trajA: Trajectory, trajB: Trajectory,
     return ContractionSeries(t=trajA.times(), z_gap=z_gap, rho_gap=rho_gap)
 
 
-# ---------------------------------------------------------------------------
-# run summary for the series file
-
-
-class SeriesFold:
-    """Rows of series.csv, one per state fed in step order: the step's
-    ledger entries, ranges and iteration counts, in the documented column
-    order.  Only the previous state is kept, and ``diss_cum`` is a running
-    sum, which adds in the order ``np.cumsum`` does."""
-
-    def __init__(self, cfg, laws: Laws):
-        self.cfg, self.laws = cfg, laws
-        self.prev = None
-        self.step = -1
-        self.diss_cum = 0.0
-
-    def row(self, state, report) -> dict:
-        """The row of ``state``, reached by a step that reported ``report``
-        (None for the initial state)."""
-        E_mu, diss, _, _ = mu_ledger_entry(self.prev, state, self.cfg, self.laws)
-        F_rho = rho_ledger_entry(self.prev, state, self.cfg, self.laws)[0]
-        self.diss_cum += diss
-        self.step += 1
-        self.prev = state
-        return {
-            "step": self.step,
-            "t": state.t,
-            "E_mu": E_mu,
-            "F_rho": F_rho,
-            "diss_cum": self.diss_cum,
-            "min_mu": state.mu.min(),
-            "max_mu": state.mu.max(),
-            "min_rho": state.rho.min(),
-            "max_rho": state.rho.max(),
-            "newton_iters": report.newton_iters if report else 0,
-            "cg_iters": report.linear_iters if report else 0,
-        }
-
-
-def series_rows(traj: Trajectory, laws: Laws) -> list:
-    """The series.csv rows of a whole trajectory."""
-    fold = SeriesFold(traj.cfg, laws)
-    return [fold.row(state, report)
-            for state, report in zip(traj.states, [None, *traj.reports])]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vchsim import cli, stepper, studies
+from vchsim import cli, diagnostics, stepper, studies
 from vchsim.cli import main, simulate_to_dir, write_manifest, write_series
 from vchsim.config import (
     Config,
@@ -29,6 +29,16 @@ from vchsim.mesh import read_snapshot
 
 MINIMAL = "n = 16\nT = 0.5\nN = 8\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
+LOG_TANHPOW_2D = ("dim = 2\nn = 12\nT = 0.1\nN = 6\npotential = log\n"
+                  "coupling = linear\nmobility = tanhpow\nm = 2.5\n"
+                  "mu0 = bump 0.5 0.3 1\nrho0 = cosine 0.5 0.2\n")
+
+
+def _csv_columns(path) -> dict:
+    """Column name -> list of the column's text values."""
+    header, *rows = Path(path).read_text().splitlines()
+    return {name: list(values) for name, values
+            in zip(header.split(","), zip(*(row.split(",") for row in rows)))}
 
 
 class TestParseConfig:
@@ -284,6 +294,45 @@ class TestWriters:
         for name, values in expected.items():
             assert list(columns[name]) == [f"{v:.17g}" for v in values], name
 
+    def test_series_and_report_come_from_one_fold(self, tmp_path):
+        # the columns the two files share agree digit for digit, and
+        # series.csv's diss_cum is the running sum of report.csv's diss
+        simulate_to_dir(parse_config(LOG_TANHPOW_2D), tmp_path / "run")
+        cli.diagnose_to_report(tmp_path / "run", tmp_path / "rep.csv")
+        series = _csv_columns(tmp_path / "run" / "series.csv")
+        report = _csv_columns(tmp_path / "rep.csv")
+        assert len(series["E_mu"]) == 7
+        assert series["E_mu"] == report["E_mu"]
+        assert series["F_rho"] == report["F_rho"]
+        diss = np.array([float(v) for v in report["diss"]])
+        assert series["diss_cum"] == [f"{v:.17g}" for v in np.cumsum(diss)]
+
+    def test_coefficients_are_formed_once_per_step(self, tmp_path,
+                                                   monkeypatch):
+        # the ledger and the residuals share each step's coefficient
+        # fields; simulate forms them once more, in step_mu
+        calls = {"diagnostics": 0, "stepper": 0}
+        for module in (diagnostics, stepper):
+            real = module.mu_system_coefficients
+
+            def counting(*args, _name=module.__name__.split(".")[1],
+                         _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, "mu_system_coefficients", counting)
+        path = tmp_path / "c.txt"
+        path.write_text("dim = 2\nn = 12\nT = 0.02\nN = 12\npotential = log\n"
+                        "mobility = tanhpow\nm = 2\n"
+                        "mu0 = bump 0.5 0.3 1\nrho0 = cosine 0.5 0.2\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert calls == {"diagnostics": 12, "stepper": 12}
+        calls.update(diagnostics=0, stepper=0)
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 0
+        assert calls == {"diagnostics": 12, "stepper": 0}
+
     def test_snapshot_roundtrip_through_run_dir(self, tmp_path):
         cfg = parse_config(MINIMAL)
         traj = simulate_to_dir(cfg, tmp_path / "run")
@@ -479,6 +528,24 @@ class TestCliExitCodes:
         assert main(["diagnose", "--traj", str(out),
                      "--out", str(tmp_path / "rep.csv")]) == 4
         assert "violation: positivity" in capsys.readouterr().err
+
+    def test_nan_in_a_snapshot_exits_4(self, tmp_path, capsys):
+        # a NaN in xi makes the order-parameter residuals NaN; the solver
+        # band gate counts it as a violation
+        path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
+        out = tmp_path / "out"
+        main(["simulate", "--config", path, "--out", str(out)])
+        snap = out / "state_00004_xi.txt"
+        lines = snap.read_text().splitlines()
+        lines[3] = "nan"
+        snap.write_text("\n".join(lines) + "\n")
+        write_manifest(out)
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 4
+        assert ("violation: native order-parameter residual exceeds the "
+                "solver band") in capsys.readouterr().err
+        report = _csv_columns(tmp_path / "rep.csv")
+        assert report["res_rho_native"][4] == "nan"
 
     @pytest.mark.parametrize("edit", ["changed", "deleted"])
     def test_run_files_are_checked_against_the_manifest(self, tmp_path,

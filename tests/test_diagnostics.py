@@ -10,11 +10,12 @@ from vchsim.diagnostics import (
     _bump_means,
     boundedness_report,
     contraction_metric,
+    RESIDUAL_COLUMNS,
     formulation_residuals,
     mu_energy_ledger,
-    residual_entry,
     rho_energy_ledger,
     series_rows,
+    step_entry,
 )
 from vchsim.constitutive import K_tau_array
 from vchsim.mesh import Grid, ScalarField, field_of, laplacian_matrix
@@ -231,9 +232,11 @@ class TestFormulationResiduals:
         rho = cur.rho.values.copy()
         rho[5] = laws.graph.b
         edge = replace(cur, rho=ScalarField(cur.grid, rho))
+        _, a_prev = step_entry(None, prev, None, cfg, laws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = residual_entry(prev, edge, cfg, laws)
+            terms, _ = step_entry(prev, edge, a_prev, cfg, laws, residuals=True)
+        res = [terms[name] for name in RESIDUAL_COLUMNS]
         assert np.all(np.isfinite(res[:3])) and res[3] == np.inf
 
     def test_other_form_gap_halves_with_tau(self):
