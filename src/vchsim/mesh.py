@@ -187,9 +187,11 @@ def dirichlet_energy(grid: Grid, k: ScalarField, u: ScalarField,
 @lru_cache(maxsize=32)
 def unit_face_weights(grid: Grid) -> tuple:
     """:func:`face_weights` of ``k == 1`` (every weight 1/h^2), so that
-    ``div_faces(unit_face_weights(grid), u)`` is the Laplacian of
-    :func:`laplacian_matrix` applied matrix-free.  Cached per grid and
-    read-only."""
+    ``div_faces(unit_face_weights(grid), u)`` is the discrete Neumann
+    Laplacian L: the 3-point (1-D) or 5-point (2-D) stencil over h^2, whose
+    boundary rows see a reflected ghost value (zero normal flux), which
+    makes the cell-centered closure second order.  Constants are in its
+    kernel exactly.  Cached per grid and read-only."""
     weights = face_weights(grid, np.ones(grid.shape))
     for w in weights:
         w.flags.writeable = False
@@ -197,35 +199,9 @@ def unit_face_weights(grid: Grid) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def laplacian_matrix(grid: Grid):
-    """Discrete Laplacian with reflected ghost values (zero normal flux),
-    as a scipy.sparse CSR matrix in row-major node ordering.
-
-    3-point (1-D) / 5-point (2-D) stencil divided by h^2.  Constants are in
-    its kernel exactly; boundary rows see the reflected ghost, which is what
-    makes the cell-centered Neumann closure second order.  Cached per grid;
-    the rho stage assembles it only for the SuperLU factorization of an
-    indefinite Jacobian and applies it matrix-free otherwise
-    (:func:`unit_face_weights`).  :func:`shifted_laplacian_solve` inverts
-    shifts of it with the cached dense DCT-II of :func:`dct_matrix`, which
-    needs no scipy.
-    """
-    import scipy.sparse as sps
-
-    n, h2 = grid.n, grid.h ** 2
-    main = -2.0 * np.ones(n)
-    main[0] = main[-1] = -1.0  # reflected ghost merges into the diagonal
-    off = np.ones(n - 1)
-    lap1d = sps.diags([off, main, off], offsets=[-1, 0, 1], format="csr") / h2
-    if grid.dim == 1:
-        return lap1d.tocsr()
-    eye = sps.identity(n, format="csr")
-    return (sps.kron(lap1d, eye) + sps.kron(eye, lap1d)).tocsr()
-
-
-@lru_cache(maxsize=32)
 def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of :func:`laplacian_matrix` in orthonormal DCT-II order.
+    """Eigenvalues of the Laplacian of :func:`unit_face_weights` in
+    orthonormal DCT-II order.
 
     The reflected-ghost stencil is diagonalized exactly by the DCT-II
     (Strang, SIAM Review 41, 1999): mode ``j`` of one axis has eigenvalue
@@ -264,7 +240,8 @@ def dct_matrix(n: int) -> np.ndarray:
 
 def shifted_laplacian_solve(grid: Grid, s: float, k: float,
                             rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(s I - k L) x = rhs`` exactly, L = :func:`laplacian_matrix`.
+    """Solve ``(s I - k L) x = rhs`` exactly, L the Laplacian of
+    :func:`unit_face_weights`.
 
     Needs ``s > 0`` and ``k >= 0``.  ``rhs`` may be flat or shaped like the
     grid; ``x`` comes back in the same layout.  The orthonormal DCT-II is

@@ -30,21 +30,21 @@ backward difference as frozen coefficients.
 Both stages solve systems of one shape, diag(d) - div(k grad .) on the
 cell-centered Neumann grid.  Both apply the operator matrix-free through
 the face-flux divergence ``div_faces`` (unit face weights in the rho
-stage), and both use one preconditioned conjugate gradient loop whose
-preconditioner is, where it fits, the exact DCT inverse of the
-mean-coefficient operator (``shifted_laplacian_solve``, an orthonormal
-DCT-II applied as a cached dense numpy matrix, so no scipy module loads
-while every rho Jacobian is SPD):
+stage), and both precondition a Krylov loop, where it fits, with the exact
+DCT inverse of a mean-coefficient operator (``shifted_laplacian_solve``, an
+orthonormal DCT-II applied as a cached dense numpy matrix, so the stepper
+loads no scipy):
 
-- rho stage (k = 1): DCT-preconditioned CG for each Newton direction
-  while the Jacobian is provably SPD (delta/tau + min d > 0); only for the
-  indefinite Jacobians a concave potential part can produce under a small
-  viscosity is the sparse Jacobian assembled and factorized by SuperLU;
-- mu stage: DCT-preconditioned CG while the lagged mobility varies by at
-  most ``DCT_CONTRAST_MAX``, Jacobi-preconditioned CG beyond it.
+- rho stage (k = 1): preconditioned MINRES for each Newton direction, with
+  the DCT solve of ``mean|d| I - L``.  The Jacobian is symmetric but may be
+  indefinite, since a concave potential part can outweigh a small
+  viscosity; MINRES needs only an SPD preconditioner;
+- mu stage: conjugate gradients on the SPD M-matrix, DCT-preconditioned
+  while the lagged mobility varies by at most ``DCT_CONTRAST_MAX``,
+  Jacobi-preconditioned beyond it.
 
 Every solve runs in a fixed operation order, so identical inputs give
-bitwise-identical steps.  The CG inner products and norms use numpy's own
+bitwise-identical steps.  The Krylov inner products and norms use numpy's own
 summation loop, not BLAS ``ddot``, whose multithreaded sum changes with
 the thread count; the DCT's dense matrix products gave the same bits under
 one and two OpenBLAS threads at every size tried (1-D up to 4096 nodes,
@@ -66,7 +66,6 @@ from .mesh import (
     div_faces,
     face_weights,
     field_of,
-    laplacian_matrix,
     shifted_laplacian_solve,
     unit_face_weights,
 )
@@ -248,13 +247,13 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     stored (rho, xi) satisfy the constraint and the complementarity sign
     conditions exactly (rho back in [a, b] bit-exactly).
 
-    Each Newton direction solves J = diag(delta/tau + d) - L.  When
-    delta/tau + min d > 0, J is SPD (-L is PSD) and CG preconditioned by
-    the DCT solve of ``mean(delta/tau + d) I - L`` takes it to a 2-norm
-    residual of ``0.1 newton_tol``, with L applied matrix-free as the
-    unit-coefficient flux divergence; otherwise J is assembled from the
-    sparse :func:`laplacian_matrix` and factorized by SuperLU, the only
-    place the stage loads ``scipy.sparse``.
+    Each Newton direction solves J = diag(delta/tau + d) - L, applied
+    matrix-free with L the unit-coefficient flux divergence.  J is
+    symmetric, and indefinite where a concave potential part outweighs
+    delta/tau, so MINRES takes every direction to a 2-norm residual of
+    ``0.1 newton_tol``, preconditioned by the DCT solve of the SPD
+    ``mean|delta/tau + d| I - L``.  Where delta/tau + d vanishes at every
+    node, J = -L is singular and the stage fails with that diagnosis.
     """
     grid = prev.grid
     unit_faces = unit_face_weights(grid)
@@ -286,31 +285,21 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     while res_norm > cfg.newton_tol:
         if iters >= cfg.newton_max_iter:
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
-        dcoef = (graph.yosida_derivative(lam, r, p) + pot.f2_second(r)
-                 - mu_d * cpl.g_second(r))
-        diag = dt_coef + dcoef
-        if float(diag.min()) > 0.0:
-            # J = diag(diag) - L is SPD: CG preconditioned by the exact
-            # inverse of its mean-shift Laplacian part
-            shift = float(diag.mean())
-            step, _, cg_res = _pcg(
-                lambda x: diag * x - div_faces(unit_faces,
-                                               x.reshape(shape)).ravel(), res,
-                lambda z: shifted_laplacian_solve(grid, shift, 1.0, z),
-                np.zeros(nn), inner_tol, max_inner)
-            if cg_res > inner_tol:
-                raise StepFailure("conjugate gradients did not converge in "
-                                  "the rho stage", res_norm)
-        else:
-            import scipy.sparse as sps
-            from scipy.sparse.linalg import splu
-
-            J = (sps.diags(diag) - laplacian_matrix(grid)).tocsc()
-            try:
-                step = splu(J).solve(res)
-            except RuntimeError as exc:
-                raise StepFailure(f"Jacobian solve failed: {exc}",
-                                  res_norm) from exc
+        diag = dt_coef + (graph.yosida_derivative(lam, r, p) + pot.f2_second(r)
+                          - mu_d * cpl.g_second(r))
+        shift = float(np.abs(diag).mean())
+        if shift == 0.0:
+            # diag vanishes at every node, so J = -L annihilates constants
+            raise StepFailure("singular rho-stage Jacobian: delta/tau + d is "
+                              "0 at every node", res_norm)
+        step, _, inner_res = _minres(
+            lambda x: diag * x - div_faces(unit_faces,
+                                           x.reshape(shape)).ravel(), res,
+            lambda z: shifted_laplacian_solve(grid, shift, 1.0, z),
+            inner_tol, max_inner)
+        if inner_res > inner_tol:
+            raise StepFailure("MINRES did not converge in the rho stage",
+                              res_norm)
         alpha = 1.0
         for _ in range(40):
             trial = r - alpha * step
@@ -358,7 +347,8 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
     solution's nonnegativity up to the linear tolerance.  The face
     coefficients are formed once per step.  The preconditioner is the DCT
     solve of ``mean(diag) I - mean(k) L`` when max k <= DCT_CONTRAST_MAX *
-    min k, and the diagonal (Jacobi) otherwise.
+    min k, and the diagonal (Jacobi) otherwise.  Returns the new potential,
+    the CG iteration count and the true residual 2-norm ``||b - A mu_new||``.
     """
     grid = prev.grid
     a, b_plus, b_minus, k_lag = mu_system_coefficients(
@@ -394,7 +384,10 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
         raise StepFailure("conjugate gradients did not converge in the mu stage",
                           rnorm)
     mu_new = ScalarField(grid, x.reshape(shape)).check_finite()
-    return mu_new, iters, rnorm
+    # the reported residual is the true one, which drifts from the recursive
+    # residual the stopping rule reads
+    true_res = rhs - apply_system(x)
+    return mu_new, iters, math.sqrt(_dot(true_res, true_res))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -427,6 +420,58 @@ def _pcg(apply_A, b, precondition, x0, tol, max_iter):
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
+    return x, max_iter, rnorm
+
+
+def _minres(apply_A, b, precondition, tol, max_iter):
+    """Preconditioned MINRES (Paige & Saunders, SINUM 12, 1975) from x = 0
+    for symmetric, possibly indefinite A and SPD preconditioner M.
+
+    The iterates minimize the M^-1-norm of the residual; its 2-norm, on
+    which the loop stops, is kept by the recurrence r_k = s_k^2 r_(k-1)
+    - phibar_k c_k q_(k+1), q the residual-space Lanczos vectors.  Follows
+    scipy's ``minres`` with every inner product taken by :func:`_dot`."""
+    x = np.zeros_like(b)
+    rnorm = math.sqrt(_dot(b, b))
+    if rnorm <= tol:
+        return x, 0, rnorm
+    r = r1 = r2 = b
+    y = precondition(b)
+    beta = math.sqrt(_dot(b, y))
+    dbar = epsln = 0.0
+    phibar = beta
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    for k in range(1, max_iter + 1):
+        # Lanczos step: A v = beta_next q_next + alfa q + beta q_prev
+        v = y / beta
+        y = apply_A(v)
+        if k > 1:
+            y = y - (beta / old_beta) * r1
+        alfa = _dot(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        old_beta, beta = beta, math.sqrt(_dot(r2, y))
+        # previous rotation, then the one that annihilates beta
+        old_eps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = math.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if beta == 0.0:
+            # lucky breakdown: the Krylov space is invariant, x is exact
+            return x, k, 0.0
+        r = (sn * sn) * r - (phibar * cs / beta) * r2
+        rnorm = math.sqrt(_dot(r, r))
+        if rnorm <= tol:
+            return x, k, rnorm
     return x, max_iter, rnorm
 
 

@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,25 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", path, "--out",
                      str(tmp_path / "out")]) == 3
 
+    def test_singular_rho_jacobian_is_named(self, tmp_path, capsys):
+        # default clamp potential with tau = 1/4: delta/tau = 4 = 2 alpha2
+        # and rho stays inside [a, b], so delta/tau + d is 0 at every node
+        # and the Jacobian is the singular -L
+        path = self._write(tmp_path, "n = 8\nT = 0.5\nN = 2\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", path,
+                         "--out", str(out)]) == 3
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert "singular rho-stage Jacobian" in capsys.readouterr().err
+        failure = (out / "failure.txt").read_text().splitlines()
+        assert failure[0] == "step = 1"
+        assert "singular rho-stage Jacobian" in failure[2]
+        assert cli.verify_manifest(out) == []
+        assert "failure.txt" in (out / "manifest.txt").read_text()
+
     def test_solver_failure_leaves_evidence(self, tmp_path, capsys,
                                             monkeypatch):
         real_step_mu = stepper.step_mu
@@ -651,9 +671,7 @@ class TestImportBudget:
                 if name.split(".")[0] == "scipy"}
 
     def test_run_commands(self, tmp_path):
-        # delta/tau = 16 outweighs the concave part 2 alpha2 = 4, so every
-        # rho-stage Jacobian is SPD and SuperLU (scipy.sparse) is not needed;
-        # the DCT preconditioner is numpy matrix products
+        # the rho stage's MINRES and its DCT preconditioner are numpy alone
         (tmp_path / "c.txt").write_text(MINIMAL + "mu0 = bump 0.25 0.2 1\n")
         validate = self._modules(tmp_path, "validate", "--config", "c.txt")
         # hashlib maps libcrypto; only the manifest checksums need it
@@ -668,16 +686,15 @@ class TestImportBudget:
             # numpy.polynomial load only where they are used
             assert not {"vchsim.studies", "numpy.polynomial"} & loaded
 
-    def test_indefinite_jacobian_loads_the_sparse_solver(self, tmp_path):
+    def test_indefinite_jacobian_loads_no_scipy(self, tmp_path):
         # log potential, delta = 0.1: delta/tau + min d < 0 at the first
-        # Newton iteration, so SuperLU takes the step
+        # Newton iteration, and MINRES takes the step with numpy alone
         (tmp_path / "c.txt").write_text(
             "dim = 2\nn = 16\nT = 1.0\nN = 4\npotential = log\ndelta = 0.1\n"
             "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n")
         loaded = self._scipy_modules(tmp_path, "simulate", "--config", "c.txt",
                                      "--out", "run")
-        assert {"scipy.sparse", "scipy.sparse.linalg"} <= loaded
-        assert not {"scipy.fft", "scipy.integrate"} & loaded
+        assert not loaded
 
     def test_oracle_study_loads_the_ode_integrator(self, tmp_path):
         (tmp_path / "s.txt").write_text(
@@ -690,13 +707,12 @@ class TestImportBudget:
 
 
 class TestBlasThreads:
-    """The CG sums avoid BLAS ``ddot``, whose multithreaded sum changes with
-    the thread count, so a run's manifest does not depend on it.  16384
+    """The Krylov sums avoid BLAS ``ddot``, whose multithreaded sum changes
+    with the thread count, so a run's manifest does not depend on it.  16384
     nodes (2-D 128^2) is long enough for OpenBLAS to split a ``ddot``."""
 
-    def test_manifest_is_the_same_under_one_and_two_threads(self, tmp_path):
-        config = ("dim = 2\nn = 128\nT = 0.0025\nN = 2\npotential = log\n"
-                  "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n")
+    @staticmethod
+    def _manifests(tmp_path, config) -> list:
         manifests = []
         for threads in ("1", "2"):
             cwd = tmp_path / f"threads{threads}"
@@ -710,4 +726,19 @@ class TestBlasThreads:
                          OPENBLAS_NUM_THREADS=threads))
             assert proc.returncode == 0, proc.stderr[-2000:]
             manifests.append((cwd / "run" / "manifest.txt").read_text())
+        return manifests
+
+    def test_manifest_is_the_same_under_one_and_two_threads(self, tmp_path):
+        config = ("dim = 2\nn = 128\nT = 0.0025\nN = 2\npotential = log\n"
+                  "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n")
+        manifests = self._manifests(tmp_path, config)
+        assert manifests[0] == manifests[1]
+
+    def test_indefinite_manifest_is_the_same_under_one_and_two_threads(
+            self, tmp_path):
+        # delta/tau + min d < 0: MINRES meets indefinite Jacobians
+        config = ("dim = 2\nn = 128\nT = 0.5\nN = 2\npotential = log\n"
+                  "delta = 0.1\nmu0 = bump 0.5 0.2 1.0\n"
+                  "rho0 = cosine 0.5 0.2\n")
+        manifests = self._manifests(tmp_path, config)
         assert manifests[0] == manifests[1]

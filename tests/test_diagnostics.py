@@ -18,8 +18,9 @@ from vchsim.diagnostics import (
     step_entry,
 )
 from vchsim.constitutive import K_tau_array
-from vchsim.mesh import Grid, ScalarField, field_of, laplacian_matrix
+from vchsim.mesh import Grid, ScalarField, field_of
 from vchsim.stepper import run
+from oracles import laplacian_matrix
 
 
 def run_config(**kw):

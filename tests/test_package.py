@@ -1,6 +1,8 @@
 """The package re-exports its library names lazily (PEP 562): importing
-``vchsim`` loads no submodule, and a name loads its module on first use."""
+``vchsim`` loads no submodule, and a name loads its module on first use.
+Its only scipy import is the ODE oracle's."""
 
+import ast
 import subprocess
 import sys
 from importlib import import_module
@@ -49,3 +51,28 @@ def test_importing_the_package_loads_no_submodule():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['vchsim']"
+
+
+def _imports(node, function=None):
+    """(enclosing function name, import node) for every import in a tree."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield function, child
+        inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                 else function)
+        yield from _imports(child, inner)
+
+
+def test_scipy_is_imported_only_by_the_ode_oracle():
+    sites = set()
+    for path in sorted((SRC / "vchsim").glob("*.py")):
+        for function, node in _imports(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [node.module or ""])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                sites.add((path.stem, function, node.lineno))
+    # the solvers are numpy alone; solve_ivp is the oracle's independent path
+    assert {(stem, function) for stem, function, _ in sites} == {
+        ("studies", "integrate_reduced_ode")}, sorted(sites)
+    assert not hasattr(import_module("vchsim.mesh"), "laplacian_matrix")

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 import scipy.sparse.linalg
 
 from vchsim.config import Config, build_run
@@ -25,6 +27,7 @@ from vchsim.stepper import (
     step_mu,
     step_rho,
 )
+from oracles import laplacian_matrix
 
 
 def make_laws(potential="clamp", alpha1=0.5, alpha2=2.0, coupling="linear",
@@ -232,7 +235,7 @@ class TestStepMuSolvers:
             return real_solve(*args)
 
         monkeypatch.setattr(stepper, "shifted_laplacian_solve", counting_solve)
-        mu_new, iters, _ = step_mu(prev, rho_new, dt_rho, cfg, laws)
+        mu_new, iters, reported = step_mu(prev, rho_new, dt_rho, cfg, laws)
         assert iters > 0
         assert bool(dct_calls) == uses_dct
 
@@ -245,6 +248,9 @@ class TestStepMuSolvers:
                     - (a / cfg.tau + b_minus) * prev.mu.values)
         tol = cfg.linear_tol * min(1.0, float(a.min()) / cfg.tau)
         assert np.linalg.norm(true_res) <= tol
+        # the step reports this true residual, summed as the stepper sums
+        flat = true_res.ravel()
+        assert reported == math.sqrt(np.einsum("i,i->", flat, flat))
 
         again, iters_again, _ = step_mu(prev, rho_new, dt_rho, cfg, laws)
         assert iters_again == iters
@@ -253,29 +259,77 @@ class TestStepMuSolvers:
 
 class TestIndefiniteJacobian:
     """log potential with a small viscosity: delta/tau + min d < 0 at the
-    first Newton iteration, so only the SuperLU branch can take the step."""
+    first Newton iteration, so the Jacobian is indefinite and CG could not
+    take the step; MINRES takes every direction."""
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
-    def test_superlu_fallback_completes(self, monkeypatch, dim, n):
+    def test_minres_takes_every_direction(self, monkeypatch, dim, n):
         c = Config(dim=dim, n=n, potential="log", delta=0.1, T=1.0, N=4,
                    mu0=("bump", 0.5, 0.2, 1.0), rho0=("cosine", 0.5, 0.2))
-        _, cfg, laws, initial = build_run(c)
-        factorizations = []
-        real_splu = scipy.sparse.linalg.splu
+        grid, cfg, laws, initial = build_run(c)
+        solves, cg_solves = [], []
+        real_minres, real_pcg = stepper._minres, stepper._pcg
 
-        def counting_splu(J):
-            factorizations.append(J.shape)
-            return real_splu(J)
+        def recording_minres(apply_A, b, *args):
+            x, iters, rnorm = real_minres(apply_A, b, *args)
+            # L annihilates constants exactly, so J 1 is J's diagonal
+            solves.append((apply_A(np.ones_like(b)), b, x))
+            return x, iters, rnorm
 
-        # step_rho imports splu from scipy.sparse.linalg on that branch
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        def counting_pcg(*args):
+            cg_solves.append(1)
+            return real_pcg(*args)
+
+        monkeypatch.setattr(stepper, "_minres", recording_minres)
+        monkeypatch.setattr(stepper, "_pcg", counting_pcg)
         traj = run(cfg, laws, initial)
         assert len(traj.states) == cfg.n_steps + 1
-        assert factorizations
+        # one MINRES solve per Newton direction; CG only in the mu stage
+        assert len(solves) == sum(r.newton_iters for r in traj.reports)
+        assert len(cg_solves) == cfg.n_steps
+        assert min(float(diag.min()) for diag, _, _ in solves) < 0.0
+        lap = laplacian_matrix(grid)
+        for diag, b, x in solves:
+            direct = scipy.sparse.linalg.splu(
+                (sps.diags(diag) - lap).tocsc()).solve(b)
+            assert np.max(np.abs(x - direct)) <= 1e-12
         assert min(s.mu.min() for s in traj.states) >= 0.0
         assert all(0.0 < s.rho.min() and s.rho.max() < 1.0
                    for s in traj.states)
         assert all(r.newton_residual <= cfg.newton_tol for r in traj.reports)
+
+
+class TestMinres:
+    """The rho stage's Krylov solver on its own."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10])
+    def test_minres_residual_recurrence_is_the_true_residual(self, tol):
+        # symmetric indefinite J = diag(d) - L on a 2-D 16^2 grid
+        grid = Grid(2, 16, 1.0)
+        rng = np.random.default_rng(7)
+        d = rng.uniform(-40.0, 60.0, grid.num_nodes)
+        lap = laplacian_matrix(grid)
+        b = rng.standard_normal(grid.num_nodes)
+        shift = float(np.abs(d).mean())
+        x, iters, reported = stepper._minres(
+            lambda v: d * v - lap @ v, b,
+            lambda z: stepper.shifted_laplacian_solve(grid, shift, 1.0, z),
+            tol * np.linalg.norm(b), 500)
+        true = np.linalg.norm(b - (d * x - lap @ x))
+        assert 0 < iters < 500
+        assert reported <= tol * np.linalg.norm(b)
+        assert abs(reported - true) <= 1e-12 * np.linalg.norm(b)
+
+    def test_minres_returns_exactly_on_a_lucky_breakdown(self):
+        # b is an eigenvector: the Krylov space is span{b} and beta_2 = 0
+        b = np.zeros(8)
+        b[3] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, iters, rnorm = stepper._minres(lambda v: 2.0 * v, b,
+                                              lambda z: z, 1e-30, 50)
+        assert (iters, rnorm) == (1, 0.0)
+        assert np.array_equal(x, 0.5 * b)
 
 
 def equilibrium_setup(n=12):
