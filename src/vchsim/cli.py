@@ -43,8 +43,6 @@ from .stepper import (
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"

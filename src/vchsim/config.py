@@ -59,9 +59,7 @@ class Config:
     newton_max_iter: int = 50
     linear_tol: float = 1e-11
     linear_max_iter: int = 0         # 0 = automatic cap
-    sign_split_reaction: bool = True
     mobility_floor_tau: float = -1.0  # negative = tie to the time step
-    face_average: str = "arithmetic"
     # initial data recipes
     mu0: tuple = ("constant", 1.0)
     rho0: tuple = ("constant", 0.5)
@@ -82,13 +80,18 @@ class Config:
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 
-def _parse_bool(raw: str, key: str, lineno: int) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"line {lineno}: key '{key}' expects a boolean, got {raw!r}")
+# Keys that earlier versions wrote into every run's config.txt, which its
+# manifest freezes.  The potential stage has one discretization, so each is
+# read only at the value that selects it: key -> (accepts raw value, what
+# the stage always does).
+_RETIRED_KEYS = {
+    "sign_split_reaction": (
+        lambda raw: raw.lower() in ("true", "1", "yes", "on"),
+        "splits the reaction by sign"),
+    "face_average": (
+        lambda raw: raw == "arithmetic",
+        "averages face mobilities arithmetically"),
+}
 
 
 def _parse_recipe(raw: str, key: str, lineno: int) -> tuple:
@@ -132,6 +135,13 @@ def parse_config(text: str) -> Config:
         if key == "tau":
             explicit_tau = (float(raw), lineno)
             continue
+        if key in _RETIRED_KEYS:
+            accepts, scheme = _RETIRED_KEYS[key]
+            if not accepts(raw):
+                raise ConfigError(
+                    f"line {lineno}: {key} was removed; the potential stage "
+                    f"always {scheme}, got {raw!r}")
+            continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in ("mu0", "rho0"):
@@ -143,8 +153,6 @@ def parse_config(text: str) -> Config:
                 overrides[key] = int(raw)
             elif ftype == "float":
                 overrides[key] = float(raw)
-            elif ftype == "bool":
-                overrides[key] = _parse_bool(raw, key, lineno)
             elif ftype == "tuple":
                 overrides[key] = tuple(float(v) for v in raw.split())
             else:
@@ -203,8 +211,6 @@ def render_config(config: Config) -> str:
         if f.name in ("mu0", "rho0"):
             rendered = " ".join(
                 part if isinstance(part, str) else f"{part:.17g}" for part in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, float):
             rendered = f"{value:.17g}"
         elif isinstance(value, tuple):
@@ -240,10 +246,8 @@ def build_solver_config(config: Config) -> SolverConfig:
         linear_tol=config.linear_tol,
         linear_max_iter=(None if config.linear_max_iter == 0
                          else config.linear_max_iter),
-        sign_split_reaction=config.sign_split_reaction,
         mobility_floor_tau=(None if config.mobility_floor_tau == -1
                             else config.mobility_floor_tau),
-        face_average=config.face_average,
     )
 
 

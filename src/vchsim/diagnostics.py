@@ -176,9 +176,8 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
                 *(RESIDUAL_COLUMNS if residuals else ()))
         return {**terms, **dict.fromkeys(zero, 0.0)}, a
     mu_p, dt_rho = prev.mu.values, cur.dt_rho.values
-    harmonic = cfg.face_average == "harmonic"
     terms["diss"] = cfg.tau * dirichlet_energy(grid, ScalarField(grid, k_lag),
-                                               cur.mu, harmonic)
+                                               cur.mu)
     terms["extra"] = 0.5 * vol * float(np.sum(a * (mu_c - mu_p) ** 2))
     terms["cross"] = (0.5 * vol * float(np.sum((a - a_prev) * mu_p ** 2))
                       - cfg.tau * vol * float(np.sum(
@@ -191,7 +190,7 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
 
     # native potential stage (lagged floored mobility, split reaction)
     res_mu = (a * (mu_c - mu_p) / cfg.tau + b_plus * mu_c - b_minus * mu_p
-              - div_k_grad_arrays(grid, k_lag, mu_c, harmonic))
+              - div_k_grad_arrays(grid, k_lag, mu_c))
     terms["res_mu_native"] = float(np.max(np.abs(res_mu)))
 
     # conservative Kirchhoff form tested against bump fields; the form

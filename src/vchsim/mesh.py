@@ -103,7 +103,8 @@ def _face_coefficient(k_lo: np.ndarray, k_hi: np.ndarray,
     if not harmonic:
         return 0.5 * (k_lo + k_hi)
     # harmonic mean annihilates the flux wherever the coefficient touches 0,
-    # which stalls degenerate runs; kept as an option, not the default
+    # which stalls degenerate runs; the stepper never selects it, and it
+    # stays only for callers of the flux operator that pass the flag
     s = k_lo + k_hi
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(s > 0.0, 2.0 * k_lo * k_hi / s, 0.0)
@@ -166,20 +167,20 @@ def integrate(grid: Grid, u: ScalarField) -> float:
     return float(grid.cell_volume * u.values.sum())
 
 
-def dirichlet_energy(grid: Grid, k: ScalarField, u: ScalarField,
-                     harmonic: bool = False) -> float:
+def dirichlet_energy(grid: Grid, k: ScalarField, u: ScalarField) -> float:
     """Weighted face energy sum_faces k_face h^dim ((u_q - u_p)/h)^2.
 
-    Matches the bilinear form of :func:`div_k_grad_arrays` for the same
-    averaging.  With ``k == 1`` (face coefficient exactly 1.0) it is the
-    squared discrete H1 seminorm, zero exactly iff ``u`` is constant.
+    Matches the bilinear form of :func:`div_k_grad_arrays` with its default
+    arithmetic face means.  With ``k == 1`` (face coefficient exactly 1.0)
+    it is the squared discrete H1 seminorm, zero exactly iff ``u`` is
+    constant.
     """
     h = grid.h
     total = 0.0
     for axis in range(grid.dim):
         du = np.diff(u.values, axis=axis)
         kf = _face_coefficient(_slab(k.values, axis, None, -1),
-                               _slab(k.values, axis, 1, None), harmonic)
+                               _slab(k.values, axis, 1, None), False)
         total += float(np.sum(kf * (du / h) ** 2))
     return grid.cell_volume * total
 

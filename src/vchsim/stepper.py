@@ -90,13 +90,12 @@ class StepFailure(RuntimeError):
 
 class SolverFailure(RuntimeError):
     """A run aborted mid-way at ``step`` (the step that failed), from the
-    state at time ``t``; :func:`run` attaches the partial trajectory."""
+    state at time ``t``."""
 
     def __init__(self, message: str, step: int, t: float):
         super().__init__(message)
         self.step = step
         self.t = t
-        self.trajectory = None
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,7 @@ class SolverConfig:
     newton_max_iter: int = 50
     linear_tol: float = 1e-11
     linear_max_iter: int = None
-    sign_split_reaction: bool = True
     mobility_floor_tau: float = None
-    face_average: str = "arithmetic"
 
     def __post_init__(self):
         if self.T < 0:
@@ -157,8 +154,6 @@ class SolverConfig:
         if self.linear_max_iter is not None and self.linear_max_iter < 1:
             raise ValidationError(f"linear_max_iter must be at least 1, "
                                   f"got {self.linear_max_iter}")
-        if self.face_average not in ("arithmetic", "harmonic"):
-            raise ValidationError("face_average must be arithmetic or harmonic")
 
 
 @dataclass(frozen=True)
@@ -328,12 +323,8 @@ def mu_system_coefficients(prev_mu: ScalarField, rho_new: ScalarField,
     rv = rho_new.values
     a = cfg.epsilon + 2.0 * laws.coupling.g(rv)
     b = laws.coupling.g_prime(rv) * dt_rho.values
-    if cfg.sign_split_reaction:
-        b_plus = np.maximum(b, 0.0)
-        b_minus = np.maximum(-b, 0.0)
-    else:
-        b_plus = b
-        b_minus = np.zeros_like(b)
+    b_plus = np.maximum(b, 0.0)
+    b_minus = np.maximum(-b, 0.0)
     k_lag = laws.mobility.kappa(np.abs(prev_mu.values)) + cfg.mobility_floor_tau
     return a, b_plus, b_minus, k_lag
 
@@ -355,7 +346,7 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
         prev.mu, rho_new, dt_rho, cfg, laws)
     diag = a / cfg.tau + b_plus
     rhs = ((a / cfg.tau + b_minus) * prev.mu.values).ravel()
-    weights = face_weights(grid, k_lag, cfg.face_average == "harmonic")
+    weights = face_weights(grid, k_lag)
     shape = grid.shape
 
     def apply_system(x):
@@ -558,16 +549,12 @@ def _advance(state: SimState, cfg: SolverConfig, laws: Laws):
 def run(cfg: SolverConfig, laws: Laws, initial) -> Trajectory:
     """Integrate N steps from (mu0, rho0); pure function of its inputs.
 
-    Collects :func:`iterate`; a stage failure aborts with the partial
-    trajectory attached to the exception.
+    Collects :func:`iterate`; a stage failure raises its
+    :class:`SolverFailure`.
     """
     traj = Trajectory([], cfg=cfg)
-    try:
-        for state, report in iterate(cfg, laws, initial):
-            traj.states.append(state)
-            if report is not None:
-                traj.reports.append(report)
-    except SolverFailure as exc:
-        exc.trajectory = traj
-        raise
+    for state, report in iterate(cfg, laws, initial):
+        traj.states.append(state)
+        if report is not None:
+            traj.reports.append(report)
     return traj

@@ -94,7 +94,7 @@ class TestParseConfig:
         ("N = 0\n", "N = 0 is admitted only with T = 0"),
         ("epsilon = 0\n", "epsilon and delta must be positive"),
         ("delta = -1\n", "epsilon and delta must be positive"),
-        ("face_average = geometric\n", "face_average"),
+        ("face_average = geometric\n", "face_average was removed"),
         ("newton_tol = 0\n", "tolerances must be positive"),
         ("potential = log\nalpha1 = 0\n", "alpha1 must be positive"),
         ("mobility = constant\nkappa0 = 0\n", r"\(hpcost\): kappa0"),
@@ -124,6 +124,15 @@ class TestParseConfig:
     def test_sentinels_and_unread_parameters_accepted(self, extra):
         parse_config(MINIMAL + extra)
 
+    # earlier versions wrote both keys into every run's config.txt
+    @pytest.mark.parametrize("extra", [
+        "sign_split_reaction = true\n", "sign_split_reaction = On\n",
+        "sign_split_reaction = 1\n", "sign_split_reaction = yes\n",
+        "face_average = arithmetic\n",
+    ])
+    def test_retired_keys_accepted_at_the_one_scheme(self, extra):
+        assert parse_config(MINIMAL + extra) == parse_config(MINIMAL)
+
     def test_sentinels_tie_to_the_step(self):
         _grid, cfg, _laws, _initial = build_run(parse_config(MINIMAL))
         assert cfg.yosida_lambda == cfg.mobility_floor_tau == cfg.tau
@@ -138,9 +147,8 @@ class TestParseConfig:
         Config(),
         Config(dim=2, n=12, T=0.25, N=4, potential="log", mobility="tanhpow",
                m=2.5, mu0=("bump", 0.5, 0.25, 1.5), rho0=("cosine", 0.5, 0.2)),
-        Config(coupling="constant", g0=0.7, sign_split_reaction=False,
-               snapshot_stride=4, study="tau_refinement",
-               study_values=(16.0, 32.0, 64.0)),
+        Config(coupling="constant", g0=0.7, snapshot_stride=4,
+               study="tau_refinement", study_values=(16.0, 32.0, 64.0)),
         Config(mu0=("file", "some/path.txt")),
     ])
     def test_parse_render_round_trip(self, cfg):
@@ -170,8 +178,6 @@ class TestParseConfig:
             m=data.draw(st.floats(min_value=1.001, max_value=5.0)),
             coupling=data.draw(st.sampled_from(["linear", "constant"])),
             g0=data.draw(pos),
-            sign_split_reaction=data.draw(st.booleans()),
-            face_average=data.draw(st.sampled_from(["arithmetic", "harmonic"])),
             mu0=mu0,
             snapshot_stride=data.draw(st.integers(0, 16)),
         )
@@ -524,6 +530,38 @@ class TestCliExitCodes:
                 f"(see failure.txt)") in err
         assert "snapshot_stride" not in err
         assert not (tmp_path / "rep.csv").exists()
+
+    @pytest.mark.parametrize("line", ["sign_split_reaction = false\n",
+                                      "face_average = harmonic\n"])
+    def test_retired_key_at_another_value_exits_2(self, tmp_path, capsys,
+                                                  line):
+        path = self._write(tmp_path, MINIMAL + line)
+        assert main(["validate", "--config", path]) == 2
+        key = line.partition(" =")[0]
+        assert (f"config error: line 4: {key} was removed"
+                in capsys.readouterr().err)
+
+    def test_run_with_the_retired_keys_diagnoses(self, tmp_path):
+        # config.txt as earlier versions rendered it, re-checksummed: the
+        # report is the one of the run as written
+        path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 0
+        config_txt = out / "config.txt"
+        text = config_txt.read_text()
+        text = text.replace(
+            "\nmobility_floor_tau =",
+            "\nsign_split_reaction = true\nmobility_floor_tau =")
+        text = text.replace("\nmu0 =", "\nface_average = arithmetic\nmu0 =")
+        assert text.count("\n") == config_txt.read_text().count("\n") + 2
+        config_txt.write_text(text)
+        write_manifest(out)
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep_retired.csv")]) == 0
+        assert ((tmp_path / "rep_retired.csv").read_bytes()
+                == (tmp_path / "rep.csv").read_bytes())
 
     def test_simulate_and_diagnose_clean_run(self, tmp_path):
         path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")

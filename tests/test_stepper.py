@@ -214,13 +214,12 @@ class TestStepMuSolvers:
     """Both preconditioner branches reach the stage tolerance in the true
     residual of the operator diagnose uses, and repeat bit for bit."""
 
-    @pytest.mark.parametrize("face_average", ["arithmetic", "harmonic"])
     @pytest.mark.parametrize("mobility,uses_dct", [("constant", True),
                                                    ("tanhpow", False)])
     def test_true_residual_and_determinism(self, monkeypatch, mobility,
-                                           uses_dct, face_average):
+                                           uses_dct):
         c = Config(dim=2, n=16, T=0.02, N=4, potential="log",
-                   mobility=mobility, face_average=face_average,
+                   mobility=mobility,
                    mu0=("bump", 0.5, 0.2, 1.0), rho0=("cosine", 0.5, 0.2))
         grid, cfg, laws, (mu0, rho0) = build_run(c)
         prev = initial_state(mu0, rho0, cfg, laws)
@@ -243,8 +242,7 @@ class TestStepMuSolvers:
             prev.mu, rho_new, dt_rho, cfg, laws)
         x = mu_new.values
         true_res = ((a / cfg.tau + b_plus) * x
-                    - div_k_grad_arrays(grid, k_lag, x,
-                                        face_average == "harmonic")
+                    - div_k_grad_arrays(grid, k_lag, x)
                     - (a / cfg.tau + b_minus) * prev.mu.values)
         tol = cfg.linear_tol * min(1.0, float(a.min()) / cfg.tau)
         assert np.linalg.norm(true_res) <= tol
