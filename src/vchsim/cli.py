@@ -60,10 +60,17 @@ def write_series(path, rows, columns=SERIES_COLUMNS) -> None:
 
 
 def _sha256(path: Path) -> str:
-    # imported here: hashlib maps libcrypto, which validate does not need
-    import hashlib
-
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # the interpreter's built-in SHA-256 (_sha2 from Python 3.12, _sha256
+    # before): hashlib's OpenSSL backend maps libcrypto, 3.6 MB of resident
+    # memory that set the peak of simulate and diagnose.  Same digest.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def write_manifest(outdir) -> Path:
@@ -79,22 +86,32 @@ def write_manifest(outdir) -> Path:
     return manifest
 
 
-def verify_manifest(rundir) -> list:
-    """Check every file manifest.txt lists against its checksum; returns one
-    problem per file that is missing or has changed (empty when all match).
-    An unreadable or malformed manifest is an input error."""
+def _read_manifest(rundir) -> dict:
+    """The checksum manifest.txt lists for each file name.  An unreadable or
+    malformed manifest is an input error."""
     manifest = Path(rundir) / "manifest.txt"
     try:
         lines = manifest.read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read manifest {str(manifest)!r}: {exc}") from exc
-    problems = []
+    listed = {}
     for line in lines:
         digest, sep, name = line.partition("  ")
         if not (sep and name):
             raise ConfigError(f"malformed manifest line {line!r} in "
                               f"{str(manifest)!r}")
-        path = manifest.parent / name
+        listed[name] = digest
+    return listed
+
+
+def verify_manifest(rundir) -> list:
+    """Check every file manifest.txt lists against its checksum; returns one
+    problem per file that is missing or has changed (empty when all match).
+    An unreadable or malformed manifest is an input error."""
+    rundir = Path(rundir)
+    problems = []
+    for name, digest in _read_manifest(rundir).items():
+        path = rundir / name
         if not path.is_file():
             problems.append(f"manifest: {name} is missing")
         elif _sha256(path) != digest:
@@ -102,9 +119,22 @@ def verify_manifest(rundir) -> list:
     return problems
 
 
+def _unlisted(rundir, names) -> list:
+    """One problem per file of ``names`` that is in the directory but not
+    in its manifest.txt, so that no file is read unchecked."""
+    rundir = Path(rundir)
+    listed = _read_manifest(rundir)
+    return [f"manifest: {name} is not listed" for name in names
+            if name not in listed and (rundir / name).exists()]
+
+
+def _snapshot_name(n: int, name: str) -> str:
+    return f"state_{n:05d}_{name}.txt"
+
+
 def _write_state(outdir: Path, n: int, state: SimState) -> None:
     for name in ("mu", "rho", "xi"):
-        write_snapshot(outdir / f"state_{n:05d}_{name}.txt",
+        write_snapshot(outdir / _snapshot_name(n, name),
                        getattr(state, name), state.t)
 
 
@@ -168,7 +198,7 @@ def read_states(rundir, grid, cfg):
     for n in range(cfg.n_steps + 1):
         snaps = []
         for name in ("mu", "rho", "xi"):
-            path = rundir / f"state_{n:05d}_{name}.txt"
+            path = rundir / _snapshot_name(n, name)
             if not path.exists():
                 raise ConfigError(
                     f"trajectory is incomplete (missing {path.name}); "
@@ -201,8 +231,10 @@ def load_trajectory(rundir):
 def diagnose_to_report(rundir, report_path) -> list:
     """Compute the full diagnostic report for a stored run; returns the list
     of violated checks (empty when the run is clean).  The run's files are
-    first checked against manifest.txt; a missing or changed file is
-    reported as a violation, and nothing is loaded or diagnosed.
+    first checked against manifest.txt; a missing or changed file, and a
+    file diagnose reads (config.txt, each snapshot) that the manifest does
+    not list, is reported as a violation, and nothing is loaded or
+    diagnosed.
 
     The snapshots are then read in one pass that holds two states, and
     the ledger fold (the one behind series.csv, here with the residuals)
@@ -210,12 +242,17 @@ def diagnose_to_report(rundir, report_path) -> list:
     as a violation.  report.csv is written once the last state has been
     read, so an unreadable run leaves no report.
     """
-    tampered = verify_manifest(rundir)
+    rundir = Path(rundir)
+    tampered = verify_manifest(rundir) + _unlisted(rundir, ["config.txt"])
     if tampered:
         return tampered
-    rundir = Path(rundir)
     config = _load_config(rundir / "config.txt")
     grid, cfg, laws, _initial = build_run(config)
+    tampered = _unlisted(rundir, [_snapshot_name(n, name)
+                                  for n in range(cfg.n_steps + 1)
+                                  for name in ("mu", "rho", "xi")])
+    if tampered:
+        return tampered
     fold = LedgerFold(cfg, laws, residuals=True)
     rows = [fold.row(state) for state in read_states(rundir, grid, cfg)]
     write_series(report_path, rows, REPORT_COLUMNS)

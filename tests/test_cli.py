@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,6 +31,9 @@ from vchsim.mesh import read_snapshot
 
 MINIMAL = "n = 16\nT = 0.5\nN = 8\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a run directory (1-D, n = 8, N = 2) written when the manifest checksums
+# came from hashlib
+HASHLIB_RUN = Path(__file__).resolve().parent / "data" / "hashlib_run"
 LOG_TANHPOW_2D = ("dim = 2\nn = 12\nT = 0.1\nN = 6\npotential = log\n"
                   "coupling = linear\nmobility = tanhpow\nm = 2.5\n"
                   "mu0 = bump 0.5 0.3 1\nrho0 = cosine 0.5 0.2\n")
@@ -567,6 +571,8 @@ class TestCliExitCodes:
         path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        # a file diagnose does not read need not be in the manifest
+        (out / "notes.txt").write_text("unrelated\n")
         assert main(["diagnose", "--traj", str(out),
                      "--out", str(tmp_path / "rep.csv")]) == 0
         header = (tmp_path / "rep.csv").read_text().splitlines()[0]
@@ -605,7 +611,8 @@ class TestCliExitCodes:
         report = _csv_columns(tmp_path / "rep.csv")
         assert report["res_rho_native"][4] == "nan"
 
-    @pytest.mark.parametrize("edit", ["changed", "deleted"])
+    @pytest.mark.parametrize("edit", ["changed", "deleted", "unlisted",
+                                      "config unlisted", "manifest emptied"])
     def test_run_files_are_checked_against_the_manifest(self, tmp_path,
                                                         capsys, monkeypatch,
                                                         edit):
@@ -613,11 +620,20 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         snap = out / "state_00004_mu.txt"
+        manifest = out / "manifest.txt"
         if edit == "changed":
             # a harmless edit the snapshot reader would accept
             snap.write_text(snap.read_text() + "\n")
-        else:
+        elif edit == "deleted":
             snap.unlink()
+        elif edit == "manifest emptied":
+            manifest.write_text("")
+        else:
+            # the file stays as written; only its manifest line goes
+            name = "config.txt" if edit == "config unlisted" else snap.name
+            manifest.write_text("".join(
+                line for line in manifest.read_text().splitlines(True)
+                if not line.endswith(f"  {name}\n")))
 
         def no_read(*_args):
             raise AssertionError("a snapshot was read before the check")
@@ -626,9 +642,22 @@ class TestCliExitCodes:
         assert main(["diagnose", "--traj", str(out),
                      "--out", str(tmp_path / "rep.csv")]) == 4
         expected = {"changed": "checksum mismatch for state_00004_mu.txt",
-                    "deleted": "state_00004_mu.txt is missing"}[edit]
+                    "deleted": "state_00004_mu.txt is missing",
+                    "unlisted": "state_00004_mu.txt is not listed",
+                    "config unlisted": "config.txt is not listed",
+                    "manifest emptied": "config.txt is not listed"}[edit]
         assert f"violation: manifest: {expected}" in capsys.readouterr().err
         assert not (tmp_path / "rep.csv").exists()
+
+    def test_run_without_every_snapshot_exits_2(self, tmp_path, capsys):
+        # the snapshots a stride-0 run never wrote are absent, not unlisted
+        path = self._write(tmp_path, MINIMAL + "snapshot_stride = 0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 2
+        assert ("trajectory is incomplete (missing state_00001_mu.txt)"
+                in capsys.readouterr().err)
 
     def test_study_subcommand_writes_orders(self, tmp_path):
         text = ("n = 24\nT = 0.5\nN = 8\npotential = log\nalpha1 = 1\n"
@@ -686,6 +715,25 @@ class TestCliExitCodes:
         assert len(lines) == 3
 
 
+class TestManifestDigest:
+    """manifest.txt lines are plain SHA-256 digests, so a run written while
+    the checksums came from hashlib still verifies."""
+
+    def test_lines_are_hashlib_sha256(self, tmp_path):
+        config = parse_config((HASHLIB_RUN / "config.txt").read_text())
+        simulate_to_dir(config, tmp_path / "run")
+        for rundir in (tmp_path / "run", HASHLIB_RUN):
+            lines = (rundir / "manifest.txt").read_text().splitlines()
+            assert len(lines) == 11
+            for line in lines:
+                digest, _, name = line.partition("  ")
+                assert digest == hashlib.sha256(
+                    (rundir / name).read_bytes()).hexdigest()
+
+    def test_run_written_with_hashlib_verifies(self):
+        assert cli.verify_manifest(HASHLIB_RUN) == []
+
+
 class TestImportBudget:
     """Each command loads only the scipy, hashlib and package modules it
     uses: which
@@ -712,12 +760,14 @@ class TestImportBudget:
         # the rho stage's MINRES and its DCT preconditioner are numpy alone
         (tmp_path / "c.txt").write_text(MINIMAL + "mu0 = bump 0.25 0.2 1\n")
         validate = self._modules(tmp_path, "validate", "--config", "c.txt")
-        # hashlib maps libcrypto; only the manifest checksums need it
         assert not {"hashlib", "_hashlib"} & validate
         simulate = self._modules(tmp_path, "simulate", "--config", "c.txt",
                                  "--out", "run")
         diagnose = self._modules(tmp_path, "diagnose", "--traj", "run",
                                  "--out", "rep.csv")
+        # _hashlib maps OpenSSL's libcrypto; the manifest checksums use the
+        # interpreter's built-in SHA-256
+        assert "_hashlib" not in simulate | diagnose
         for loaded in (validate, simulate, diagnose):
             assert not {name for name in loaded if name.split(".")[0] == "scipy"}
             # the experiment suites and the quadrature rule's
