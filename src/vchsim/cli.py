@@ -88,7 +88,8 @@ def write_manifest(outdir) -> Path:
 
 def _read_manifest(rundir) -> dict:
     """The checksum manifest.txt lists for each file name.  An unreadable or
-    malformed manifest is an input error."""
+    malformed manifest is an input error; so is a listed name that is not a
+    bare file name, which could point outside the run directory."""
     manifest = Path(rundir) / "manifest.txt"
     try:
         lines = manifest.read_text().splitlines()
@@ -97,7 +98,7 @@ def _read_manifest(rundir) -> dict:
     listed = {}
     for line in lines:
         digest, sep, name = line.partition("  ")
-        if not (sep and name):
+        if not sep or name in ("", "..") or Path(name).name != name:
             raise ConfigError(f"malformed manifest line {line!r} in "
                               f"{str(manifest)!r}")
         listed[name] = digest
@@ -108,9 +109,13 @@ def verify_manifest(rundir) -> list:
     """Check every file manifest.txt lists against its checksum; returns one
     problem per file that is missing or has changed (empty when all match).
     An unreadable or malformed manifest is an input error."""
-    rundir = Path(rundir)
+    return _changed(Path(rundir), _read_manifest(rundir))
+
+
+def _changed(rundir: Path, listed: dict) -> list:
+    """:func:`verify_manifest` of an already parsed listing."""
     problems = []
-    for name, digest in _read_manifest(rundir).items():
+    for name, digest in listed.items():
         path = rundir / name
         if not path.is_file():
             problems.append(f"manifest: {name} is missing")
@@ -119,11 +124,9 @@ def verify_manifest(rundir) -> list:
     return problems
 
 
-def _unlisted(rundir, names) -> list:
+def _unlisted(rundir: Path, listed: dict, names) -> list:
     """One problem per file of ``names`` that is in the directory but not
-    in its manifest.txt, so that no file is read unchecked."""
-    rundir = Path(rundir)
-    listed = _read_manifest(rundir)
+    in the manifest's listing, so that no file is read unchecked."""
     return [f"manifest: {name} is not listed" for name in names
             if name not in listed and (rundir / name).exists()]
 
@@ -243,14 +246,16 @@ def diagnose_to_report(rundir, report_path) -> list:
     read, so an unreadable run leaves no report.
     """
     rundir = Path(rundir)
-    tampered = verify_manifest(rundir) + _unlisted(rundir, ["config.txt"])
+    listed = _read_manifest(rundir)
+    tampered = (_changed(rundir, listed)
+                + _unlisted(rundir, listed, ["config.txt"]))
     if tampered:
         return tampered
     config = _load_config(rundir / "config.txt")
     grid, cfg, laws, _initial = build_run(config)
-    tampered = _unlisted(rundir, [_snapshot_name(n, name)
-                                  for n in range(cfg.n_steps + 1)
-                                  for name in ("mu", "rho", "xi")])
+    tampered = _unlisted(rundir, listed, [_snapshot_name(n, name)
+                                          for n in range(cfg.n_steps + 1)
+                                          for name in ("mu", "rho", "xi")])
     if tampered:
         return tampered
     fold = LedgerFold(cfg, laws, residuals=True)

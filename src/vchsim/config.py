@@ -58,7 +58,6 @@ class Config:
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     linear_tol: float = 1e-11
-    linear_max_iter: int = 0         # 0 = automatic cap
     mobility_floor_tau: float = -1.0  # negative = tie to the time step
     # initial data recipes
     mu0: tuple = ("constant", 1.0)
@@ -81,16 +80,18 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 
 # Keys that earlier versions wrote into every run's config.txt, which its
-# manifest freezes.  The potential stage has one discretization, so each is
-# read only at the value that selects it: key -> (accepts raw value, what
-# the stage always does).
+# manifest freezes.  Each is read only at the value that selected what the
+# scheme now always does: key -> (accepts raw value, what it always does).
 _RETIRED_KEYS = {
     "sign_split_reaction": (
         lambda raw: raw.lower() in ("true", "1", "yes", "on"),
-        "splits the reaction by sign"),
+        "the potential stage always splits the reaction by sign"),
     "face_average": (
         lambda raw: raw == "arithmetic",
-        "averages face mobilities arithmetically"),
+        "the potential stage always averages face mobilities arithmetically"),
+    "linear_max_iter": (
+        lambda raw: raw == "0",
+        "both Krylov solves always stop after 10 nodes + 100 iterations"),
 }
 
 
@@ -139,8 +140,7 @@ def parse_config(text: str) -> Config:
             accepts, scheme = _RETIRED_KEYS[key]
             if not accepts(raw):
                 raise ConfigError(
-                    f"line {lineno}: {key} was removed; the potential stage "
-                    f"always {scheme}, got {raw!r}")
+                    f"line {lineno}: {key} was removed; {scheme}, got {raw!r}")
             continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -231,9 +231,8 @@ def build_grid(config: Config) -> Grid:
 
 def build_solver_config(config: Config) -> SolverConfig:
     """Solver config of a run.  Only the documented sentinels mean "tie to
-    the step" or "automatic": ``yosida_lambda = 0``, ``mobility_floor_tau =
-    -1`` and ``linear_max_iter = 0``; every other value reaches
-    :class:`SolverConfig`, which checks it."""
+    the step": ``yosida_lambda = 0`` and ``mobility_floor_tau = -1``; every
+    other value reaches :class:`SolverConfig`, which checks it."""
     return SolverConfig(
         T=config.T,
         n_steps=config.N,
@@ -244,8 +243,6 @@ def build_solver_config(config: Config) -> SolverConfig:
         newton_tol=config.newton_tol,
         newton_max_iter=config.newton_max_iter,
         linear_tol=config.linear_tol,
-        linear_max_iter=(None if config.linear_max_iter == 0
-                         else config.linear_max_iter),
         mobility_floor_tau=(None if config.mobility_floor_tau == -1
                             else config.mobility_floor_tau),
     )

@@ -155,15 +155,16 @@ class Potential:
     f2_second: Callable[[np.ndarray], np.ndarray]
 
 
-def make_clamp_potential(alpha2: float = 2.0, a: float = 0.0, b: float = 1.0) -> Potential:
-    """Obstacle-type potential: f1 the indicator of [a, b], f2 = alpha2 r(1-r)."""
+def make_clamp_potential(alpha2: float = 2.0) -> Potential:
+    """Obstacle-type potential on [0, 1]: f1 the indicator of [0, 1],
+    f2 = alpha2 r(1-r)."""
 
     def f1(r):
         r = np.asarray(r, dtype=float)
-        return np.where((r >= a) & (r <= b), 0.0, np.inf)
+        return np.where((r >= 0.0) & (r <= 1.0), 0.0, np.inf)
 
     return Potential(
-        graph=ClampIndicator(a, b),
+        graph=ClampIndicator(0.0, 1.0),
         f1_value=f1,
         f2_value=lambda r: alpha2 * np.asarray(r) * (1.0 - np.asarray(r)),
         f2_prime=lambda r: alpha2 * (1.0 - 2.0 * np.asarray(r)),

@@ -98,21 +98,15 @@ def field_of(grid: Grid, value) -> ScalarField:
     return ScalarField(grid, np.asarray(value, dtype=float))
 
 
-def _face_coefficient(k_lo: np.ndarray, k_hi: np.ndarray,
-                      harmonic: bool) -> np.ndarray:
-    if not harmonic:
-        return 0.5 * (k_lo + k_hi)
-    # harmonic mean annihilates the flux wherever the coefficient touches 0,
-    # which stalls degenerate runs; the stepper never selects it, and it
-    # stays only for callers of the flux operator that pass the flag
-    s = k_lo + k_hi
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(s > 0.0, 2.0 * k_lo * k_hi / s, 0.0)
+def _face_coefficient(k_lo: np.ndarray, k_hi: np.ndarray) -> np.ndarray:
+    # the arithmetic mean keeps the flux alive where one node's coefficient
+    # touches 0, as the degenerate-mobility scheme needs
+    return 0.5 * (k_lo + k_hi)
 
 
-def face_weights(grid: Grid, kv: np.ndarray,
-                 harmonic: bool = False) -> tuple:
-    """Per-axis face coefficients of ``div(k grad .)`` divided by h^2.
+def face_weights(grid: Grid, kv: np.ndarray) -> tuple:
+    """Per-axis face coefficients of ``div(k grad .)`` divided by h^2: the
+    arithmetic means of the node values of ``k`` on each face.
 
     Entry ``axis`` holds one weight per interior face normal to that axis;
     boundary faces carry zero flux and have no entry.  A linear solver
@@ -120,7 +114,7 @@ def face_weights(grid: Grid, kv: np.ndarray,
     """
     h2 = grid.h ** 2
     return tuple(_face_coefficient(_slab(kv, axis, None, -1),
-                                   _slab(kv, axis, 1, None), harmonic) / h2
+                                   _slab(kv, axis, 1, None)) / h2
                  for axis in range(grid.dim))
 
 
@@ -142,12 +136,16 @@ def div_k_grad_arrays(grid: Grid, kv: np.ndarray, uv: np.ndarray,
                       harmonic: bool = False) -> np.ndarray:
     """Divergence of the flux ``k grad u`` in conservation form.
 
-    Face coefficients are arithmetic means of the node values of ``k`` by
-    default (``harmonic=True`` switches the averaging); boundary faces carry
-    zero flux.  With ``k == 1`` it is the Laplacian, as the rho stage applies
-    it through :func:`unit_face_weights`.
+    Face coefficients are the arithmetic means of :func:`face_weights`;
+    boundary faces carry zero flux.  With ``k == 1`` it is the Laplacian,
+    as the rho stage applies it through :func:`unit_face_weights`.
     """
-    return div_faces(face_weights(grid, kv, harmonic), uv)
+    # the harmonic face average is gone; the flag stays only because the
+    # benchmark's traced run passes False positionally
+    if harmonic is not False:
+        raise ValueError("harmonic face averaging was removed; face "
+                         "coefficients are always arithmetic means")
+    return div_faces(face_weights(grid, kv), uv)
 
 
 def _slab_index(ndim: int, axis: int, start, stop) -> tuple:
@@ -170,17 +168,16 @@ def integrate(grid: Grid, u: ScalarField) -> float:
 def dirichlet_energy(grid: Grid, k: ScalarField, u: ScalarField) -> float:
     """Weighted face energy sum_faces k_face h^dim ((u_q - u_p)/h)^2.
 
-    Matches the bilinear form of :func:`div_k_grad_arrays` with its default
-    arithmetic face means.  With ``k == 1`` (face coefficient exactly 1.0)
-    it is the squared discrete H1 seminorm, zero exactly iff ``u`` is
-    constant.
+    Matches the bilinear form of :func:`div_k_grad_arrays`, arithmetic face
+    means included.  With ``k == 1`` (face coefficient exactly 1.0) it is
+    the squared discrete H1 seminorm, zero exactly iff ``u`` is constant.
     """
     h = grid.h
     total = 0.0
     for axis in range(grid.dim):
         du = np.diff(u.values, axis=axis)
         kf = _face_coefficient(_slab(k.values, axis, None, -1),
-                               _slab(k.values, axis, 1, None), False)
+                               _slab(k.values, axis, 1, None))
         total += float(np.sum(kf * (du / h) ** 2))
     return grid.cell_volume * total
 

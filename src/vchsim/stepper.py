@@ -105,8 +105,8 @@ class SolverConfig:
     The step is derived, tau = T/N, and is not an argument.
     ``yosida_lambda`` and ``mobility_floor_tau`` default (``None``) to the
     step size, so refining the step simultaneously tightens the graph
-    regularization and removes the parabolicity floor;
-    ``linear_max_iter = None`` picks the cap from the grid size.
+    regularization and removes the parabolicity floor.  The iteration cap
+    of both Krylov solves is not a parameter: it is 10 nodes + 100.
     """
 
     T: float
@@ -118,7 +118,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     linear_tol: float = 1e-11
-    linear_max_iter: int = None
     mobility_floor_tau: float = None
 
     def __post_init__(self):
@@ -151,9 +150,6 @@ class SolverConfig:
         if self.newton_max_iter < 1:
             raise ValidationError(f"newton_max_iter must be at least 1, "
                                   f"got {self.newton_max_iter}")
-        if self.linear_max_iter is not None and self.linear_max_iter < 1:
-            raise ValidationError(f"linear_max_iter must be at least 1, "
-                                  f"got {self.linear_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -217,6 +213,11 @@ class Trajectory:
 # stages
 
 
+def _krylov_cap(grid: Grid) -> int:
+    """Iteration cap of the rho stage's MINRES and the mu stage's CG."""
+    return 10 * grid.num_nodes + 100
+
+
 def rho_stage_residual(rho_prev: ScalarField, mu_delayed: ScalarField,
                        r: np.ndarray, xi: np.ndarray, cfg: SolverConfig,
                        laws: Laws) -> np.ndarray:
@@ -246,14 +247,14 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     matrix-free with L the unit-coefficient flux divergence.  J is
     symmetric, and indefinite where a concave potential part outweighs
     delta/tau, so MINRES takes every direction to a 2-norm residual of
-    ``0.1 newton_tol``, preconditioned by the DCT solve of the SPD
-    ``mean|delta/tau + d| I - L``.  Where delta/tau + d vanishes at every
-    node, J = -L is singular and the stage fails with that diagnosis.
+    ``0.1 newton_tol`` within 10 nodes + 100 iterations, preconditioned by
+    the DCT solve of the SPD ``mean|delta/tau + d| I - L``.  Where
+    delta/tau + d vanishes at every node, J = -L is singular and the stage
+    fails with that diagnosis.
     """
     grid = prev.grid
     unit_faces = unit_face_weights(grid)
     shape = grid.shape
-    nn = grid.num_nodes
     rho_prev = prev.rho.values.ravel()
     mu_d = mu_del.values.ravel()
     graph = laws.graph
@@ -276,7 +277,6 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     # the direction's linear residual adds at most this much (max norm)
     # to the next Newton residual
     inner_tol = 0.1 * cfg.newton_tol
-    max_inner = cfg.linear_max_iter or (10 * nn + 100)
     while res_norm > cfg.newton_tol:
         if iters >= cfg.newton_max_iter:
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
@@ -291,7 +291,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
             lambda x: diag * x - div_faces(unit_faces,
                                            x.reshape(shape)).ravel(), res,
             lambda z: shifted_laplacian_solve(grid, shift, 1.0, z),
-            inner_tol, max_inner)
+            inner_tol, _krylov_cap(grid))
         if inner_res > inner_tol:
             raise StepFailure("MINRES did not converge in the rho stage",
                               res_norm)
@@ -333,13 +333,14 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
             cfg: SolverConfig, laws: Laws):
     """Linearized positivity-preserving potential stage.
 
-    Conjugate gradients on the symmetric positive definite M-matrix system;
-    the residual is driven low enough that the iterate inherits the exact
-    solution's nonnegativity up to the linear tolerance.  The face
-    coefficients are formed once per step.  The preconditioner is the DCT
-    solve of ``mean(diag) I - mean(k) L`` when max k <= DCT_CONTRAST_MAX *
-    min k, and the diagonal (Jacobi) otherwise.  Returns the new potential,
-    the CG iteration count and the true residual 2-norm ``||b - A mu_new||``.
+    Conjugate gradients on the symmetric positive definite M-matrix system,
+    capped at 10 nodes + 100 iterations; the residual is driven low enough
+    that the iterate inherits the exact solution's nonnegativity up to the
+    linear tolerance.  The face coefficients are formed once per step.  The
+    preconditioner is the DCT solve of ``mean(diag) I - mean(k) L`` when
+    max k <= DCT_CONTRAST_MAX * min k, and the diagonal (Jacobi) otherwise.
+    Returns the new potential, the CG iteration count and the true residual
+    2-norm ``||b - A mu_new||``.
     """
     grid = prev.grid
     a, b_plus, b_minus, k_lag = mu_system_coefficients(
@@ -368,9 +369,9 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
     # residual target: lambda_min >= min(a)/tau, so this keeps the solution
     # error (2-norm) at or below linear_tol
     tol = cfg.linear_tol * min(1.0, float(a.min()) / cfg.tau)
-    max_iter = cfg.linear_max_iter or (10 * grid.num_nodes + 100)
     x, iters, rnorm = _pcg(apply_system, rhs, precondition,
-                           prev.mu.values.ravel().copy(), tol, max_iter)
+                           prev.mu.values.ravel().copy(), tol,
+                           _krylov_cap(grid))
     if rnorm > tol:
         raise StepFailure("conjugate gradients did not converge in the mu stage",
                           rnorm)

@@ -112,7 +112,7 @@ class TestParseConfig:
         ("yosida_lambda = -1\n", "yosida_lambda must be positive"),
         ("mobility_floor_tau = -0.5\n", "mobility_floor_tau must be nonneg"),
         ("newton_max_iter = 0\n", "newton_max_iter must be at least 1"),
-        ("linear_max_iter = -5\n", "linear_max_iter must be at least 1"),
+        ("linear_max_iter = 7\n", "linear_max_iter was removed"),
     ])
     def test_layer_rules_rejected_with_their_code(self, extra, message):
         with pytest.raises(ConfigError, match=message):
@@ -120,7 +120,6 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("extra", [
         "yosida_lambda = 0\n", "mobility_floor_tau = -1\n",
-        "linear_max_iter = 0\n",
         # parameters of a law that is not selected are not read
         "mobility = tanhpow\nkappa0 = 0\n", "coupling = linear\ng0 = -1\n",
         "potential = clamp\nalpha1 = 0\n", "mobility = constant\nm = 1\n",
@@ -128,11 +127,11 @@ class TestParseConfig:
     def test_sentinels_and_unread_parameters_accepted(self, extra):
         parse_config(MINIMAL + extra)
 
-    # earlier versions wrote both keys into every run's config.txt
+    # earlier versions wrote these keys into every run's config.txt
     @pytest.mark.parametrize("extra", [
         "sign_split_reaction = true\n", "sign_split_reaction = On\n",
         "sign_split_reaction = 1\n", "sign_split_reaction = yes\n",
-        "face_average = arithmetic\n",
+        "face_average = arithmetic\n", "linear_max_iter = 0\n",
     ])
     def test_retired_keys_accepted_at_the_one_scheme(self, extra):
         assert parse_config(MINIMAL + extra) == parse_config(MINIMAL)
@@ -140,12 +139,9 @@ class TestParseConfig:
     def test_sentinels_tie_to_the_step(self):
         _grid, cfg, _laws, _initial = build_run(parse_config(MINIMAL))
         assert cfg.yosida_lambda == cfg.mobility_floor_tau == cfg.tau
-        assert cfg.linear_max_iter is None
         _grid, cfg, _laws, _initial = build_run(parse_config(
-            MINIMAL + "yosida_lambda = 0.5\nmobility_floor_tau = 0\n"
-                      "linear_max_iter = 7\n"))
-        assert (cfg.yosida_lambda, cfg.mobility_floor_tau,
-                cfg.linear_max_iter) == (0.5, 0.0, 7)
+            MINIMAL + "yosida_lambda = 0.5\nmobility_floor_tau = 0\n"))
+        assert (cfg.yosida_lambda, cfg.mobility_floor_tau) == (0.5, 0.0)
 
     @pytest.mark.parametrize("cfg", [
         Config(),
@@ -386,7 +382,7 @@ class TestCliExitCodes:
         (RUN, "mobility_floor_tau = -0.5\n",
          "mobility_floor_tau must be nonnegative"),
         (RUN, "newton_max_iter = 0\n", "newton_max_iter must be at least 1"),
-        (RUN, "linear_max_iter = -5\n", "linear_max_iter must be at least 1"),
+        (RUN, "linear_max_iter = 7\n", "linear_max_iter was removed"),
         (("study",), "study = tau_refinement\nstudy_values = 8 16\n",
          "at least 3 sweep values"),
         (("study",), "study = tau_refinement\nstudy_values = 8 32 16\n",
@@ -557,9 +553,10 @@ class TestCliExitCodes:
         text = config_txt.read_text()
         text = text.replace(
             "\nmobility_floor_tau =",
-            "\nsign_split_reaction = true\nmobility_floor_tau =")
+            "\nlinear_max_iter = 0\nsign_split_reaction = true\n"
+            "mobility_floor_tau =")
         text = text.replace("\nmu0 =", "\nface_average = arithmetic\nmu0 =")
-        assert text.count("\n") == config_txt.read_text().count("\n") + 2
+        assert text.count("\n") == config_txt.read_text().count("\n") + 3
         config_txt.write_text(text)
         write_manifest(out)
         assert main(["diagnose", "--traj", str(out),
@@ -612,7 +609,9 @@ class TestCliExitCodes:
         assert report["res_rho_native"][4] == "nan"
 
     @pytest.mark.parametrize("edit", ["changed", "deleted", "unlisted",
-                                      "config unlisted", "manifest emptied"])
+                                      "config unlisted", "manifest emptied",
+                                      "lists an absolute path",
+                                      "lists a parent path"])
     def test_run_files_are_checked_against_the_manifest(self, tmp_path,
                                                         capsys, monkeypatch,
                                                         edit):
@@ -628,6 +627,12 @@ class TestCliExitCodes:
             snap.unlink()
         elif edit == "manifest emptied":
             manifest.write_text("")
+        elif edit.startswith("lists"):
+            # a file outside the run directory, named two ways
+            outside = tmp_path / "tiny.txt"
+            outside.write_text("x\n")
+            name = outside if edit == "lists an absolute path" else "../tiny.txt"
+            manifest.write_text(manifest.read_text() + f"0000  {name}\n")
         else:
             # the file stays as written; only its manifest line goes
             name = "config.txt" if edit == "config unlisted" else snap.name
@@ -639,15 +644,27 @@ class TestCliExitCodes:
             raise AssertionError("a snapshot was read before the check")
 
         monkeypatch.setattr(cli, "read_snapshot", no_read)
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256",
+                            lambda path: hashed.append(path) or sha256(path))
+        tampered, malformed = "violation: manifest: ", "config error: "
+        code, message = {
+            "changed": (4, f"{tampered}checksum mismatch for {snap.name}"),
+            "deleted": (4, f"{tampered}{snap.name} is missing"),
+            "unlisted": (4, f"{tampered}{snap.name} is not listed"),
+            "config unlisted": (4, f"{tampered}config.txt is not listed"),
+            "manifest emptied": (4, f"{tampered}config.txt is not listed"),
+            "lists an absolute path": (2, f"{malformed}malformed manifest line"),
+            "lists a parent path": (2, f"{malformed}malformed manifest line"),
+        }[edit]
         assert main(["diagnose", "--traj", str(out),
-                     "--out", str(tmp_path / "rep.csv")]) == 4
-        expected = {"changed": "checksum mismatch for state_00004_mu.txt",
-                    "deleted": "state_00004_mu.txt is missing",
-                    "unlisted": "state_00004_mu.txt is not listed",
-                    "config unlisted": "config.txt is not listed",
-                    "manifest emptied": "config.txt is not listed"}[edit]
-        assert f"violation: manifest: {expected}" in capsys.readouterr().err
+                     "--out", str(tmp_path / "rep.csv")]) == code
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "rep.csv").exists()
+        if code == 2:
+            # an input error, found before any file is hashed
+            assert hashed == []
 
     def test_run_without_every_snapshot_exits_2(self, tmp_path, capsys):
         # the snapshots a stride-0 run never wrote are absent, not unlisted

@@ -128,27 +128,6 @@ class TestDivKGrad:
         out = div_k_grad_arrays(g, np.zeros(g.shape), u)
         assert np.all(out == 0.0)
 
-    def test_harmonic_averaging_kills_flux_at_degenerate_nodes(self):
-        # a single zero node blocks both adjacent faces under harmonic
-        # averaging but keeps half the coefficient under arithmetic
-        g = Grid(1, 9, 1.0)
-        k = np.ones(9)
-        k[4] = 0.0
-        u = g.coordinates() ** 2
-        arith = div_k_grad_arrays(g, k, u)
-        harm = div_k_grad_arrays(g, k, u, harmonic=True)
-        assert arith[4] != 0.0
-        assert harm[3] != 0.0 and harm[5] != 0.0  # outer faces still act
-        assert harm[4] == 0.0
-
-    def test_harmonic_equals_arithmetic_for_constant_k(self):
-        g = Grid(2, 7, 1.0)
-        u = np.random.default_rng(12).standard_normal(g.shape)
-        k = np.full(g.shape, 1.7)
-        a = div_k_grad_arrays(g, k, u)
-        b = div_k_grad_arrays(g, k, u, harmonic=True)
-        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
-
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 6)])
     def test_summation_by_parts(self, dim, n):
         g = Grid(dim, n, 1.0)

@@ -10,6 +10,10 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from vchsim import mesh
 from vchsim.config import build_run, parse_config
 from vchsim.stepper import run
 
@@ -47,3 +51,16 @@ def test_traced_step_loop_matches_run_bitwise(tmp_path):
     assert len(traj) == len(ref) == 3
     assert traced.same_state(traj.states[-1], ref.states[-1])
     assert (tmp_path / "sim" / "manifest.txt").exists()
+
+
+def test_positional_flux_call_is_the_arithmetic_operator():
+    # traced.py times mesh.div_k_grad_arrays(grid, k, u, False); the fourth
+    # argument is kept for that call and selects nothing
+    grid = mesh.Grid(2, 9, 1.0)
+    rng = np.random.default_rng(5)
+    k = rng.uniform(0.0, 2.0, grid.shape)
+    u = rng.standard_normal(grid.shape)
+    assert np.array_equal(mesh.div_k_grad_arrays(grid, k, u, False),
+                          mesh.div_faces(mesh.face_weights(grid, k), u))
+    with pytest.raises(ValueError, match="harmonic face averaging was removed"):
+        mesh.div_k_grad_arrays(grid, k, u, harmonic=True)
