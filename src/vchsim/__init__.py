@@ -13,9 +13,8 @@ from importlib import import_module
 _EXPORTS = {
     "constitutive": (
         "ClampIndicator", "CouplingLaw", "K_tau_array", "Laws", "LogGraph",
-        "MobilityLaw", "Potential", "f_total", "make_clamp_potential",
-        "make_constant_coupling", "make_constant_mobility",
-        "make_linear_coupling", "make_log_potential",
+        "MobilityLaw", "Potential", "make_constant_coupling",
+        "make_constant_mobility", "make_linear_coupling",
         "make_tanh_power_mobility", "yosida_array",
     ),
     "diagnostics": (

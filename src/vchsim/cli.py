@@ -195,7 +195,7 @@ def read_states(rundir, grid, cfg):
         step = next((line.partition(" = ")[2]
                      for line in failure.read_text().splitlines()
                      if line.startswith("step = ")), "?")
-        raise ConfigError(f"the run failed at step {step} (see {failure.name}); "
+        raise ConfigError(f"the run failed at step {step} (see failure.txt); "
                           f"diagnose needs a completed run")
     prev = None
     for n in range(cfg.n_steps + 1):

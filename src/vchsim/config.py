@@ -11,6 +11,7 @@ See docs/config.md for the full key table and defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -95,25 +96,36 @@ _RETIRED_KEYS = {
 }
 
 
+def _number(convert, raw: str, key: str, lineno: int):
+    """``convert(raw)``, with a malformed number reported as a ConfigError
+    that names its line."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+
+
 def _parse_recipe(raw: str, key: str, lineno: int) -> tuple:
     parts = raw.split()
     if not parts:
         raise ConfigError(f"line {lineno}: empty initial-data recipe for '{key}'")
     kind = parts[0]
+    # read lazily: only the numeric recipes unpack it
+    numbers = (_number(float, part, key, lineno) for part in parts[1:])
     if kind == "constant":
         if len(parts) != 2:
             raise ConfigError(f"line {lineno}: '{key} = constant <value>'")
-        return ("constant", float(parts[1]))
+        return ("constant", *numbers)
     if kind == "bump":
         if len(parts) != 4:
             raise ConfigError(
                 f"line {lineno}: '{key} = bump <center> <radius> <amplitude>'")
-        return ("bump", float(parts[1]), float(parts[2]), float(parts[3]))
+        return ("bump", *numbers)
     if kind == "cosine":
         if len(parts) != 3:
             raise ConfigError(
                 f"line {lineno}: '{key} = cosine <mean> <amplitude>'")
-        return ("cosine", float(parts[1]), float(parts[2]))
+        return ("cosine", *numbers)
     if kind == "file":
         if len(parts) != 2:
             raise ConfigError(f"line {lineno}: '{key} = file <path>'")
@@ -134,7 +146,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
         if key == "tau":
-            explicit_tau = (float(raw), lineno)
+            explicit_tau = (_number(float, raw, key, lineno), lineno)
             continue
         if key in _RETIRED_KEYS:
             accepts, scheme = _RETIRED_KEYS[key]
@@ -144,21 +156,21 @@ def parse_config(text: str) -> Config:
             continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        ftype = _FIELD_TYPES[key]
         if key in ("mu0", "rho0"):
             overrides[key] = _parse_recipe(raw, key, lineno)
-            continue
-        ftype = _FIELD_TYPES[key]
-        try:
-            if ftype == "int":
-                overrides[key] = int(raw)
-            elif ftype == "float":
-                overrides[key] = float(raw)
-            elif ftype == "tuple":
-                overrides[key] = tuple(float(v) for v in raw.split())
-            else:
-                overrides[key] = raw
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        elif ftype == "int":
+            overrides[key] = _number(int, raw, key, lineno)
+        elif ftype == "float":
+            overrides[key] = _number(float, raw, key, lineno)
+            if not math.isfinite(overrides[key]):
+                raise ConfigError(
+                    f"line {lineno}: {key} must be finite, got {raw!r}")
+        elif ftype == "tuple":
+            overrides[key] = tuple(_number(float, v, key, lineno)
+                                   for v in raw.split())
+        else:
+            overrides[key] = raw
     config = Config(**overrides)
     if explicit_tau is not None:
         value, lineno = explicit_tau
@@ -249,10 +261,8 @@ def build_solver_config(config: Config) -> SolverConfig:
 
 
 def build_laws(config: Config) -> laws_mod.Laws:
-    if config.potential == "clamp":
-        potential = laws_mod.make_clamp_potential(config.alpha2)
-    else:
-        potential = laws_mod.make_log_potential(config.alpha1, config.alpha2)
+    graph = (laws_mod.ClampIndicator() if config.potential == "clamp"
+             else laws_mod.LogGraph(config.alpha1))
     if config.coupling == "linear":
         coupling = laws_mod.make_linear_coupling()
     else:
@@ -261,8 +271,8 @@ def build_laws(config: Config) -> laws_mod.Laws:
         mobility = laws_mod.make_constant_mobility(config.kappa0)
     else:
         mobility = laws_mod.make_tanh_power_mobility(config.m)
-    return laws_mod.Laws(potential=potential, coupling=coupling,
-                         mobility=mobility)
+    return laws_mod.Laws(potential=laws_mod.Potential(graph, config.alpha2),
+                         coupling=coupling, mobility=mobility)
 
 
 def build_field(recipe: tuple, grid: Grid) -> ScalarField:
@@ -271,6 +281,8 @@ def build_field(recipe: tuple, grid: Grid) -> ScalarField:
         return field_of(grid, recipe[1])
     if kind == "bump":
         center, radius, amplitude = recipe[1:]
+        if not radius > 0:
+            raise ConfigError(f"bump radius must be positive, got {radius!r}")
         if grid.dim == 1:
             x = grid.coordinates()
             dist2 = (x - center) ** 2

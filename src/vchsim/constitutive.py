@@ -2,10 +2,11 @@
 
 Three law families live here:
 
-* monotone graphs ``beta`` (subdifferentials of the convex potential part)
-  together with their resolvents and Yosida regularizations,
-* the free-energy potential ``f = f1 + f2`` with the smooth derivative
-  ``pi = f2'``,
+* monotone graphs ``beta`` on [0, 1], each with its convex potential part
+  ``f1`` (beta is its subdifferential), its resolvents and Yosida
+  regularizations,
+* the free-energy potential ``f = f1 + f2`` with the smooth part
+  ``f2 = alpha2 r(1 - r)`` and its derivative ``pi = f2'``,
 * the chemical-potential/order-parameter coupling ``g`` and the mobility
   family ``kappa`` with its antiderivative ``K`` (Kirchhoff transform) and
   floored variant ``K_tau``.
@@ -25,98 +26,133 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# monotone graphs
+# monotone graphs and their convex parts
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    # continuous extension 0*ln(0) = 0
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = x[pos] * np.log(x[pos])
+    return out
 
 
 @dataclass(frozen=True)
 class ClampIndicator:
-    """Subdifferential of the indicator of [a, b].
+    """Subdifferential of the indicator of [0, 1].
 
     Vertical segments at the endpoints; zero inside.  The resolvent is the
-    projection onto [a, b] for every step size.
+    projection onto [0, 1] for every step size.
     """
 
-    a: float = 0.0
-    b: float = 1.0
-
-    @property
-    def domain(self) -> tuple:
-        return (self.a, self.b)
+    def f1(self, r):
+        """The convex part: the indicator of [0, 1], 0 inside, +inf outside."""
+        r = np.asarray(r, dtype=float)
+        return np.where((r >= 0.0) & (r <= 1.0), 0.0, np.inf)
 
     def resolvent_array(self, lam: float, y: np.ndarray) -> np.ndarray:
-        return np.clip(y, self.a, self.b)
+        return np.clip(y, 0.0, 1.0)
 
     def yosida_derivative(self, lam: float, r: np.ndarray,
                           p: np.ndarray) -> np.ndarray:
         """Derivative of the Yosida regularization at ``r``.  ``p`` (the
         resolvent at ``r``) keeps the signature of :class:`LogGraph`; the
         clamp needs only ``r``."""
-        outside = (r < self.a) | (r > self.b)
+        outside = (r < 0.0) | (r > 1.0)
         return np.where(outside, 1.0 / lam, 0.0)
+
+
+# Resolvent values below _R_SMALL are re-solved in the variable ln r: the
+# bracket's absolute width exit cannot resolve them.  Roots below _R_MIN
+# are raised to it, which keeps 1/p, and with it beta'(p), finite.
+_R_SMALL = 1e-12
+_R_MIN = 1e-300
 
 
 @dataclass(frozen=True)
 class LogGraph:
-    """Logarithmic graph beta(r) = alpha1 * ln((r - a)/(b - r)) on (a, b).
+    """Logarithmic graph beta(r) = alpha1 * ln(r/(1 - r)) on (0, 1).
 
     Single valued on the open interval, blowing up at the endpoints; the
-    effective domain is open, its closure [a, b].
+    effective domain is open, its closure [0, 1].
     """
 
     alpha1: float = 1.0
-    a: float = 0.0
-    b: float = 1.0
 
     def __post_init__(self):
         if not self.alpha1 > 0:
             raise ValueError(f"alpha1 must be positive for the log potential, "
                              f"got {self.alpha1}")
-        if not self.a < self.b:
-            raise ValueError("need a < b")
 
-    @property
-    def domain(self) -> tuple:
-        return (self.a, self.b)
+    def f1(self, r):
+        """The convex part: alpha1 [r ln r + (1-r) ln(1-r)] on [0, 1], +inf
+        outside.  It carries the additive constant alpha1 ln 2, so it is
+        nonnegative with minimum 0 at r = 1/2; shifting a constant between
+        f1 and f2 changes nothing downstream."""
+        r = np.asarray(r, dtype=float)
+        inside = (r >= 0.0) & (r <= 1.0)
+        rc = np.clip(r, 0.0, 1.0)
+        vals = self.alpha1 * (_xlogx(rc) + _xlogx(1.0 - rc))
+        return np.where(inside, vals + self.alpha1 * math.log(2.0), np.inf)
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        return self.alpha1 * np.log((r - self.a) / (self.b - r))
+        return self.alpha1 * np.log(r / (1.0 - r))
 
     def resolvent_array(self, lam: float, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        a, b, c = self.a, self.b, lam * self.alpha1
+        c = lam * self.alpha1
 
         def F(r):
-            return r + c * np.log((r - a) / (b - r)) - y
+            return r + c * np.log(r / (1.0 - r)) - y
 
-        width = b - a
-        # start the bracket a hair inside the interval, where F tends to
-        # -inf / +inf; at least one ulp inside, so that F and F' stay finite
-        # at both ends (b - width * 1e-17 rounds to b = 1)
-        lo = max(a + width * 1e-17, math.nextafter(a, b)) + np.zeros_like(y)
-        hi = min(b - width * 1e-17, math.nextafter(b, a)) + np.zeros_like(y)
-        r = np.clip(y, a + 0.25 * width, b - 0.25 * width)
+        # start the bracket a hair inside (0, 1), where F tends to -inf /
+        # +inf, so that F and F' stay finite at both ends: 1e-17 above 0,
+        # one ulp below 1
+        lo = 1e-17 + np.zeros_like(y)
+        hi = math.nextafter(1.0, 0.0) + np.zeros_like(y)
+        r = np.clip(y, 0.25, 0.75)
         tol = 1e-13 * np.maximum(1.0, np.abs(y))
         for _ in range(120):
             f = F(r)
             done = np.abs(f) <= tol
-            bracket_tiny = (hi - lo) <= 4e-16 * width
+            bracket_tiny = (hi - lo) <= 4e-16
             if np.all(done | bracket_tiny):
                 break
             lo = np.where(f < 0, np.maximum(lo, r), lo)
             hi = np.where(f > 0, np.minimum(hi, r), hi)
-            fprime = 1.0 + c * (1.0 / (r - a) + 1.0 / (b - r))
+            fprime = 1.0 + c * (1.0 / r + 1.0 / (1.0 - r))
             step = f / fprime
             r_new = r - step
             bad = (r_new <= lo) | (r_new >= hi) | ~np.isfinite(r_new)
             r = np.where(bad, 0.5 * (lo + hi), r_new)
+        small = r < _R_SMALL
+        if np.any(small):
+            r[small] = self._small_root(c, y[small])
         return r
+
+    @staticmethod
+    def _small_root(c: float, y: np.ndarray) -> np.ndarray:
+        """The root below _R_SMALL of r + c ln(r/(1 - r)) = y, by Newton in
+        s = ln r on G(s) = e^s + c (s - ln(1 - e^s)) - y, raised to _R_MIN.
+        G is convex and increasing, so from s = ln _R_SMALL, right of the
+        root, the iterates fall monotonically onto it."""
+        s = np.full_like(y, math.log(_R_SMALL))
+        for _ in range(100):
+            e = np.exp(s)
+            s_prev, s = s, np.maximum(
+                s - (e + c * (s - np.log1p(-e)) - y) / (e + c / (1.0 - e)),
+                math.log(_R_MIN))
+            if np.all(np.abs(s - s_prev) <= 4e-16 * np.abs(s)):
+                break
+        return np.exp(s)
 
     def yosida_derivative(self, lam: float, r: np.ndarray,
                           p: np.ndarray) -> np.ndarray:
         """Derivative of the Yosida regularization at ``r``, read off the
         resolvent ``p = resolvent_array(lam, r)``: beta'(p) / (1 + lam beta'(p))."""
-        bprime = self.alpha1 * (1.0 / (p - self.a) + 1.0 / (self.b - p))
+        bprime = self.alpha1 * (1.0 / p + 1.0 / (1.0 - p))
         return bprime / (1.0 + lam * bprime)
 
 
@@ -135,76 +171,28 @@ def yosida_array(graph: MonotoneGraph, lam: float, r: np.ndarray) -> np.ndarray:
 # potentials
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    # continuous extension 0*ln(0) = 0
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
-
-
 @dataclass(frozen=True)
 class Potential:
-    """Split potential f = f1 + f2 with graph beta = subdifferential of f1."""
+    """Split potential f = f1 + f2 on [0, 1]: f1 the convex part of
+    ``graph`` (beta = its subdifferential), f2 = alpha2 r(1 - r) the smooth
+    part, pi = f2'.  Whether the log potential's total is convex or a
+    two-well depends on alpha1 vs 2 alpha2."""
 
     graph: MonotoneGraph
-    f1_value: Callable[[np.ndarray], np.ndarray]
-    f2_value: Callable[[np.ndarray], np.ndarray]
-    f2_prime: Callable[[np.ndarray], np.ndarray]
-    f2_second: Callable[[np.ndarray], np.ndarray]
+    alpha2: float
 
+    def f2_prime(self, r):
+        return self.alpha2 * (1.0 - 2.0 * np.asarray(r))
 
-def make_clamp_potential(alpha2: float = 2.0) -> Potential:
-    """Obstacle-type potential on [0, 1]: f1 the indicator of [0, 1],
-    f2 = alpha2 r(1-r)."""
+    def f2_second(self, r):
+        return -2.0 * self.alpha2 * np.ones_like(np.asarray(r, dtype=float))
 
-    def f1(r):
+    def value(self, r):
+        """f1(r) + f2(r); +inf outside the effective domain of f1."""
         r = np.asarray(r, dtype=float)
-        return np.where((r >= 0.0) & (r <= 1.0), 0.0, np.inf)
-
-    return Potential(
-        graph=ClampIndicator(0.0, 1.0),
-        f1_value=f1,
-        f2_value=lambda r: alpha2 * np.asarray(r) * (1.0 - np.asarray(r)),
-        f2_prime=lambda r: alpha2 * (1.0 - 2.0 * np.asarray(r)),
-        f2_second=lambda r: -2.0 * alpha2 * np.ones_like(np.asarray(r, dtype=float)),
-    )
-
-
-def make_log_potential(alpha1: float = 0.5, alpha2: float = 2.0) -> Potential:
-    """Logarithmic two-well potential on [0, 1].
-
-    The entropy part carries an additive constant alpha1*ln(2) so that f1 is
-    nonnegative with minimum 0 at r = 1/2; shifting between f1 and f2 by a
-    constant changes nothing downstream.  Whether the total is convex or a
-    two-well depends on alpha1 vs 2*alpha2.
-    """
-
-    shift = alpha1 * math.log(2.0)
-
-    def f1(r):
-        r = np.asarray(r, dtype=float)
-        inside = (r >= 0.0) & (r <= 1.0)
-        vals = alpha1 * (_xlogx(np.clip(r, 0.0, 1.0))
-                         + _xlogx(1.0 - np.clip(r, 0.0, 1.0))) + shift
-        return np.where(inside, vals, np.inf)
-
-    return Potential(
-        graph=LogGraph(alpha1, 0.0, 1.0),
-        f1_value=f1,
-        f2_value=lambda r: alpha2 * np.asarray(r) * (1.0 - np.asarray(r)),
-        f2_prime=lambda r: alpha2 * (1.0 - 2.0 * np.asarray(r)),
-        f2_second=lambda r: -2.0 * alpha2 * np.ones_like(np.asarray(r, dtype=float)),
-    )
-
-
-def f_total(potential: Potential, r) -> float:
-    """f1(r) + f2(r); +inf outside the effective domain of f1."""
-    r = np.asarray(r, dtype=float)
-    v1 = potential.f1_value(r)
-    out = np.where(np.isinf(v1), np.inf, v1 + potential.f2_value(r))
-    return float(out) if out.ndim == 0 else out
+        v1 = self.graph.f1(r)
+        out = np.where(np.isinf(v1), np.inf, v1 + self.alpha2 * r * (1.0 - r))
+        return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

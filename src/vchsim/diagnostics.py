@@ -29,13 +29,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .constitutive import (
-    ClampIndicator,
-    K_tau_array,
-    Laws,
-    LogGraph,
-    f_total,
-)
+from .constitutive import ClampIndicator, K_tau_array, Laws, LogGraph
 from .mesh import (
     ScalarField,
     dirichlet_energy,
@@ -164,7 +158,7 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     else:
         a, b_plus, b_minus, k_lag = mu_system_coefficients(
             prev.mu, cur.rho, cur.dt_rho, cfg, laws)
-    fvals = f_total(laws.potential, rho_c)
+    fvals = laws.potential.value(rho_c)
     terms = {
         "E_mu": 0.5 * vol * float(np.sum(a * mu_c ** 2)),
         "F_rho": (np.inf if np.any(np.isinf(fvals)) else
@@ -219,9 +213,8 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     # gap.  The graph is evaluated at inside nodes only (the midpoint
     # stands in elsewhere), so a node on an endpoint divides by nothing
     if isinstance(graph, LogGraph):
-        inside = (rc > graph.a) & (rc < graph.b)
-        midpoint = 0.5 * (graph.a + graph.b)
-        xi_strong = np.where(inside, graph.value(np.where(inside, rc, midpoint)),
+        inside = (rc > 0.0) & (rc < 1.0)
+        xi_strong = np.where(inside, graph.value(np.where(inside, rc, 0.5)),
                              np.inf)
     else:
         xi_strong = xi_c

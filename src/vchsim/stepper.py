@@ -81,7 +81,9 @@ class ValidationError(ValueError):
 
 
 class StepFailure(RuntimeError):
-    """A stage solver did not converge; carries the last residual."""
+    """A stage solver did not converge, or its arithmetic failed (overflow,
+    a zero Krylov pivot, a non-finite field); carries the last residual,
+    NaN where none is known."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last residual {residual:.3e})")
@@ -241,7 +243,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     Damped Newton on the Yosida-regularized system; for the clamp graph a
     post-pass replaces the iterate by its exact resolvent pair, so the
     stored (rho, xi) satisfy the constraint and the complementarity sign
-    conditions exactly (rho back in [a, b] bit-exactly).
+    conditions exactly (rho back in [0, 1] bit-exactly).
 
     Each Newton direction solves J = diag(delta/tau + d) - L, applied
     matrix-free with L the unit-coefficient flux divergence.  J is
@@ -277,7 +279,8 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     # the direction's linear residual adds at most this much (max norm)
     # to the next Newton residual
     inner_tol = 0.1 * cfg.newton_tol
-    while res_norm > cfg.newton_tol:
+    # each test is written so that a NaN residual fails it
+    while not res_norm <= cfg.newton_tol:
         if iters >= cfg.newton_max_iter:
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
         diag = dt_coef + (graph.yosida_derivative(lam, r, p) + pot.f2_second(r)
@@ -292,7 +295,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
                                            x.reshape(shape)).ravel(), res,
             lambda z: shifted_laplacian_solve(grid, shift, 1.0, z),
             inner_tol, _krylov_cap(grid))
-        if inner_res > inner_tol:
+        if not inner_res <= inner_tol:
             raise StepFailure("MINRES did not converge in the rho stage",
                               res_norm)
         alpha = 1.0
@@ -308,7 +311,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
         r, res, p, res_norm = trial, trial_res, trial_p, trial_norm
         iters += 1
 
-    # the clamp resolvent is the projection onto [a, b]
+    # the clamp resolvent is the projection onto [0, 1]
     rho_vals = p if isinstance(graph, ClampIndicator) else r
     xi_vals = (r - p) / lam
     rho_new = ScalarField(grid, rho_vals.reshape(grid.shape)).check_finite()
@@ -372,7 +375,7 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
     x, iters, rnorm = _pcg(apply_system, rhs, precondition,
                            prev.mu.values.ravel().copy(), tol,
                            _krylov_cap(grid))
-    if rnorm > tol:
+    if not rnorm <= tol:
         raise StepFailure("conjugate gradients did not converge in the mu stage",
                           rnorm)
     mu_new = ScalarField(grid, x.reshape(shape)).check_finite()
@@ -395,7 +398,8 @@ def _pcg(apply_A, b, precondition, x0, tol, max_iter):
     x = x0
     r = b - apply_A(x)
     rnorm = math.sqrt(_dot(r, r))
-    if rnorm <= tol:
+    # a NaN residual ends the loop too; the caller's check rejects it
+    if not rnorm > tol:
         return x, 0, rnorm
     z = precondition(r)
     p = z.copy()
@@ -406,7 +410,7 @@ def _pcg(apply_A, b, precondition, x0, tol, max_iter):
         x = x + alpha * p
         r = r - alpha * Ap
         rnorm = math.sqrt(_dot(r, r))
-        if rnorm <= tol:
+        if not rnorm > tol:
             return x, k, rnorm
         z = precondition(r)
         rz_new = _dot(r, z)
@@ -425,7 +429,8 @@ def _minres(apply_A, b, precondition, tol, max_iter):
     scipy's ``minres`` with every inner product taken by :func:`_dot`."""
     x = np.zeros_like(b)
     rnorm = math.sqrt(_dot(b, b))
-    if rnorm <= tol:
+    # a NaN residual ends the loop too; the caller's check rejects it
+    if not rnorm > tol:
         return x, 0, rnorm
     r = r1 = r2 = b
     y = precondition(b)
@@ -462,7 +467,7 @@ def _minres(apply_A, b, precondition, tol, max_iter):
             return x, k, 0.0
         r = (sn * sn) * r - (phibar * cs / beta) * r2
         rnorm = math.sqrt(_dot(r, r))
-        if rnorm <= tol:
+        if not rnorm > tol:
             return x, k, rnorm
     return x, max_iter, rnorm
 
@@ -472,12 +477,21 @@ def step(state: SimState, cfg: SolverConfig, laws: Laws):
 
     The rho stage is fed the potential from one step earlier, which is
     ``state.mu`` (at the first step, the initial datum).  Returns the new
-    state and its solver report.
+    state and its solver report.  An ``ArithmeticError`` inside a stage is
+    raised as that stage's :class:`StepFailure`.
     """
-    rho_new, xi_new, n_iters, n_res = step_rho(state, state.mu, cfg, laws)
+    try:
+        rho_new, xi_new, n_iters, n_res = step_rho(state, state.mu, cfg, laws)
+    except ArithmeticError as exc:
+        raise StepFailure(f"arithmetic failure in the rho stage: {exc}",
+                          math.nan) from exc
     dt_rho = ScalarField(state.grid,
                          (rho_new.values - state.rho.values) / cfg.tau)
-    mu_new, cg_iters, cg_res = step_mu(state, rho_new, dt_rho, cfg, laws)
+    try:
+        mu_new, cg_iters, cg_res = step_mu(state, rho_new, dt_rho, cfg, laws)
+    except ArithmeticError as exc:
+        raise StepFailure(f"arithmetic failure in the mu stage: {exc}",
+                          math.nan) from exc
     new_state = SimState(t=state.t + cfg.tau, mu=mu_new, rho=rho_new,
                          xi=xi_new, dt_rho=dt_rho)
     report = StepReport(
@@ -500,11 +514,10 @@ def validate_initial_data(mu0: ScalarField, rho0: ScalarField, cfg: SolverConfig
     if mu0.min() < 0.0:
         raise ValidationError(
             f"violates (hpzero): mu0 has negative values (min {mu0.min():g})")
-    lo, hi = laws.graph.domain
-    if rho0.min() < lo or rho0.max() > hi:
+    if rho0.min() < 0.0 or rho0.max() > 1.0:
         raise ValidationError(
             f"violates (hpzero): rho0 leaves the closed constraint interval "
-            f"[{lo:g}, {hi:g}] (range [{rho0.min():g}, {rho0.max():g}])")
+            f"[0, 1] (range [{rho0.min():g}, {rho0.max():g}])")
     if cfg.n_steps > 0 and cfg.tau > laws.mobility.kappa_sup:
         raise ValidationError(
             f"violates the smallness assumption tau <= kappa_sup: "

@@ -113,6 +113,10 @@ class TestParseConfig:
         ("mobility_floor_tau = -0.5\n", "mobility_floor_tau must be nonneg"),
         ("newton_max_iter = 0\n", "newton_max_iter must be at least 1"),
         ("linear_max_iter = 7\n", "linear_max_iter was removed"),
+        ("delta = inf\n", "delta must be finite, got 'inf'"),
+        ("length = inf\n", "length must be finite, got 'inf'"),
+        ("T = nan\n", "T must be finite, got 'nan'"),
+        ("mu0 = bump 0.5 -0.3 1\n", "bump radius must be positive, got -0.3"),
     ])
     def test_layer_rules_rejected_with_their_code(self, extra, message):
         with pytest.raises(ConfigError, match=message):
@@ -401,6 +405,10 @@ class TestCliExitCodes:
         (("study",), "mu0 = constant 0.001\nstudy = perturbation\n"
                      "study_values = 1\nperturb_amplitude = 10\n",
          "(hpzero): mu0"),
+        (RUN, "mu0 = constant abc\n", "line 4: bad value for 'mu0'"),
+        (RUN, "tau = abc\n", "line 4: bad value for 'tau'"),
+        (RUN, "epsilon = inf\n", "line 4: epsilon must be finite"),
+        (RUN, "mu0 = bump 0.5 0 1\n", "bump radius must be positive"),
         (RUN, "mu0 = file {tmp}/absent.txt\n", "absent.txt"),
         (RUN, "mu0 = file {tmp}/malformed.txt\n", "malformed snapshot header"),
         (("diagnose absent",), "", "absent"),
@@ -410,7 +418,8 @@ class TestCliExitCodes:
             "linear_max_iter", "two_values", "non_monotone",
             "refinement_degenerate", "demo_constant", "refinement_inf_steps",
             "refinement_fractional_steps", "demo_fractional_steps",
-            "perturbation_negative",
+            "perturbation_negative", "malformed_recipe_number",
+            "malformed_tau", "non_finite_float", "zero_bump_radius",
             "missing_mu0_file", "malformed_mu0_file", "missing_traj",
             "corrupt_snapshot", "snapshot_on_other_grid"])
     def test_input_errors_exit_2_before_any_step(self, tmp_path, capsys,
@@ -480,6 +489,29 @@ class TestCliExitCodes:
         failure = (out / "failure.txt").read_text().splitlines()
         assert failure[0] == "step = 1"
         assert "singular rho-stage Jacobian" in failure[2]
+        assert cli.verify_manifest(out) == []
+        assert "failure.txt" in (out / "manifest.txt").read_text()
+
+    def test_arithmetic_failure_in_a_stage_leaves_evidence(self, tmp_path,
+                                                           capsys):
+        # the data pass validate, but the rho stage's MINRES norm overflows
+        # and its next Givens rotation divides by zero.  The initial energy
+        # E_mu = 0.5 sum(a mu0^2) overflows too: that one warning is expected
+        path = self._write(tmp_path, "n = 8\nT = 0.1\nN = 2\n"
+                                     "mu0 = constant 1e300\n")
+        assert main(["validate", "--config", path]) == 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", path,
+                         "--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == [
+            "overflow encountered in square"]
+        assert ("arithmetic failure in the rho stage: float division by zero"
+                in capsys.readouterr().err)
+        failure = (out / "failure.txt").read_text().splitlines()
+        assert failure[0] == "step = 1"
+        assert "arithmetic failure in the rho stage" in failure[2]
         assert cli.verify_manifest(out) == []
         assert "failure.txt" in (out / "manifest.txt").read_text()
 

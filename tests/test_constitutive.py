@@ -9,12 +9,10 @@ from vchsim.constitutive import (
     ClampIndicator,
     K_tau_array,
     LogGraph,
-    f_total,
-    make_clamp_potential,
+    Potential,
     make_constant_coupling,
     make_constant_mobility,
     make_linear_coupling,
-    make_log_potential,
     make_tanh_power_mobility,
     yosida_array,
 )
@@ -45,43 +43,51 @@ def k_tau_reference(mob, tau, r):
 
 class TestResolvent:
     def test_clamp_interior_point(self):
-        assert resolvent(ClampIndicator(0, 1), 0.5, 0.4) == 0.4
+        assert resolvent(ClampIndicator(), 0.5, 0.4) == 0.4
 
     def test_clamp_projects(self):
         y = np.array([1.7, -0.2])
-        assert np.array_equal(ClampIndicator(0, 1).resolvent_array(2.0, y),
+        assert np.array_equal(ClampIndicator().resolvent_array(2.0, y),
                               [1.0, 0.0])
-        assert resolvent(ClampIndicator(0, 1), 1e-3, -0.2) == 0.0
+        assert resolvent(ClampIndicator(), 1e-3, -0.2) == 0.0
 
     def test_log_symmetric_point(self):
-        assert resolvent(LogGraph(1.0, 0, 1), 1.0, 0.5) == pytest.approx(0.5, abs=1e-13)
+        assert resolvent(LogGraph(1.0), 1.0, 0.5) == pytest.approx(0.5, abs=1e-13)
 
     def test_log_frozen_root(self):
-        r = resolvent(LogGraph(1.0, 0, 1), 1.0, 2.0)
+        r = resolvent(LogGraph(1.0), 1.0, 2.0)
         assert r == pytest.approx(LOG_RESOLVENT_Y2, abs=1e-12)
         assert abs(r + math.log(r / (1 - r)) - 2.0) <= 1e-13
 
-    @pytest.mark.parametrize("graph", [LogGraph(0.5), LogGraph(1.0, -1.0, 1.0),
-                                       LogGraph(2.0, 0.25, 0.75)])
+    @pytest.mark.parametrize("graph", [LogGraph(0.5), LogGraph(1.0),
+                                       LogGraph(2.0)])
     @pytest.mark.parametrize("lam", [1e-3, 1 / 32, 1.0])
     def test_log_stays_finite_up_to_the_endpoints(self, graph, lam):
         # far outside the interval and within a few ulp of either end the
         # bracket ends must keep F and F' finite: none of the floating-point
         # errors numpy warns about by default
         near = []
-        for end, inward, outward in ((graph.a, graph.b, -np.inf),
-                                     (graph.b, graph.a, np.inf)):
+        for end, inward, outward in ((0.0, 1.0, -np.inf), (1.0, 0.0, np.inf)):
             for direction in (inward, outward):
                 x = end
                 for _ in range(4):
                     x = np.nextafter(x, direction)
                     near.append(x)
-        y = np.concatenate([np.linspace(-1e3, 1e3, 2001), near,
-                            [graph.a, graph.b]])
+        # and densely where the roots run from 1e-24 to 1e-10, below and
+        # above the bracket's lower start 1e-17
+        c = lam * graph.alpha1
+        low = np.linspace(c * math.log(1e-24), c * math.log(1e-10), 2001)
+        y = np.concatenate([np.linspace(-1e3, 1e3, 2001), low, near,
+                            [0.0, 1.0]])
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             r = graph.resolvent_array(lam, y)
-        assert np.all((graph.a < r) & (r < graph.b))
+        assert np.all((0.0 < r) & (r < 1.0))
         assert np.all(np.diff(r[:2001]) >= 0.0)
+        assert np.all(np.diff(r[2001:4002]) > 0.0)
+        # there the root solves r = (1 - r) exp((y - r)/c) to rounding
+        r_low = r[2001:4002]
+        assert np.allclose(r_low, np.exp((low - r_low) / c) * (1.0 - r_low),
+                           rtol=1e-12, atol=0.0)
 
     def test_rejects_nonpositive_step(self):
         # the resolvent step is the solver config's yosida_lambda, which
@@ -93,26 +99,26 @@ class TestResolvent:
 
 class TestGraphSelect:
     def test_interior_selection_vanishes(self):
-        assert yosida(ClampIndicator(0, 1), 1.0, 0.5) == 0.0
+        assert yosida(ClampIndicator(), 1.0, 0.5) == 0.0
 
     def test_upper_endpoint_sign(self):
         # (1.5 - 1)/0.5 = 1.0 >= 0 at r = 1
-        assert yosida(ClampIndicator(0, 1), 0.5, 1.5) == 1.0
+        assert yosida(ClampIndicator(), 0.5, 1.5) == 1.0
 
     def test_lower_endpoint_sign(self):
         # (-0.1 - 0)/0.25 = -0.4 <= 0 at r = 0
-        assert yosida(ClampIndicator(0, 1), 0.25, -0.1) == pytest.approx(-0.4, abs=1e-15)
+        assert yosida(ClampIndicator(), 0.25, -0.1) == pytest.approx(-0.4, abs=1e-15)
 
 
 class TestYosida:
     def test_interior_zero(self):
-        assert yosida(ClampIndicator(0, 1), 0.1, 0.5) == 0.0
+        assert yosida(ClampIndicator(), 0.1, 0.5) == 0.0
 
     def test_outside_linear_growth(self):
-        assert yosida(ClampIndicator(0, 1), 0.1, 1.2) == pytest.approx(2.0, abs=1e-13)
+        assert yosida(ClampIndicator(), 0.1, 1.2) == pytest.approx(2.0, abs=1e-13)
 
     def test_log_gap_shrinks_with_lambda(self):
-        g = LogGraph(1.0, 0, 1)
+        g = LogGraph(1.0)
         beta = LN_9  # beta(0.9) = ln 9
         gaps = []
         for lam in (1e-1, 1e-2, 1e-3):
@@ -124,23 +130,22 @@ class TestYosida:
 
 class TestPotentials:
     def test_log_entropy_normalized_at_half(self):
-        pot = make_log_potential(alpha1=1.0, alpha2=0.0)
-        assert f_total(pot, 0.5) == pytest.approx(0.0, abs=1e-15)
+        pot = Potential(LogGraph(1.0), alpha2=0.0)
+        assert pot.value(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_log_f1_nonnegative(self):
-        pot = make_log_potential(alpha1=1.0, alpha2=0.0)
         r = np.linspace(0.0, 1.0, 101)
-        assert np.all(pot.f1_value(r) >= -1e-15)
+        assert np.all(LogGraph(1.0).f1(r) >= -1e-15)
 
     def test_clamp_interior_is_smooth_part_only(self):
-        pot = make_clamp_potential(alpha2=2.0)
-        assert f_total(pot, 0.3) == pytest.approx(2.0 * 0.3 * 0.7, rel=1e-14)
+        pot = Potential(ClampIndicator(), alpha2=2.0)
+        assert pot.value(0.3) == pytest.approx(2.0 * 0.3 * 0.7, rel=1e-14)
 
     def test_clamp_outside_is_infinite(self):
-        pot = make_clamp_potential(alpha2=2.0)
-        assert f_total(pot, 1.5) == math.inf
-        pot_log = make_log_potential()
-        assert f_total(pot_log, -0.1) == math.inf
+        pot = Potential(ClampIndicator(), alpha2=2.0)
+        assert pot.value(1.5) == math.inf
+        pot_log = Potential(LogGraph(0.5), alpha2=2.0)
+        assert pot_log.value(-0.1) == math.inf
 
 
 class TestCouplingLaw:
@@ -235,7 +240,7 @@ class TestMobilityTransforms:
 # ---------------------------------------------------------------------------
 # property tests
 
-GRAPHS = [ClampIndicator(0, 1), LogGraph(1.0, 0, 1), LogGraph(0.5, -1, 2)]
+GRAPHS = [ClampIndicator(), LogGraph(1.0), LogGraph(0.5)]
 LAMBDAS = [1e-3, 1.0, 1e3]
 reals = st.floats(min_value=-50.0, max_value=50.0,
                   allow_nan=False, allow_infinity=False)

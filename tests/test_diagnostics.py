@@ -227,11 +227,11 @@ class TestFormulationResiduals:
 
     def test_node_on_the_endpoint_raises_no_warning(self):
         # the log graph's value is taken at inside nodes only; a node at
-        # exactly b gets an infinite strong residual, without dividing by 0
+        # exactly 1 gets an infinite strong residual, without dividing by 0
         traj, laws, cfg = run_config(N=2, **SMOOTH_INTERIOR)
         prev, cur = traj.states[0], traj.states[1]
         rho = cur.rho.values.copy()
-        rho[5] = laws.graph.b
+        rho[5] = 1.0
         edge = replace(cur, rho=ScalarField(cur.grid, rho))
         _, a_prev = step_entry(None, prev, None, cfg, laws)
         with warnings.catch_warnings():

@@ -1,7 +1,9 @@
 """docs/config.md and the config parser name the same keys: every key the
 parser reads is documented, and every row of a key table is a key it
-reads (a field of ``Config``, ``tau``, or a retired key)."""
+reads (a field of ``Config``, ``tau``, or a retired key).  Every message
+of its validation table is one the package raises."""
 
+import ast
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -41,3 +43,47 @@ def test_every_key_row_is_a_key_the_parser_reads():
              | set(config._RETIRED_KEYS))
     assert [row for row in rows if row not in known] == []
     assert set(config._RETIRED_KEYS) <= set(rows)
+
+
+def _validation_messages(text: str) -> list:
+    """Every backticked message in the validation table of docs/config.md
+    (the table whose header is ``rule | owning layer | message``)."""
+    messages, in_table = [], False
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        if cells[:3] == ["rule", "owning layer", "message"]:
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and not set(cells[0]) <= set("-: "):
+            messages += re.findall(r"`([^`]+)`", cells[2])
+    return messages
+
+
+def _source_strings() -> str:
+    """Every string literal of the package, one per line, with a NUL where
+    an f-string formats a value; implicitly concatenated literals are one
+    string, as the parser joins them."""
+    strings = []
+    for path in sorted((CONFIG_MD.parents[1] / "src" / "vchsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                strings.append("".join(
+                    part.value if isinstance(part, ast.Constant) else "\0"
+                    for part in node.values))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.append(node.value)
+    return "\n".join(strings)
+
+
+def test_every_documented_rejection_message_is_raised_by_the_code():
+    # placeholders (<k>, <key>) and elisions (...) stand for the values a
+    # message is formatted with; every literal piece between them must be
+    # in one string literal of the package
+    source = _source_strings()
+    messages = _validation_messages(CONFIG_MD.read_text())
+    assert len(messages) >= 25
+    missing = [(message, piece) for message in messages
+               for piece in re.split(r"<[^>]*>|\.\.\.", message)
+               if piece.strip() and piece.strip() not in source]
+    assert missing == []

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +9,19 @@ import scipy.sparse.linalg
 
 from vchsim.config import Config, build_run
 from vchsim.constitutive import (
+    ClampIndicator,
     Laws,
-    make_clamp_potential,
+    LogGraph,
+    Potential,
     make_constant_coupling,
     make_constant_mobility,
     make_linear_coupling,
-    make_log_potential,
 )
 import vchsim.stepper as stepper
-from vchsim.mesh import Grid, div_k_grad_arrays, field_of
+from vchsim.mesh import Grid, ScalarField, div_k_grad_arrays, field_of
 from vchsim.stepper import (
     SolverConfig,
+    StepFailure,
     ValidationError,
     initial_state,
     run,
@@ -32,11 +35,10 @@ from oracles import laplacian_matrix
 
 def make_laws(potential="clamp", alpha1=0.5, alpha2=2.0, coupling="linear",
               g0=0.0, kappa0=1.0):
-    pot = (make_clamp_potential(alpha2) if potential == "clamp"
-           else make_log_potential(alpha1, alpha2))
+    graph = ClampIndicator() if potential == "clamp" else LogGraph(alpha1)
     cpl = (make_linear_coupling() if coupling == "linear"
            else make_constant_coupling(g0))
-    return Laws(pot, cpl, make_constant_mobility(kappa0))
+    return Laws(Potential(graph, alpha2), cpl, make_constant_mobility(kappa0))
 
 
 def states_equal(a, b):
@@ -327,6 +329,33 @@ class TestMinres:
                                               lambda z: z, 1e-30, 50)
         assert (iters, rnorm) == (1, 0.0)
         assert np.array_equal(x, 0.5 * b)
+
+
+class TestNanResiduals:
+    """A NaN residual ends each solver loop and fails its stage; it is
+    never taken for convergence."""
+
+    def test_krylov_loops_stop_at_a_nan_residual(self):
+        b = np.full(8, np.nan)
+        _, iters, rnorm = stepper._minres(lambda v: 2.0 * v, b,
+                                          lambda z: z, 1e-10, 50)
+        assert iters == 0 and math.isnan(rnorm)
+        _, iters, rnorm = stepper._pcg(lambda v: 2.0 * v, b, lambda z: z,
+                                       np.zeros(8), 1e-10, 50)
+        assert iters == 0 and math.isnan(rnorm)
+
+    def test_both_stages_fail_on_a_nan_residual(self):
+        grid = Grid(1, 12, 1.0)
+        laws = make_laws()
+        cfg = SolverConfig(T=1.0, n_steps=8)
+        prev = initial_state(field_of(grid, 0.5), field_of(grid, 0.5), cfg,
+                             laws)
+        mu_nan = ScalarField(grid, np.where(np.arange(12) == 3, np.nan, 0.5))
+        with pytest.raises(StepFailure, match="MINRES did not converge"):
+            step_rho(prev, mu_nan, cfg, laws)
+        with pytest.raises(StepFailure, match="conjugate gradients did not"):
+            step_mu(replace(prev, mu=mu_nan), prev.rho, prev.dt_rho, cfg,
+                    laws)
 
 
 def equilibrium_setup(n=12):
