@@ -12,15 +12,13 @@ from importlib import import_module
 
 _EXPORTS = {
     "constitutive": (
-        "ClampIndicator", "CouplingLaw", "K_tau_array", "Laws", "LogGraph",
-        "MobilityLaw", "Potential", "make_constant_coupling",
-        "make_constant_mobility", "make_linear_coupling",
-        "make_tanh_power_mobility", "yosida_array",
+        "ClampIndicator", "ConstantCoupling", "ConstantMobility",
+        "K_tau_array", "Laws", "LinearCoupling", "LogGraph", "Potential",
+        "TanhPowerMobility", "yosida_array",
     ),
     "diagnostics": (
-        "ContractionSeries", "EnergyLedger", "boundedness_report",
-        "contraction_metric", "formulation_residuals", "mu_energy_ledger",
-        "rho_energy_ledger",
+        "ContractionSeries", "EnergyLedger", "contraction_metric",
+        "formulation_residuals", "mu_energy_ledger", "rho_energy_ledger",
     ),
     "mesh": (
         "Grid", "ScalarField", "dirichlet_energy", "field_of", "integrate",

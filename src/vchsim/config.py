@@ -55,11 +55,8 @@ class Config:
     coupling: str = "linear"
     g0: float = 0.0
     # solver controls
-    yosida_lambda: float = 0.0       # 0 = tie to the time step
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     linear_tol: float = 1e-11
-    mobility_floor_tau: float = -1.0  # negative = tie to the time step
     # initial data recipes
     mu0: tuple = ("constant", 1.0)
     rho0: tuple = ("constant", 0.5)
@@ -93,6 +90,15 @@ _RETIRED_KEYS = {
     "linear_max_iter": (
         lambda raw: raw == "0",
         "both Krylov solves always stop after 10 nodes + 100 iterations"),
+    "yosida_lambda": (
+        lambda raw: raw == "0",
+        "the Yosida parameter is always the step tau (1 when N = 0)"),
+    "newton_max_iter": (
+        lambda raw: raw == "50",
+        "Newton always stops after 50 iterations"),
+    "mobility_floor_tau": (
+        lambda raw: raw == "-1",
+        "the mobility floor is always the step tau"),
 }
 
 
@@ -242,35 +248,19 @@ def build_grid(config: Config) -> Grid:
 
 
 def build_solver_config(config: Config) -> SolverConfig:
-    """Solver config of a run.  Only the documented sentinels mean "tie to
-    the step": ``yosida_lambda = 0`` and ``mobility_floor_tau = -1``; every
-    other value reaches :class:`SolverConfig`, which checks it."""
-    return SolverConfig(
-        T=config.T,
-        n_steps=config.N,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        yosida_lambda=(None if config.yosida_lambda == 0
-                       else config.yosida_lambda),
-        newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
-        linear_tol=config.linear_tol,
-        mobility_floor_tau=(None if config.mobility_floor_tau == -1
-                            else config.mobility_floor_tau),
-    )
+    return SolverConfig(T=config.T, n_steps=config.N, epsilon=config.epsilon,
+                        delta=config.delta, newton_tol=config.newton_tol,
+                        linear_tol=config.linear_tol)
 
 
 def build_laws(config: Config) -> laws_mod.Laws:
     graph = (laws_mod.ClampIndicator() if config.potential == "clamp"
              else laws_mod.LogGraph(config.alpha1))
-    if config.coupling == "linear":
-        coupling = laws_mod.make_linear_coupling()
-    else:
-        coupling = laws_mod.make_constant_coupling(config.g0)
-    if config.mobility == "constant":
-        mobility = laws_mod.make_constant_mobility(config.kappa0)
-    else:
-        mobility = laws_mod.make_tanh_power_mobility(config.m)
+    coupling = (laws_mod.LinearCoupling() if config.coupling == "linear"
+                else laws_mod.ConstantCoupling(config.g0))
+    mobility = (laws_mod.ConstantMobility(config.kappa0)
+                if config.mobility == "constant"
+                else laws_mod.TanhPowerMobility(config.m))
     return laws_mod.Laws(potential=laws_mod.Potential(graph, config.alpha2),
                          coupling=coupling, mobility=mobility)
 

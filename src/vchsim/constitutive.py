@@ -11,8 +11,9 @@ Three law families live here:
   family ``kappa`` with its antiderivative ``K`` (Kirchhoff transform) and
   floored variant ``K_tau``.
 
-All law objects are immutable after construction and their evaluations are
-pure, so they can be shared freely between concurrent runs.
+All law objects are frozen values: immutable, equal when built from equal
+parameters, and pure to evaluate, so they can be shared freely between
+concurrent runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -196,16 +196,7 @@ class Potential:
 
 
 # ---------------------------------------------------------------------------
-# coupling law
-
-
-@dataclass(frozen=True)
-class CouplingLaw:
-    """Coupling g >= 0 on the constraint interval, with g' and g''."""
-
-    g: Callable[[np.ndarray], np.ndarray]
-    g_prime: Callable[[np.ndarray], np.ndarray]
-    g_second: Callable[[np.ndarray], np.ndarray]
+# coupling laws
 
 
 _SMOOTH_W = 0.1  # width of the C2 blend between the flat and linear branches
@@ -224,7 +215,8 @@ def _blend_d2(s: np.ndarray) -> np.ndarray:
     return s * (36.0 - 96.0 * s + 60.0 * s * s)
 
 
-def make_linear_coupling() -> CouplingLaw:
+@dataclass(frozen=True)
+class LinearCoupling:
     """g(r) = r, continued so it stays nonnegative and C2 on all of R.
 
     Below 0 the value is held at 0; the kink this would create at the origin
@@ -233,43 +225,57 @@ def make_linear_coupling() -> CouplingLaw:
     and beyond, g(r) = r exactly.
     """
 
-    w = _SMOOTH_W
-
-    def g(r):
+    def g(self, r):
         r = np.asarray(r, dtype=float)
-        s = np.clip(r / w, 0.0, 1.0)
-        return np.where(r <= 0.0, 0.0, np.where(r >= w, r, w * _blend(s)))
+        s = np.clip(r / _SMOOTH_W, 0.0, 1.0)
+        return np.where(r <= 0.0, 0.0,
+                        np.where(r >= _SMOOTH_W, r, _SMOOTH_W * _blend(s)))
 
-    def gp(r):
+    def g_prime(self, r):
         r = np.asarray(r, dtype=float)
-        s = np.clip(r / w, 0.0, 1.0)
-        return np.where(r <= 0.0, 0.0, np.where(r >= w, 1.0, _blend_d1(s)))
+        s = np.clip(r / _SMOOTH_W, 0.0, 1.0)
+        return np.where(r <= 0.0, 0.0,
+                        np.where(r >= _SMOOTH_W, 1.0, _blend_d1(s)))
 
-    def gpp(r):
+    def g_second(self, r):
         r = np.asarray(r, dtype=float)
-        s = np.clip(r / w, 0.0, 1.0)
-        return np.where((r <= 0.0) | (r >= w), 0.0, _blend_d2(s) / w)
+        s = np.clip(r / _SMOOTH_W, 0.0, 1.0)
+        return np.where((r <= 0.0) | (r >= _SMOOTH_W), 0.0,
+                        _blend_d2(s) / _SMOOTH_W)
 
-    return CouplingLaw(g, gp, gpp)
 
-
-def make_constant_coupling(g0: float = 0.0) -> CouplingLaw:
+@dataclass(frozen=True)
+class ConstantCoupling:
     """g identically g0 >= 0; decouples the two equations (g' = 0)."""
-    if g0 < 0:
-        raise ValueError(
-            f"violates (hpfg): the coupling must be nonnegative, g0 = {g0}")
 
-    def const(r):
-        return np.full_like(np.asarray(r, dtype=float), g0)
+    g0: float = 0.0
 
-    def zero(r):
+    def __post_init__(self):
+        if self.g0 < 0:
+            raise ValueError(f"violates (hpfg): the coupling must be "
+                             f"nonnegative, g0 = {self.g0}")
+
+    def g(self, r):
+        return np.full_like(np.asarray(r, dtype=float), self.g0)
+
+    def g_prime(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
-    return CouplingLaw(const, zero, zero)
+    g_second = g_prime
+
+
+Coupling = LinearCoupling | ConstantCoupling
 
 
 # ---------------------------------------------------------------------------
 # mobility laws
+#
+# A mobility kappa on [0, inf) carries ``K``, the vectorized antiderivative
+# of kappa from 0 (the Kirchhoff transform) for nonnegative arguments, and
+# its structural constants: ``kappa_sup`` bounds kappa from above
+# everywhere, ``kappa_star`` bounds it from below for arguments >=
+# ``r_star``; ``r_star == 0`` means uniform parabolicity, ``r_star > 0``
+# admits degeneracy near the origin.
 
 
 def _ln_cosh(r: np.ndarray) -> np.ndarray:
@@ -294,43 +300,34 @@ def _quadrature() -> tuple:
 
 
 @dataclass(frozen=True)
-class MobilityLaw:
-    """Mobility kappa on [0, inf) with its structural constants.
+class ConstantMobility:
+    """kappa identically kappa0 > 0: uniformly parabolic, K(r) = kappa0 r."""
 
-    ``K`` is the vectorized antiderivative of kappa from 0 (the Kirchhoff
-    transform), for nonnegative arguments.  ``kappa_sup`` bounds kappa from
-    above everywhere, ``kappa_star`` bounds it from below for arguments >=
-    ``r_star``; ``r_star == 0`` means uniform parabolicity, ``r_star > 0``
-    admits degeneracy near the origin.
-    """
-
-    kappa: Callable[[np.ndarray], np.ndarray]
-    K: Callable[[np.ndarray], np.ndarray]
-    kappa_star: float
-    kappa_sup: float
-    r_star: float
+    kappa0: float = 1.0
+    r_star = 0.0
 
     def __post_init__(self):
-        if not (self.kappa_star > 0 and self.kappa_sup > 0):
-            raise ValueError("mobility bounds must be positive")
-        if self.r_star < 0:
-            raise ValueError("degeneracy radius must be nonnegative")
+        if not self.kappa0 > 0:
+            raise ValueError(f"violates (hpcost): kappa0 must be positive, "
+                             f"got {self.kappa0}")
+
+    @property
+    def kappa_star(self) -> float:
+        return self.kappa0
+
+    @property
+    def kappa_sup(self) -> float:
+        return self.kappa0
+
+    def kappa(self, r):
+        return np.full_like(np.asarray(r, dtype=float), self.kappa0)
+
+    def K(self, r):
+        return self.kappa0 * r
 
 
-def make_constant_mobility(kappa0: float = 1.0) -> MobilityLaw:
-    if not kappa0 > 0:
-        raise ValueError(
-            f"violates (hpcost): kappa0 must be positive, got {kappa0}")
-
-    def kappa(r):
-        return np.full_like(np.asarray(r, dtype=float), kappa0)
-
-    return MobilityLaw(
-        kappa=kappa, K=lambda r: kappa0 * r, kappa_star=kappa0,
-        kappa_sup=kappa0, r_star=0.0)
-
-
-def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
+@dataclass(frozen=True)
+class TanhPowerMobility:
     """Degenerate mobility kappa(r) = tanh(r^(m-1)), m > 1.
 
     Vanishes at the origin, so slow diffusion sets in where the potential is
@@ -338,24 +335,35 @@ def make_tanh_power_mobility(m: float = 2.0) -> MobilityLaw:
     ln(cosh(r)) in closed form; other exponents use the fixed composite
     Gauss-Legendre rule.
     """
-    if not m > 1:
-        raise ValueError(
-            f"violates (hpcost): tanh-power mobility needs m > 1, got {m}")
 
-    def kappa(r):
+    m: float = 2.0
+    kappa_star = math.tanh(1.0)
+    kappa_sup = 1.0
+    r_star = 1.0
+
+    def __post_init__(self):
+        if not self.m > 1:
+            raise ValueError(f"violates (hpcost): tanh-power mobility needs "
+                             f"m > 1, got {self.m}")
+
+    def kappa(self, r):
         r = np.asarray(r, dtype=float)
-        return np.tanh(np.maximum(r, 0.0) ** (m - 1.0))
+        return np.tanh(np.maximum(r, 0.0) ** (self.m - 1.0))
 
-    def K(r):
+    def K(self, r):
+        if self.m == 2.0:
+            return _ln_cosh(r)
         u4, wu3 = _quadrature()
-        return r * (kappa(np.multiply.outer(r, u4)) @ wu3)
-
-    return MobilityLaw(
-        kappa=kappa, K=_ln_cosh if m == 2.0 else K, kappa_star=math.tanh(1.0),
-        kappa_sup=1.0, r_star=1.0)
+        return r * (self.kappa(np.multiply.outer(r, u4)) @ wu3)
 
 
-def K_tau_array(mob: MobilityLaw, tau: float, r: np.ndarray) -> np.ndarray:
+# the name perfbench/traced.py builds its mobility with
+make_tanh_power_mobility = TanhPowerMobility
+
+Mobility = ConstantMobility | TanhPowerMobility
+
+
+def K_tau_array(mob: Mobility, tau: float, r: np.ndarray) -> np.ndarray:
     """Floored Kirchhoff transform: the antiderivative of kappa(|s|) + tau,
     odd in r."""
     r = np.asarray(r, dtype=float)
@@ -371,8 +379,8 @@ class Laws:
     """The complete set of material laws a run needs."""
 
     potential: Potential
-    coupling: CouplingLaw
-    mobility: MobilityLaw
+    coupling: Coupling
+    mobility: Mobility
 
     @property
     def graph(self) -> MonotoneGraph:

@@ -38,7 +38,12 @@ from .mesh import (
     field_of,
     unit_face_weights,
 )
-from .stepper import Trajectory, mu_system_coefficients, rho_stage_residual
+from .stepper import (
+    Trajectory,
+    mu_system_coefficients,
+    mu_weight,
+    rho_stage_residual,
+)
 
 SERIES_COLUMNS = ("step", "t", "E_mu", "F_rho", "diss_cum", "min_mu", "max_mu",
                   "min_rho", "max_rho", "newton_iters", "cg_iters")
@@ -154,7 +159,7 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     vol = grid.cell_volume
     mu_c, rho_c = cur.mu.values, cur.rho.values
     if prev is None:
-        a = cfg.epsilon + 2.0 * laws.coupling.g(rho_c)
+        a = mu_weight(cfg, laws, rho_c)
     else:
         a, b_plus, b_minus, k_lag = mu_system_coefficients(
             prev.mu, cur.rho, cur.dt_rho, cfg, laws)
@@ -314,12 +319,6 @@ def series_rows(traj: Trajectory, laws: Laws) -> list:
             for row in _fold(traj, laws)]
 
 
-def boundedness_report(traj: Trajectory) -> tuple:
-    """(sup over all steps and nodes of mu, sup of the initial datum)."""
-    sup_q = max(s.mu.max() for s in traj.states)
-    return sup_q, traj.states[0].mu.max()
-
-
 # ---------------------------------------------------------------------------
 # contraction metric
 
@@ -358,13 +357,12 @@ def contraction_metric(trajA: Trajectory, trajB: Trajectory,
         raise ValueError("trajectories were produced by different configurations")
     cfg = trajA.cfg
     vol = trajA.grid.cell_volume
-    eps = cfg.epsilon
     n_rows = len(trajA.states)
     z_gap = np.zeros(n_rows)
     rho_gap = np.zeros(n_rows)
     for n, (sa, sb) in enumerate(zip(trajA.states, trajB.states)):
-        za = sa.mu.values * np.sqrt(eps + 2.0 * laws.coupling.g(sa.rho.values))
-        zb = sb.mu.values * np.sqrt(eps + 2.0 * laws.coupling.g(sb.rho.values))
+        za = sa.mu.values * np.sqrt(mu_weight(cfg, laws, sa.rho.values))
+        zb = sb.mu.values * np.sqrt(mu_weight(cfg, laws, sb.rho.values))
         z_gap[n] = vol * float(np.sum((za - zb) ** 2))
         rho_gap[n] = vol * float(np.sum((sa.rho.values - sb.rho.values) ** 2))
     return ContractionSeries(t=trajA.times(), z_gap=z_gap, rho_gap=rho_gap)

@@ -75,6 +75,9 @@ from .mesh import (
 # it (degenerate mobilities) Jacobi wins on wall clock.
 DCT_CONTRAST_MAX = 2.0
 
+# Newton iterations of the rho stage before it fails.
+NEWTON_MAX_ITER = 50
+
 
 class ValidationError(ValueError):
     """Configuration or data violates a stated hypothesis."""
@@ -104,23 +107,24 @@ class SolverFailure(RuntimeError):
 class SolverConfig:
     """Time-integration parameters.
 
-    The step is derived, tau = T/N, and is not an argument.
-    ``yosida_lambda`` and ``mobility_floor_tau`` default (``None``) to the
-    step size, so refining the step simultaneously tightens the graph
-    regularization and removes the parabolicity floor.  The iteration cap
-    of both Krylov solves is not a parameter: it is 10 nodes + 100.
+    The step is derived, tau = T/N, and is not an argument; so are the
+    Yosida parameter ``yosida_lambda`` (tau, or 1 when N = 0) and the
+    parabolicity floor ``mobility_floor_tau`` (tau), so refining the step
+    simultaneously tightens the graph regularization and removes the floor.
+    The iteration caps are not parameters either: Newton stops after
+    :data:`NEWTON_MAX_ITER` iterations, both Krylov solves after
+    10 nodes + 100.
     """
 
     T: float
     n_steps: int
     tau: float = field(init=False)
+    yosida_lambda: float = field(init=False)
+    mobility_floor_tau: float = field(init=False)
     epsilon: float = 1.0
     delta: float = 1.0
-    yosida_lambda: float = None
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     linear_tol: float = 1e-11
-    mobility_floor_tau: float = None
 
     def __post_init__(self):
         if self.T < 0:
@@ -133,25 +137,13 @@ class SolverConfig:
         if self.n_steps > 0 and not tau > 0:
             raise ValidationError("step size must be positive")
         object.__setattr__(self, "tau", tau)
-        if self.yosida_lambda is None:
-            object.__setattr__(self, "yosida_lambda",
-                               tau if self.n_steps > 0 else 1.0)
-        if not self.yosida_lambda > 0:
-            raise ValidationError(
-                f"yosida_lambda must be positive, got {self.yosida_lambda!r}")
-        if self.mobility_floor_tau is None:
-            object.__setattr__(self, "mobility_floor_tau", tau)
-        if not self.mobility_floor_tau >= 0:
-            raise ValidationError(
-                f"mobility_floor_tau must be nonnegative, got "
-                f"{self.mobility_floor_tau!r}")
+        object.__setattr__(self, "yosida_lambda",
+                           tau if self.n_steps > 0 else 1.0)
+        object.__setattr__(self, "mobility_floor_tau", tau)
         if not (self.epsilon > 0 and self.delta > 0):
             raise ValidationError("epsilon and delta must be positive")
         if not (self.newton_tol > 0 and self.linear_tol > 0):
             raise ValidationError("solver tolerances must be positive")
-        if self.newton_max_iter < 1:
-            raise ValidationError(f"newton_max_iter must be at least 1, "
-                                  f"got {self.newton_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -281,7 +273,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     inner_tol = 0.1 * cfg.newton_tol
     # each test is written so that a NaN residual fails it
     while not res_norm <= cfg.newton_tol:
-        if iters >= cfg.newton_max_iter:
+        if iters >= NEWTON_MAX_ITER:
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
         diag = dt_coef + (graph.yosida_derivative(lam, r, p) + pot.f2_second(r)
                           - mu_d * cpl.g_second(r))
@@ -319,12 +311,18 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     return rho_new, xi_new, iters, res_norm
 
 
+def mu_weight(cfg: SolverConfig, laws: Laws, rho: np.ndarray) -> np.ndarray:
+    """The weight a = eps + 2 g(rho) of the potential's time derivative, at
+    node values ``rho``; the potential energy is (1/2) int a mu^2."""
+    return cfg.epsilon + 2.0 * laws.coupling.g(rho)
+
+
 def mu_system_coefficients(prev_mu: ScalarField, rho_new: ScalarField,
                            dt_rho: ScalarField, cfg: SolverConfig, laws: Laws):
     """Coefficient fields (a, b_plus, b_minus, kappa_tau at mu_prev) of the
     linearized potential stage; shared with the diagnostics residuals."""
     rv = rho_new.values
-    a = cfg.epsilon + 2.0 * laws.coupling.g(rv)
+    a = mu_weight(cfg, laws, rv)
     b = laws.coupling.g_prime(rv) * dt_rho.values
     b_plus = np.maximum(b, 0.0)
     b_minus = np.maximum(-b, 0.0)
@@ -518,6 +516,15 @@ def validate_initial_data(mu0: ScalarField, rho0: ScalarField, cfg: SolverConfig
         raise ValidationError(
             f"violates (hpzero): rho0 leaves the closed constraint interval "
             f"[0, 1] (range [{rho0.min():g}, {rho0.max():g}])")
+    # the initial E_mu as the ledgers form it: data whose energy a double
+    # cannot hold overflow in the first step's arithmetic
+    with np.errstate(over="ignore"):
+        energy = 0.5 * mu0.grid.cell_volume * float(
+            np.sum(mu_weight(cfg, laws, rho0.values) * mu0.values ** 2))
+    if not math.isfinite(energy):
+        raise ValidationError(
+            f"the initial energy E_mu = 0.5 int (eps + 2 g(rho0)) mu0^2 is "
+            f"not finite (max mu0 {mu0.max():g})")
     if cfg.n_steps > 0 and cfg.tau > laws.mobility.kappa_sup:
         raise ValidationError(
             f"violates the smallness assumption tau <= kappa_sup: "

@@ -31,6 +31,7 @@ from .stepper import (
     SolverConfig,
     Trajectory,
     ValidationError,
+    mu_weight,
     run,
     validate_initial_data,
 )
@@ -168,7 +169,7 @@ def reduced_ode_rhs(cfg: SolverConfig, laws: Laws):
         gp = float(laws.coupling.g_prime(np.asarray(rho)))
         rho_dot = (mu * gp - float(yosida_array(laws.graph, lam, rho))
                    - float(laws.potential.f2_prime(np.asarray(rho)))) / cfg.delta
-        a = cfg.epsilon + 2.0 * float(laws.coupling.g(np.asarray(rho)))
+        a = float(mu_weight(cfg, laws, np.asarray(rho)))
         mu_dot = -mu * gp * rho_dot / a
         return [mu_dot, rho_dot]
 
@@ -190,7 +191,7 @@ def integrate_reduced_ode(cfg: SolverConfig, laws: Laws, mu0: float,
 
 
 def _invariant(cfg, laws, mu: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return (cfg.epsilon + 2.0 * laws.coupling.g(rho)) * mu ** 2
+    return mu_weight(cfg, laws, rho) * mu ** 2
 
 
 def homogeneous_oracle(grid, cfg: SolverConfig, laws: Laws, mu0: float,

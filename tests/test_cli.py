@@ -109,9 +109,9 @@ class TestParseConfig:
         ("mu0 = constant nan\n", "mu0 has non-finite values"),
         ("potential = clamp\nrho0 = constant 1.5\n", r"\(hpzero\): rho0"),
         ("potential = log\nrho0 = constant -0.1\n", r"\(hpzero\): rho0"),
-        ("yosida_lambda = -1\n", "yosida_lambda must be positive"),
-        ("mobility_floor_tau = -0.5\n", "mobility_floor_tau must be nonneg"),
-        ("newton_max_iter = 0\n", "newton_max_iter must be at least 1"),
+        ("yosida_lambda = -1\n", "yosida_lambda was removed"),
+        ("mobility_floor_tau = -0.5\n", "mobility_floor_tau was removed"),
+        ("newton_max_iter = 0\n", "newton_max_iter was removed"),
         ("linear_max_iter = 7\n", "linear_max_iter was removed"),
         ("delta = inf\n", "delta must be finite, got 'inf'"),
         ("length = inf\n", "length must be finite, got 'inf'"),
@@ -123,6 +123,7 @@ class TestParseConfig:
             parse_config(MINIMAL + extra)
 
     @pytest.mark.parametrize("extra", [
+        # the retired keys at the values earlier versions rendered
         "yosida_lambda = 0\n", "mobility_floor_tau = -1\n",
         # parameters of a law that is not selected are not read
         "mobility = tanhpow\nkappa0 = 0\n", "coupling = linear\ng0 = -1\n",
@@ -136,16 +137,21 @@ class TestParseConfig:
         "sign_split_reaction = true\n", "sign_split_reaction = On\n",
         "sign_split_reaction = 1\n", "sign_split_reaction = yes\n",
         "face_average = arithmetic\n", "linear_max_iter = 0\n",
+        "yosida_lambda = 0\n", "mobility_floor_tau = -1\n",
+        "newton_max_iter = 50\n",
+        "yosida_lambda = 0\nmobility_floor_tau = -1\nnewton_max_iter = 50\n",
     ])
     def test_retired_keys_accepted_at_the_one_scheme(self, extra):
         assert parse_config(MINIMAL + extra) == parse_config(MINIMAL)
 
     def test_sentinels_tie_to_the_step(self):
+        # the Yosida parameter and the mobility floor are the step; with
+        # no step the parameter is 1 and the floor 0
         _grid, cfg, _laws, _initial = build_run(parse_config(MINIMAL))
-        assert cfg.yosida_lambda == cfg.mobility_floor_tau == cfg.tau
+        assert cfg.yosida_lambda == cfg.mobility_floor_tau == cfg.tau == 1 / 16
         _grid, cfg, _laws, _initial = build_run(parse_config(
-            MINIMAL + "yosida_lambda = 0.5\nmobility_floor_tau = 0\n"))
-        assert (cfg.yosida_lambda, cfg.mobility_floor_tau) == (0.5, 0.0)
+            "n = 16\nT = 0\nN = 0\n"))
+        assert (cfg.yosida_lambda, cfg.mobility_floor_tau) == (1.0, 0.0)
 
     @pytest.mark.parametrize("cfg", [
         Config(),
@@ -382,10 +388,10 @@ class TestCliExitCodes:
     RUN = ("validate", "simulate")
 
     @pytest.mark.parametrize("commands,extra,message", [
-        (RUN, "yosida_lambda = -1\n", "yosida_lambda must be positive"),
-        (RUN, "mobility_floor_tau = -0.5\n",
-         "mobility_floor_tau must be nonnegative"),
-        (RUN, "newton_max_iter = 0\n", "newton_max_iter must be at least 1"),
+        (RUN, "yosida_lambda = 0.5\n", "line 4: yosida_lambda was removed"),
+        (RUN, "mobility_floor_tau = 0\n",
+         "line 4: mobility_floor_tau was removed"),
+        (RUN, "newton_max_iter = 1\n", "line 4: newton_max_iter was removed"),
         (RUN, "linear_max_iter = 7\n", "linear_max_iter was removed"),
         (("study",), "study = tau_refinement\nstudy_values = 8 16\n",
          "at least 3 sweep values"),
@@ -409,6 +415,9 @@ class TestCliExitCodes:
         (RUN, "tau = abc\n", "line 4: bad value for 'tau'"),
         (RUN, "epsilon = inf\n", "line 4: epsilon must be finite"),
         (RUN, "mu0 = bump 0.5 0 1\n", "bump radius must be positive"),
+        (RUN, "mu0 = constant 1e300\n",
+         "the initial energy E_mu = 0.5 int (eps + 2 g(rho0)) mu0^2 is not "
+         "finite (max mu0 1e+300)"),
         (RUN, "mu0 = file {tmp}/absent.txt\n", "absent.txt"),
         (RUN, "mu0 = file {tmp}/malformed.txt\n", "malformed snapshot header"),
         (("diagnose absent",), "", "absent"),
@@ -420,6 +429,7 @@ class TestCliExitCodes:
             "refinement_fractional_steps", "demo_fractional_steps",
             "perturbation_negative", "malformed_recipe_number",
             "malformed_tau", "non_finite_float", "zero_bump_radius",
+            "initial_energy_overflow",
             "missing_mu0_file", "malformed_mu0_file", "missing_traj",
             "corrupt_snapshot", "snapshot_on_other_grid"])
     def test_input_errors_exit_2_before_any_step(self, tmp_path, capsys,
@@ -446,29 +456,35 @@ class TestCliExitCodes:
 
         monkeypatch.setattr(stepper, "step", no_step)
         monkeypatch.setattr(studies, "run", no_step)
-        for command in commands:
-            if command == "validate":
-                argv = ["validate", "--config", path]
-            elif command == "study":
-                argv = ["study", "--spec", path, "--out", str(tmp_path / "s")]
-            elif command == "simulate":
-                argv = ["simulate", "--config", path,
-                        "--out", str(tmp_path / "out")]
-            else:
-                argv = ["diagnose", "--traj",
-                        str(tmp_path / command.split()[1]),
-                        "--out", str(tmp_path / "rep.csv")]
-            assert main(argv) == 2, command
-            err = capsys.readouterr().err
-            assert err.startswith("config error: ") and message in err
+        # each rejection comes before any arithmetic that could warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command in commands:
+                if command == "validate":
+                    argv = ["validate", "--config", path]
+                elif command == "study":
+                    argv = ["study", "--spec", path,
+                            "--out", str(tmp_path / "s")]
+                elif command == "simulate":
+                    argv = ["simulate", "--config", path,
+                            "--out", str(tmp_path / "out")]
+                else:
+                    argv = ["diagnose", "--traj",
+                            str(tmp_path / command.split()[1]),
+                            "--out", str(tmp_path / "rep.csv")]
+                assert main(argv) == 2, command
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and message in err
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.txt")]) == 2
 
-    def test_solver_failure_exits_3(self, tmp_path, capsys):
+    def test_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # one Newton iteration cannot absorb a violent forcing
+        monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 1)
         text = ("n = 16\nT = 0.5\nN = 2\npotential = log\nalpha2 = 50\n"
-                "newton_max_iter = 1\nmu0 = constant 10\nrho0 = constant 0.5\n")
+                "mu0 = constant 10\nrho0 = constant 0.5\n")
         path = self._write(tmp_path, text)
         assert main(["simulate", "--config", path, "--out",
                      str(tmp_path / "out")]) == 3
@@ -492,21 +508,22 @@ class TestCliExitCodes:
         assert cli.verify_manifest(out) == []
         assert "failure.txt" in (out / "manifest.txt").read_text()
 
-    def test_arithmetic_failure_in_a_stage_leaves_evidence(self, tmp_path,
-                                                           capsys):
-        # the data pass validate, but the rho stage's MINRES norm overflows
-        # and its next Givens rotation divides by zero.  The initial energy
-        # E_mu = 0.5 sum(a mu0^2) overflows too: that one warning is expected
-        path = self._write(tmp_path, "n = 8\nT = 0.1\nN = 2\n"
-                                     "mu0 = constant 1e300\n")
+    def test_arithmetic_failure_in_a_stage_leaves_evidence(
+            self, tmp_path, capsys, monkeypatch):
+        # a division by zero inside the rho stage, such as a Givens rotation
+        # of MINRES after its residual norm overflowed
+        def dividing_by_zero(*_args):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(stepper, "step_rho", dividing_by_zero)
+        path = self._write(tmp_path, "n = 8\nT = 0.1\nN = 2\n")
         assert main(["validate", "--config", path]) == 0
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["simulate", "--config", path,
                          "--out", str(out)]) == 3
-        assert [str(w.message) for w in caught] == [
-            "overflow encountered in square"]
+        assert caught == []
         assert ("arithmetic failure in the rho stage: float division by zero"
                 in capsys.readouterr().err)
         failure = (out / "failure.txt").read_text().splitlines()
@@ -546,9 +563,10 @@ class TestCliExitCodes:
         assert "failure.txt" in (out / "manifest.txt").read_text()
 
     def test_diagnose_of_a_failed_run_names_failure_txt(self, tmp_path,
-                                                        capsys):
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 1)
         text = ("n = 16\nT = 0.5\nN = 2\npotential = log\nalpha2 = 50\n"
-                "newton_max_iter = 1\nmu0 = constant 10\nrho0 = constant 0.5\n")
+                "mu0 = constant 10\nrho0 = constant 0.5\n")
         path = self._write(tmp_path, text)
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 3
@@ -564,7 +582,8 @@ class TestCliExitCodes:
         assert not (tmp_path / "rep.csv").exists()
 
     @pytest.mark.parametrize("line", ["sign_split_reaction = false\n",
-                                      "face_average = harmonic\n"])
+                                      "face_average = harmonic\n",
+                                      "yosida_lambda = 0.5\n"])
     def test_retired_key_at_another_value_exits_2(self, tmp_path, capsys,
                                                   line):
         path = self._write(tmp_path, MINIMAL + line)
@@ -584,11 +603,14 @@ class TestCliExitCodes:
         config_txt = out / "config.txt"
         text = config_txt.read_text()
         text = text.replace(
-            "\nmobility_floor_tau =",
+            "\nnewton_tol =",
+            "\nyosida_lambda = 0\nnewton_tol =").replace(
+            "\nlinear_tol =",
+            "\nnewton_max_iter = 50\nlinear_tol =").replace(
+            "\nmu0 =",
             "\nlinear_max_iter = 0\nsign_split_reaction = true\n"
-            "mobility_floor_tau =")
-        text = text.replace("\nmu0 =", "\nface_average = arithmetic\nmu0 =")
-        assert text.count("\n") == config_txt.read_text().count("\n") + 3
+            "mobility_floor_tau = -1\nface_average = arithmetic\nmu0 =")
+        assert text.count("\n") == config_txt.read_text().count("\n") + 6
         config_txt.write_text(text)
         write_manifest(out)
         assert main(["diagnose", "--traj", str(out),
@@ -879,3 +901,78 @@ class TestBlasThreads:
                   "rho0 = cosine 0.5 0.2\n")
         manifests = self._manifests(tmp_path, config)
         assert manifests[0] == manifests[1]
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel set OPENBLAS_CORETYPE picks at load time."""
+    build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    blas = build.get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def _cpu_has(*features) -> bool:
+    """Whether numpy reports every one of ``features`` available here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return all(__cpu_features__.get(f) for f in features)
+
+
+# numpy's SIMD dispatch levels above AVX2 (numpy 2.x names)
+NPY_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+class TestKernelSwitches:
+    """Where bitwise manifests hold across CPU kernels (docs/diagnostics.md):
+    a run's manifest is the same when numpy runs its AVX2 loops in place of
+    its AVX-512 ones, and, in 2-D, when OpenBLAS runs its Haswell (AVX2)
+    kernels.  The 1-D DCT apply is a BLAS matrix-vector product, whose
+    Haswell kernel sums in another order, so 1-D runs are not pinned to the
+    BLAS kernel."""
+
+    CONFIGS = {
+        "2d": ("dim = 2\nn = 16\nT = 0.1\nN = 8\npotential = log\n"
+               "mobility = tanhpow\nmu0 = bump 0.5 0.2 1.0\n"
+               "rho0 = cosine 0.5 0.2\n"),
+        "1d": ("n = 64\nT = 0.1\nN = 8\npotential = log\nmobility = tanhpow\n"
+               "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n"),
+    }
+
+    @staticmethod
+    def _manifest(tmp_path, name, config, **env) -> str:
+        cwd = tmp_path / name
+        cwd.mkdir()
+        (cwd / "c.txt").write_text(config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vchsim.cli", "simulate",
+             "--config", "c.txt", "--out", "run"],
+            cwd=cwd, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                     **env))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return (cwd / "run" / "manifest.txt").read_text()
+
+    def test_2d_manifest_is_the_same_under_the_haswell_blas_kernels(
+            self, tmp_path):
+        if not _dynamic_openblas():
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                        "OPENBLAS_CORETYPE selects nothing")
+        if not _cpu_has("AVX2", "FMA3"):
+            pytest.skip("the CPU cannot run the Haswell kernels")
+        config = self.CONFIGS["2d"]
+        assert (self._manifest(tmp_path, "haswell", config,
+                               OPENBLAS_CORETYPE="Haswell")
+                == self._manifest(tmp_path, "default", config))
+
+    @pytest.mark.parametrize("dim", ["1d", "2d"])
+    def test_manifest_is_the_same_without_numpy_avx512_loops(self, tmp_path,
+                                                             dim):
+        if not _cpu_has(*NPY_AVX512):
+            pytest.skip(f"numpy does not run {' '.join(NPY_AVX512)} loops "
+                        f"here, so there is nothing to switch off")
+        config = self.CONFIGS[dim]
+        assert (self._manifest(tmp_path, "avx2", config,
+                               NPY_DISABLE_CPU_FEATURES=" ".join(NPY_AVX512))
+                == self._manifest(tmp_path, "default", config))

@@ -1,19 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from vchsim.config import Config, build_laws
 from vchsim.constitutive import (
     ClampIndicator,
+    ConstantCoupling,
+    ConstantMobility,
     K_tau_array,
+    LinearCoupling,
     LogGraph,
     Potential,
-    make_constant_coupling,
-    make_constant_mobility,
-    make_linear_coupling,
-    make_tanh_power_mobility,
+    TanhPowerMobility,
     yosida_array,
 )
 from vchsim.stepper import SolverConfig
@@ -90,11 +92,12 @@ class TestResolvent:
                            rtol=1e-12, atol=0.0)
 
     def test_rejects_nonpositive_step(self):
-        # the resolvent step is the solver config's yosida_lambda, which
-        # rejects nonpositive values before any resolvent is taken
-        for lam in (0.0, -1.0):
-            with pytest.raises(ValueError, match="yosida_lambda"):
-                SolverConfig(T=1.0, n_steps=4, yosida_lambda=lam)
+        # the resolvent step is the solver config's yosida_lambda: the time
+        # step, which is rejected unless positive, or 1 when N = 0
+        with pytest.raises(ValueError, match="step size must be positive"):
+            SolverConfig(T=0.0, n_steps=4)
+        assert SolverConfig(T=1.0, n_steps=4).yosida_lambda == 0.25
+        assert SolverConfig(T=0.0, n_steps=0).yosida_lambda == 1.0
 
 
 class TestGraphSelect:
@@ -150,25 +153,25 @@ class TestPotentials:
 
 class TestCouplingLaw:
     def test_linear_is_identity_past_blend(self):
-        cpl = make_linear_coupling()
+        cpl = LinearCoupling()
         for r in (0.1, 0.5, 1.0, 3.0):
             assert float(cpl.g(np.asarray(r))) == pytest.approx(r, abs=1e-15)
             assert float(cpl.g_prime(np.asarray(r))) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_nonnegative_everywhere(self):
-        cpl = make_linear_coupling()
+        cpl = LinearCoupling()
         r = np.linspace(-2.0, 2.0, 4001)
         assert np.all(cpl.g(r) >= 0.0)
 
     def test_linear_flat_below_zero(self):
-        cpl = make_linear_coupling()
+        cpl = LinearCoupling()
         assert float(cpl.g(np.asarray(-0.5))) == 0.0
         assert float(cpl.g_prime(np.asarray(-0.5))) == 0.0
 
     def test_c2_junctions(self):
         # third derivative is O(1/w^2) ~ 3.6e3, so probes at +-1e-9 may differ
         # by a few 1e-6 in g'' while g'' itself stays continuous
-        cpl = make_linear_coupling()
+        cpl = LinearCoupling()
         for x0 in (0.0, 0.1):
             for fn, tol in ((cpl.g, 4e-9), (cpl.g_prime, 1e-7),
                             (cpl.g_second, 1e-5)):
@@ -177,7 +180,7 @@ class TestCouplingLaw:
                 assert abs(left - right) <= tol
 
     def test_constant_coupling_decouples(self):
-        cpl = make_constant_coupling(0.7)
+        cpl = ConstantCoupling(0.7)
         r = np.linspace(-1, 2, 7)
         assert np.all(cpl.g(r) == 0.7)
         assert np.all(cpl.g_prime(r) == 0.0)
@@ -185,26 +188,26 @@ class TestCouplingLaw:
 
 class TestMobilityTransforms:
     def test_constant_closed_forms(self):
-        mob = make_constant_mobility(1.0)
+        mob = ConstantMobility(1.0)
         assert mob.K(2.0) == 2.0
         assert np.allclose(K_tau_array(mob, 0.1, np.array([2.0, -2.0])),
                            [2.2, -2.2], rtol=0.0, atol=1e-14)
 
     def test_tanh_matches_quadrature_oracle(self):
-        mob = make_tanh_power_mobility(2.0)
+        mob = TanhPowerMobility(2.0)
         oracle, _ = quad(math.tanh, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
         assert float(K_tau_array(mob, 0.0, 1.0)) == pytest.approx(oracle, abs=1e-12)
         assert float(K_tau_array(mob, 0.0, 1.0)) == pytest.approx(LN_COSH_1, abs=1e-12)
 
     def test_general_exponent_uses_quadrature(self):
-        mob = make_tanh_power_mobility(2.5)
+        mob = TanhPowerMobility(2.5)
         oracle, _ = quad(lambda s: math.tanh(s ** 1.5), 0.0, 2.0,
                          epsabs=1e-13, epsrel=1e-13)
         assert float(K_tau_array(mob, 0.0, 2.0)) == pytest.approx(oracle, abs=1e-11)
 
     def test_k_tau_array_matches_scalar(self):
-        for mob in (make_constant_mobility(1.3), make_tanh_power_mobility(2.0),
-                    make_tanh_power_mobility(2.3)):
+        for mob in (ConstantMobility(1.3), TanhPowerMobility(2.0),
+                    TanhPowerMobility(2.3)):
             r = np.array([-2.0, -0.3, 0.0, 0.7, 4.0])
             vec = K_tau_array(mob, 0.05, r)
             scal = np.array([k_tau_reference(mob, 0.05, v) for v in r])
@@ -213,7 +216,7 @@ class TestMobilityTransforms:
     @pytest.mark.parametrize("m", [1.05, 1.5, 2.5, 3.0, 4.0])
     def test_matches_adaptive_quadrature(self, m):
         # no floor, so the relative error is that of K itself
-        mob = make_tanh_power_mobility(m)
+        mob = TanhPowerMobility(m)
         mags = np.logspace(-8.0, 2.0, 31)
         r = np.concatenate([-mags[::-1], mags]).reshape(2, -1)
         vec = K_tau_array(mob, 0.0, r)
@@ -222,7 +225,7 @@ class TestMobilityTransforms:
         assert np.max(np.abs(vec.ravel() - ref) / np.abs(ref)) <= 1e-12
 
     def test_m2_closed_form_bitwise_unchanged(self):
-        mob = make_tanh_power_mobility(2.0)
+        mob = TanhPowerMobility(2.0)
         r = np.linspace(-30.0, 30.0, 602).reshape(2, -1)
         a = np.abs(r)
         ln_cosh = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
@@ -232,9 +235,9 @@ class TestMobilityTransforms:
 
     def test_mobility_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            make_constant_mobility(0.0)
+            ConstantMobility(0.0)
         with pytest.raises(ValueError):
-            make_tanh_power_mobility(1.0)
+            TanhPowerMobility(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +272,33 @@ def test_yosida_monotone_and_lipschitz(r1, r2, graph_i, lam_i):
 @settings(max_examples=30, deadline=None)
 @given(tau=st.floats(min_value=1e-4, max_value=1.0))
 def test_k_tau_strictly_increasing(tau):
-    mob = make_tanh_power_mobility(2.0)
+    mob = TanhPowerMobility(2.0)
     r = np.linspace(-3.0, 3.0, 61)
     vals = K_tau_array(mob, tau, r)
     assert np.all(np.diff(vals) > 0.0)
 
 
-@pytest.mark.parametrize("mob", [make_constant_mobility(1.5),
-                                 make_tanh_power_mobility(2.0),
-                                 make_tanh_power_mobility(1.7)])
+@pytest.mark.parametrize("mob", [ConstantMobility(1.5),
+                                 TanhPowerMobility(2.0),
+                                 TanhPowerMobility(1.7)])
 def test_kappa_structural_bounds(mob):
     r = np.linspace(0.0, 50.0, 500)
     k = mob.kappa(r)
     assert np.all(k <= mob.kappa_sup + 1e-15)
     above = r >= mob.r_star
     assert np.all(k[above] >= mob.kappa_star - 1e-12)
+
+
+@pytest.mark.parametrize("config", [
+    Config(),
+    Config(potential="log", alpha1=0.7, mobility="tanhpow", m=2.5,
+           coupling="constant", g0=0.3),
+])
+def test_laws_are_values(config):
+    # two builds of one config are equal and hash alike, so laws can key a
+    # cache or be compared across runs
+    first, second = build_laws(config), build_laws(config)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first.mobility != build_laws(replace(config, kappa0=2.0,
+                                                m=3.0)).mobility

@@ -10,12 +10,12 @@ import scipy.sparse.linalg
 from vchsim.config import Config, build_run
 from vchsim.constitutive import (
     ClampIndicator,
+    ConstantCoupling,
+    ConstantMobility,
     Laws,
+    LinearCoupling,
     LogGraph,
     Potential,
-    make_constant_coupling,
-    make_constant_mobility,
-    make_linear_coupling,
 )
 import vchsim.stepper as stepper
 from vchsim.mesh import Grid, ScalarField, div_k_grad_arrays, field_of
@@ -36,9 +36,8 @@ from oracles import laplacian_matrix
 def make_laws(potential="clamp", alpha1=0.5, alpha2=2.0, coupling="linear",
               g0=0.0, kappa0=1.0):
     graph = ClampIndicator() if potential == "clamp" else LogGraph(alpha1)
-    cpl = (make_linear_coupling() if coupling == "linear"
-           else make_constant_coupling(g0))
-    return Laws(Potential(graph, alpha2), cpl, make_constant_mobility(kappa0))
+    cpl = LinearCoupling() if coupling == "linear" else ConstantCoupling(g0)
+    return Laws(Potential(graph, alpha2), cpl, ConstantMobility(kappa0))
 
 
 def states_equal(a, b):
@@ -70,11 +69,14 @@ class TestSolverConfig:
         with pytest.raises(ValidationError):
             SolverConfig(T=1.0, n_steps=4, newton_tol=0.0)
 
+    # the Yosida parameter and the mobility floor are derived from the
+    # step, and the Newton cap is stepper.NEWTON_MAX_ITER, so none of them
+    # is an argument, just as tau is not
     @pytest.mark.parametrize("control", [
-        {"yosida_lambda": -1.0}, {"mobility_floor_tau": -0.5},
-        {"newton_max_iter": 0}])
+        {"yosida_lambda": 0.5}, {"mobility_floor_tau": 0.0},
+        {"newton_max_iter": 1}])
     def test_out_of_range_controls_rejected(self, control):
-        with pytest.raises(ValidationError, match=next(iter(control))):
+        with pytest.raises(TypeError, match=next(iter(control))):
             SolverConfig(T=1.0, n_steps=4, **control)
 
 
@@ -93,7 +95,9 @@ class TestStepRho:
     def test_constant_data_matches_scalar_bisection_oracle(self):
         # oracle: backward-Euler scalar equation with the Yosida term built
         # from nested bisections, nothing shared with the module under test
-        alpha1, alpha2, delta, tau, lam = 0.5, 2.0, 1.0, 0.05, 0.01
+        # the Yosida parameter is the step
+        alpha1, alpha2, delta, tau = 0.5, 2.0, 1.0, 0.05
+        lam = tau
         mu_val, rho_prev_val = 0.8, 0.45
 
         def beta(r):
@@ -128,7 +132,8 @@ class TestStepRho:
 
         grid = Grid(1, 8, 1.0)
         laws = make_laws(potential="log", alpha1=alpha1, alpha2=alpha2)
-        cfg = SolverConfig(T=20 * tau, n_steps=20, yosida_lambda=lam)
+        cfg = SolverConfig(T=20 * tau, n_steps=20)
+        assert cfg.yosida_lambda == lam
         prev = initial_state(field_of(grid, mu_val),
                              field_of(grid, rho_prev_val), cfg, laws)
         rho_new, _, _, _ = step_rho(prev, field_of(grid, mu_val), cfg, laws)
@@ -183,7 +188,7 @@ class TestStepMu:
         grid = Grid(1, 32, 1.0)
         g0, kappa0, eps = 0.4, 1.3, 1.0
         laws = make_laws(coupling="constant", g0=g0, kappa0=kappa0)
-        cfg = SolverConfig(T=1.0, n_steps=16, mobility_floor_tau=0.0)
+        cfg = SolverConfig(T=1.0, n_steps=16)
         x = grid.coordinates()
         c, A = 1.0, 0.5
         mu_prev = field_of(grid, c + A * np.cos(np.pi * x))
@@ -191,7 +196,8 @@ class TestStepMu:
         mu_new, _, _ = step_mu(prev, prev.rho, prev.dt_rho, cfg, laws)
         lam_h = (2.0 / grid.h ** 2) * (1.0 - np.cos(np.pi * grid.h))
         a = eps + 2.0 * g0
-        expected = c + A * np.cos(np.pi * x) / (1.0 + cfg.tau * kappa0 * lam_h / a)
+        k = kappa0 + cfg.tau  # the floored mobility, uniform
+        expected = c + A * np.cos(np.pi * x) / (1.0 + cfg.tau * k * lam_h / a)
         assert np.max(np.abs(mu_new.values - expected)) <= 1e-9
 
     @pytest.mark.parametrize("dt_rho_value", [0.8, -0.8])
@@ -421,14 +427,15 @@ class TestAdvanceAndRun:
         laws = make_laws(potential="clamp", alpha2=0.0, coupling="constant",
                          g0=g0, kappa0=kappa0)
         N = 16
-        cfg = SolverConfig(T=0.5, n_steps=N, mobility_floor_tau=0.0)
+        cfg = SolverConfig(T=0.5, n_steps=N)
         x = grid.coordinates()
         c, A = 1.0, 0.5
         mu0 = field_of(grid, c + A * np.cos(np.pi * x))
         traj = run(cfg, laws, (mu0, field_of(grid, 0.5)))
         lam_h = (2.0 / grid.h ** 2) * (1.0 - np.cos(np.pi * grid.h))
         a = 1.0 + 2.0 * g0
-        factor = (1.0 + cfg.tau * kappa0 * lam_h / a) ** (-N)
+        k = kappa0 + cfg.tau  # the floored mobility, uniform
+        factor = (1.0 + cfg.tau * k * lam_h / a) ** (-N)
         expected = c + A * np.cos(np.pi * x) * factor
         assert np.max(np.abs(traj.states[-1].mu.values - expected)) <= 1e-8
 
