@@ -33,6 +33,8 @@ from .diagnostics import (
 )
 from .mesh import ScalarField, field_of, read_snapshot, write_snapshot
 from .stepper import (
+    LINEAR_TOL,
+    NEWTON_TOL,
     SimState,
     SolverFailure,
     Trajectory,
@@ -152,11 +154,12 @@ def simulate_to_dir(config: Config, outdir) -> Trajectory:
     report.  On a solver failure the completed steps' rows and snapshots
     stay, the last completed state is written, failure.txt records the
     failed step, the manifest is written, and the failure is re-raised.
+    A run rejected by its data rules writes nothing, not even the directory.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     _grid, cfg, laws, initial = build_run(config)
     steps = iterate(cfg, laws, initial)  # checks the data before any file
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(render_config(config))
     stride, last = config.snapshot_stride, cfg.n_steps
     fold = LedgerFold(cfg, laws)
@@ -241,9 +244,10 @@ def diagnose_to_report(rundir, report_path) -> list:
 
     The snapshots are then read in one pass that holds two states, and
     the ledger fold (the one behind series.csv, here with the residuals)
-    makes each report.csv row; the gates read the rows, and a NaN counts
-    as a violation.  report.csv is written once the last state has been
-    read, so an unreadable run leaves no report.
+    makes each report.csv row; the gates read the rows against the
+    stepper's stopping targets, ``NEWTON_TOL`` and ``LINEAR_TOL``, and a
+    NaN counts as a violation.  report.csv is written once the last state
+    has been read, so an unreadable run leaves no report.
     """
     rundir = Path(rundir)
     listed = _read_manifest(rundir)
@@ -267,10 +271,10 @@ def diagnose_to_report(rundir, report_path) -> list:
 
     violations = []
     min_mu = column("min_mu").min()
-    if not min_mu >= -10.0 * cfg.linear_tol:
+    if not min_mu >= -10.0 * LINEAR_TOL:
         violations.append(f"positivity: min mu = {min_mu:.3e} "
-                          f"below -10*linear_tol")
-    solver_band = 10.0 * (cfg.newton_tol + cfg.linear_tol)
+                          f"below -10*LINEAR_TOL")
+    solver_band = 10.0 * (NEWTON_TOL + LINEAR_TOL)
     if not column("res_mu_native").max() <= solver_band:
         violations.append("native potential-stage residual exceeds the solver band")
     if not column("res_rho_native").max() <= solver_band:
@@ -287,6 +291,29 @@ def diagnose_to_report(rundir, report_path) -> list:
 
 
 def run_study(config: Config, outdir) -> None:
+    """Run the study block of a config, then write config.txt, the study's
+    table and the manifest into a directory.  Each study checks its rules
+    and every member's data before its first step, and the directory is
+    made only once the study has run, so a rejected study writes nothing.
+    A solver failure leaves only config.txt and is re-raised."""
+    outdir = Path(outdir)
+
+    def start():
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "config.txt").write_text(render_config(config))
+
+    try:
+        name, rows, columns = _study_table(config)
+    except SolverFailure:
+        start()
+        raise
+    start()
+    write_series(outdir / name, rows, columns)
+    write_manifest(outdir)
+
+
+def _study_table(config: Config):
+    """(file name, rows, columns) of the config's study, run in memory."""
     # imported here: only the study command needs the experiment suites
     from .studies import (
         StudySpec,
@@ -296,9 +323,6 @@ def run_study(config: Config, outdir) -> None:
         tau_refinement,
     )
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.txt").write_text(render_config(config))
     if config.study == "tau_refinement":
         spec = StudySpec(base=config, values=tuple(config.study_values),
                          reference=config.study_reference)
@@ -306,8 +330,8 @@ def run_study(config: Config, outdir) -> None:
         rows = [{"n_steps": v, "error": e,
                  "order": o if o is not None else float("nan")}
                 for v, e, o in table.rows]
-        write_series(outdir / "orders.csv", rows, ("n_steps", "error", "order"))
-    elif config.study == "homogeneous_oracle":
+        return "orders.csv", rows, ("n_steps", "error", "order")
+    if config.study == "homogeneous_oracle":
         grid, cfg, laws, (mu0, rho0) = build_run(config)
         if np.ptp(mu0.values) or np.ptp(rho0.values):
             raise ConfigError("the oracle study needs spatially constant data")
@@ -320,9 +344,9 @@ def run_study(config: Config, outdir) -> None:
                  "mu_oracle": report.mu_oracle[i],
                  "rho_oracle": report.rho_oracle[i]}
                 for i in range(len(report.t))]
-        write_series(outdir / "oracle.csv", rows,
-                     ("t", "mu_stepper", "rho_stepper", "mu_oracle", "rho_oracle"))
-    elif config.study == "degenerate_demo":
+        return "oracle.csv", rows, ("t", "mu_stepper", "rho_stepper",
+                                    "mu_oracle", "rho_oracle")
+    if config.study == "degenerate_demo":
         report = degenerate_demo(config, step_counts=config.study_values)
         rows = []
         for n_steps in report.step_counts:
@@ -331,9 +355,9 @@ def run_study(config: Config, outdir) -> None:
                              "radius": report.radii[n_steps][i],
                              "radius_control": report.control_radii[n_steps][i],
                              "ktau_vnorm_sup": report.ktau_vnorm_sup[n_steps]})
-        write_series(outdir / "degenerate.csv", rows,
-                     ("n_steps", "t", "radius", "radius_control", "ktau_vnorm_sup"))
-    elif config.study == "perturbation":
+        return "degenerate.csv", rows, ("n_steps", "t", "radius",
+                                        "radius_control", "ktau_vnorm_sup")
+    if config.study == "perturbation":
         report = perturbation_pairs(config, tuple(config.perturb_amplitude * v
                                                   for v in config.study_values),
                                     seed=config.perturb_seed)
@@ -341,11 +365,9 @@ def run_study(config: Config, outdir) -> None:
                  "growth_rate": r if r is not None else float("nan")}
                 for a, m, r in zip(report.amplitudes, report.final_metrics,
                                    report.growth_rates)]
-        write_series(outdir / "perturbation.csv", rows,
-                     ("amplitude", "final_metric", "growth_rate"))
-    else:
-        raise ConfigError("config has no study block")
-    write_manifest(outdir)
+        return "perturbation.csv", rows, ("amplitude", "final_metric",
+                                          "growth_rate")
+    raise ConfigError("config has no study block")
 
 
 # ---------------------------------------------------------------------------

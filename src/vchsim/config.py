@@ -54,9 +54,6 @@ class Config:
     delta: float = 1.0
     coupling: str = "linear"
     g0: float = 0.0
-    # solver controls
-    newton_tol: float = 1e-10
-    linear_tol: float = 1e-11
     # initial data recipes
     mu0: tuple = ("constant", 1.0)
     rho0: tuple = ("constant", 0.5)
@@ -99,6 +96,12 @@ _RETIRED_KEYS = {
     "mobility_floor_tau": (
         lambda raw: raw == "-1",
         "the mobility floor is always the step tau"),
+    "newton_tol": (
+        lambda raw: raw == "1e-10",
+        "Newton always stops at the max-norm residual 1e-10"),
+    "linear_tol": (
+        lambda raw: raw == "9.9999999999999994e-12",
+        "the potential stage always stops at the solution error 1e-11"),
 }
 
 
@@ -249,8 +252,7 @@ def build_grid(config: Config) -> Grid:
 
 def build_solver_config(config: Config) -> SolverConfig:
     return SolverConfig(T=config.T, n_steps=config.N, epsilon=config.epsilon,
-                        delta=config.delta, newton_tol=config.newton_tol,
-                        linear_tol=config.linear_tol)
+                        delta=config.delta)
 
 
 def build_laws(config: Config) -> laws_mod.Laws:

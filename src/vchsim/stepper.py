@@ -78,6 +78,13 @@ DCT_CONTRAST_MAX = 2.0
 # Newton iterations of the rho stage before it fails.
 NEWTON_MAX_ITER = 50
 
+# Stopping targets: the rho stage's Newton residual (max norm), and the mu
+# stage's solution error (2-norm), from which each stage derives the target
+# of its Krylov loop.  diagnose reads its positivity floor and its solver
+# band from these two as well.
+NEWTON_TOL = 1e-10
+LINEAR_TOL = 1e-11
+
 
 class ValidationError(ValueError):
     """Configuration or data violates a stated hypothesis."""
@@ -111,9 +118,10 @@ class SolverConfig:
     Yosida parameter ``yosida_lambda`` (tau, or 1 when N = 0) and the
     parabolicity floor ``mobility_floor_tau`` (tau), so refining the step
     simultaneously tightens the graph regularization and removes the floor.
-    The iteration caps are not parameters either: Newton stops after
-    :data:`NEWTON_MAX_ITER` iterations, both Krylov solves after
-    10 nodes + 100.
+    The stopping rules are not parameters either: Newton stops at
+    :data:`NEWTON_TOL` or after :data:`NEWTON_MAX_ITER` iterations, the
+    potential stage at :data:`LINEAR_TOL`, both Krylov solves after
+    10 nodes + 100 iterations.
     """
 
     T: float
@@ -123,8 +131,6 @@ class SolverConfig:
     mobility_floor_tau: float = field(init=False)
     epsilon: float = 1.0
     delta: float = 1.0
-    newton_tol: float = 1e-10
-    linear_tol: float = 1e-11
 
     def __post_init__(self):
         if self.T < 0:
@@ -142,8 +148,6 @@ class SolverConfig:
         object.__setattr__(self, "mobility_floor_tau", tau)
         if not (self.epsilon > 0 and self.delta > 0):
             raise ValidationError("epsilon and delta must be positive")
-        if not (self.newton_tol > 0 and self.linear_tol > 0):
-            raise ValidationError("solver tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     matrix-free with L the unit-coefficient flux divergence.  J is
     symmetric, and indefinite where a concave potential part outweighs
     delta/tau, so MINRES takes every direction to a 2-norm residual of
-    ``0.1 newton_tol`` within 10 nodes + 100 iterations, preconditioned by
+    ``0.1 NEWTON_TOL`` within 10 nodes + 100 iterations, preconditioned by
     the DCT solve of the SPD ``mean|delta/tau + d| I - L``.  Where
     delta/tau + d vanishes at every node, J = -L is singular and the stage
     fails with that diagnosis.
@@ -270,9 +274,9 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     iters = 0
     # the direction's linear residual adds at most this much (max norm)
     # to the next Newton residual
-    inner_tol = 0.1 * cfg.newton_tol
+    inner_tol = 0.1 * NEWTON_TOL
     # each test is written so that a NaN residual fails it
-    while not res_norm <= cfg.newton_tol:
+    while not res_norm <= NEWTON_TOL:
         if iters >= NEWTON_MAX_ITER:
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
         diag = dt_coef + (graph.yosida_derivative(lam, r, p) + pot.f2_second(r)
@@ -295,7 +299,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
             trial = r - alpha * step
             trial_res, trial_p = residual(trial)
             trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm <= cfg.newton_tol:
+            if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm <= NEWTON_TOL:
                 break
             alpha *= 0.5
         else:
@@ -368,8 +372,8 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
             return r / diag_flat
 
     # residual target: lambda_min >= min(a)/tau, so this keeps the solution
-    # error (2-norm) at or below linear_tol
-    tol = cfg.linear_tol * min(1.0, float(a.min()) / cfg.tau)
+    # error (2-norm) at or below LINEAR_TOL
+    tol = LINEAR_TOL * min(1.0, float(a.min()) / cfg.tau)
     x, iters, rnorm = _pcg(apply_system, rhs, precondition,
                            prev.mu.values.ravel().copy(), tol,
                            _krylov_cap(grid))
@@ -529,6 +533,15 @@ def validate_initial_data(mu0: ScalarField, rho0: ScalarField, cfg: SolverConfig
         raise ValidationError(
             f"violates the smallness assumption tau <= kappa_sup: "
             f"tau = {cfg.tau:g}, kappa_sup = {laws.mobility.kappa_sup:g}")
+    # the clamp's rho-stage Jacobian diagonal inside [0, 1] where g'' = 0,
+    # in the stage's own floats; at 0, J = -L annihilates constants
+    if (cfg.n_steps > 0 and isinstance(laws.graph, ClampIndicator)
+            and cfg.delta / cfg.tau
+            + float(laws.potential.f2_second(0.0)) == 0.0):
+        raise ValidationError(
+            f"violates delta/tau != 2 alpha2 for the clamp potential: the "
+            f"rho-stage Jacobian is singular inside [0, 1] "
+            f"(delta/tau = {cfg.delta / cfg.tau:g} = 2 alpha2)")
 
 
 def initial_state(mu0: ScalarField, rho0: ScalarField, cfg: SolverConfig,

@@ -99,7 +99,8 @@ class TestParseConfig:
         ("epsilon = 0\n", "epsilon and delta must be positive"),
         ("delta = -1\n", "epsilon and delta must be positive"),
         ("face_average = geometric\n", "face_average was removed"),
-        ("newton_tol = 0\n", "tolerances must be positive"),
+        ("newton_tol = 0\n", "newton_tol was removed"),
+        ("linear_tol = 1e-9\n", "linear_tol was removed"),
         ("potential = log\nalpha1 = 0\n", "alpha1 must be positive"),
         ("mobility = constant\nkappa0 = 0\n", r"\(hpcost\): kappa0"),
         ("mobility = tanhpow\nm = 1\n", r"\(hpcost\): tanh-power"),
@@ -138,8 +139,10 @@ class TestParseConfig:
         "sign_split_reaction = 1\n", "sign_split_reaction = yes\n",
         "face_average = arithmetic\n", "linear_max_iter = 0\n",
         "yosida_lambda = 0\n", "mobility_floor_tau = -1\n",
-        "newton_max_iter = 50\n",
-        "yosida_lambda = 0\nmobility_floor_tau = -1\nnewton_max_iter = 50\n",
+        "newton_max_iter = 50\n", "newton_tol = 1e-10\n",
+        "linear_tol = 9.9999999999999994e-12\n",
+        "yosida_lambda = 0\nmobility_floor_tau = -1\nnewton_max_iter = 50\n"
+        "newton_tol = 1e-10\nlinear_tol = 9.9999999999999994e-12\n",
     ])
     def test_retired_keys_accepted_at_the_one_scheme(self, extra):
         assert parse_config(MINIMAL + extra) == parse_config(MINIMAL)
@@ -393,6 +396,17 @@ class TestCliExitCodes:
          "line 4: mobility_floor_tau was removed"),
         (RUN, "newton_max_iter = 1\n", "line 4: newton_max_iter was removed"),
         (RUN, "linear_max_iter = 7\n", "linear_max_iter was removed"),
+        (RUN, "T = 4\nN = 2\nmobility = tanhpow\n",
+         "violates the smallness assumption tau <= kappa_sup"),
+        (RUN, "N = 2\n", "violates delta/tau != 2 alpha2 for the clamp "
+                        "potential"),
+        (("study",), "", "config has no study block"),
+        (("study",), "study = tau_refinement\nstudy_values = 4 8 12\n"
+                     "study_reference = 64\n",
+         "study_reference = 64 must be a multiple of every member step count"),
+        (("study",), "mobility = tanhpow\nmu0 = bump 0.5 0.2 1\n"
+                     "study = degenerate_demo\nstudy_values = 12 16\n",
+         "divisible by the sample count 8"),
         (("study",), "study = tau_refinement\nstudy_values = 8 16\n",
          "at least 3 sweep values"),
         (("study",), "study = tau_refinement\nstudy_values = 8 32 16\n",
@@ -424,7 +438,9 @@ class TestCliExitCodes:
         (("diagnose corrupt",), "", "state_00004_mu.txt"),
         (("diagnose regrid",), "", "was written for grid"),
     ], ids=["yosida_lambda", "mobility_floor_tau", "newton_max_iter",
-            "linear_max_iter", "two_values", "non_monotone",
+            "linear_max_iter", "step_above_kappa_sup", "singular_clamp",
+            "no_study_block", "reference_not_a_multiple",
+            "demo_steps_not_divisible", "two_values", "non_monotone",
             "refinement_degenerate", "demo_constant", "refinement_inf_steps",
             "refinement_fractional_steps", "demo_fractional_steps",
             "perturbation_negative", "malformed_recipe_number",
@@ -475,7 +491,9 @@ class TestCliExitCodes:
                 assert main(argv) == 2, command
                 err = capsys.readouterr().err
                 assert err.startswith("config error: ") and message in err
-        assert not list((tmp_path / "out").glob("*"))
+        # a rejected command writes nothing, not even its output directory
+        for written in ("out", "s", "rep.csv"):
+            assert not (tmp_path / written).exists(), written
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.txt")]) == 2
@@ -490,23 +508,19 @@ class TestCliExitCodes:
                      str(tmp_path / "out")]) == 3
 
     def test_singular_rho_jacobian_is_named(self, tmp_path, capsys):
-        # default clamp potential with tau = 1/4: delta/tau = 4 = 2 alpha2
-        # and rho stays inside [a, b], so delta/tau + d is 0 at every node
-        # and the Jacobian is the singular -L
+        # default clamp potential with tau = 1/4: delta/tau = 4 = 2 alpha2,
+        # so inside [0, 1] delta/tau + d is 0 and the Jacobian is the
+        # singular -L; the data rules reject the config before any step
         path = self._write(tmp_path, "n = 8\nT = 0.5\nN = 2\n")
         out = tmp_path / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["simulate", "--config", path,
-                         "--out", str(out)]) == 3
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-        assert "singular rho-stage Jacobian" in capsys.readouterr().err
-        failure = (out / "failure.txt").read_text().splitlines()
-        assert failure[0] == "step = 1"
-        assert "singular rho-stage Jacobian" in failure[2]
-        assert cli.verify_manifest(out) == []
-        assert "failure.txt" in (out / "manifest.txt").read_text()
+        assert main(["validate", "--config", path]) == 2
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0] == ("config error: violates delta/tau != 2 alpha2 for "
+                          "the clamp potential: the rho-stage Jacobian is "
+                          "singular inside [0, 1] (delta/tau = 4 = 2 alpha2)")
+        assert not out.exists()
 
     def test_arithmetic_failure_in_a_stage_leaves_evidence(
             self, tmp_path, capsys, monkeypatch):
@@ -583,7 +597,9 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("line", ["sign_split_reaction = false\n",
                                       "face_average = harmonic\n",
-                                      "yosida_lambda = 0.5\n"])
+                                      "yosida_lambda = 0.5\n",
+                                      "newton_tol = 1e-6\n",
+                                      "linear_tol = 1e-8\n"])
     def test_retired_key_at_another_value_exits_2(self, tmp_path, capsys,
                                                   line):
         path = self._write(tmp_path, MINIMAL + line)
@@ -603,14 +619,12 @@ class TestCliExitCodes:
         config_txt = out / "config.txt"
         text = config_txt.read_text()
         text = text.replace(
-            "\nnewton_tol =",
-            "\nyosida_lambda = 0\nnewton_tol =").replace(
-            "\nlinear_tol =",
-            "\nnewton_max_iter = 50\nlinear_tol =").replace(
             "\nmu0 =",
-            "\nlinear_max_iter = 0\nsign_split_reaction = true\n"
-            "mobility_floor_tau = -1\nface_average = arithmetic\nmu0 =")
-        assert text.count("\n") == config_txt.read_text().count("\n") + 6
+            "\nyosida_lambda = 0\nnewton_tol = 1e-10\nnewton_max_iter = 50\n"
+            "linear_tol = 9.9999999999999994e-12\nlinear_max_iter = 0\n"
+            "sign_split_reaction = true\nmobility_floor_tau = -1\n"
+            "face_average = arithmetic\nmu0 =")
+        assert text.count("\n") == config_txt.read_text().count("\n") + 8
         config_txt.write_text(text)
         write_manifest(out)
         assert main(["diagnose", "--traj", str(out),
@@ -784,6 +798,24 @@ class TestCliExitCodes:
         lines = (out / "perturbation.csv").read_text().splitlines()
         assert lines[0] == "amplitude,final_metric,growth_rate"
         assert len(lines) == 3
+
+    def test_failed_study_leaves_its_config(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a rejected study writes nothing; one whose member run fails
+        # leaves config.txt as the record of what was run
+        def failing_run(*_args):
+            raise stepper.SolverFailure("forced member failure", 1, 0.0)
+
+        monkeypatch.setattr(studies, "run", failing_run)
+        text = MINIMAL + ("study = tau_refinement\nstudy_values = 8 16 32\n"
+                          "study_reference = 64\n")
+        path = self._write(tmp_path, text)
+        out = tmp_path / "study"
+        assert main(["study", "--spec", path, "--out", str(out)]) == 3
+        assert "forced member failure" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.txt"]
+        assert (parse_config((out / "config.txt").read_text())
+                == parse_config(text))
 
 
 class TestManifestDigest:

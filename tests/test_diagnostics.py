@@ -18,7 +18,7 @@ from vchsim.diagnostics import (
 )
 from vchsim.constitutive import K_tau_array
 from vchsim.mesh import Grid, ScalarField, field_of
-from vchsim.stepper import run
+from vchsim.stepper import LINEAR_TOL, NEWTON_TOL, run
 from oracles import laplacian_matrix
 
 
@@ -198,9 +198,9 @@ SMOOTH_INTERIOR = dict(dim=1, n=32, T=0.25, potential="log", alpha1=1.0,
 
 class TestFormulationResiduals:
     def test_native_residuals_at_solver_tolerance(self):
-        traj, laws, cfg = run_config(N=32, **SMOOTH_INTERIOR)
+        traj, laws, _ = run_config(N=32, **SMOOTH_INTERIOR)
         res = formulation_residuals(traj, laws)
-        band = 10.0 * (cfg.newton_tol + cfg.linear_tol)
+        band = 10.0 * (NEWTON_TOL + LINEAR_TOL)
         assert res.mu_native.max() <= band
         assert res.rho_native.max() <= band
 

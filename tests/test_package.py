@@ -1,8 +1,10 @@
 """The package re-exports its library names lazily (PEP 562): importing
 ``vchsim`` loads no submodule, and a name loads its module on first use.
-Its only scipy import is the ODE oracle's."""
+Its only scipy import is the ODE oracle's, and only the retired-key table
+names the solver tolerances that were once config keys."""
 
 import ast
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -76,3 +78,22 @@ def test_scipy_is_imported_only_by_the_ode_oracle():
     assert {(stem, function) for stem, function, _ in sites} == {
         ("studies", "integrate_reduced_ode")}, sorted(sites)
     assert not hasattr(import_module("vchsim.mesh"), "laplacian_matrix")
+
+
+def test_only_the_retired_key_table_names_the_old_tolerance_keys():
+    # the stopping targets live in the stepper alone (NEWTON_TOL,
+    # LINEAR_TOL); config reads the old keys only so stored runs parse
+    hits = []
+    for path in sorted((SRC / "vchsim").glob("*.py")):
+        text = path.read_text()
+        table = range(0)
+        if path.stem == "config":
+            node = next(node for node in ast.parse(text).body
+                        if isinstance(node, ast.Assign) and getattr(
+                            node.targets[0], "id", None) == "_RETIRED_KEYS")
+            table = range(node.lineno, node.end_lineno + 1)
+        hits += [(path.stem, lineno)
+                 for lineno, line in enumerate(text.splitlines(), start=1)
+                 if re.search("newton_tol|linear_tol", line)
+                 and lineno not in table]
+    assert hits == []

@@ -65,22 +65,29 @@ class TestSolverConfig:
         cfg = SolverConfig(T=0.0, n_steps=0)
         assert cfg.tau == 0.0
 
-    def test_bad_tolerances_rejected(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(T=1.0, n_steps=4, newton_tol=0.0)
-
     # the Yosida parameter and the mobility floor are derived from the
-    # step, and the Newton cap is stepper.NEWTON_MAX_ITER, so none of them
-    # is an argument, just as tau is not
+    # step, and the Newton cap and both stopping targets are stepper
+    # constants, so none of them is an argument, just as tau is not
     @pytest.mark.parametrize("control", [
         {"yosida_lambda": 0.5}, {"mobility_floor_tau": 0.0},
-        {"newton_max_iter": 1}])
+        {"newton_max_iter": 1}, {"newton_tol": 0.0}, {"linear_tol": 1e-8}])
     def test_out_of_range_controls_rejected(self, control):
         with pytest.raises(TypeError, match=next(iter(control))):
             SolverConfig(T=1.0, n_steps=4, **control)
 
 
 class TestStepRho:
+    def test_singular_jacobian_is_named(self):
+        # the stage's own check, for a caller that skips the data rules
+        grid = Grid(1, 8, 1.0)
+        laws = make_laws()
+        cfg = SolverConfig(T=0.5, n_steps=2)  # delta/tau = 4 = 2 alpha2
+        prev = initial_state(field_of(grid, 1.0), field_of(grid, 0.5), cfg,
+                             laws)
+        # the forcing mu g'(rho) = 1 leaves a residual for Newton to take
+        with pytest.raises(StepFailure, match="singular rho-stage Jacobian"):
+            step_rho(prev, field_of(grid, 1.0), cfg, laws)
+
     def test_stationary_interior_state(self):
         # all forcings vanish: pi = 0, mu_del = 0, graph inactive inside
         grid = Grid(1, 12, 1.0)
@@ -251,7 +258,7 @@ class TestStepMuSolvers:
         true_res = ((a / cfg.tau + b_plus) * x
                     - div_k_grad_arrays(grid, k_lag, x)
                     - (a / cfg.tau + b_minus) * prev.mu.values)
-        tol = cfg.linear_tol * min(1.0, float(a.min()) / cfg.tau)
+        tol = stepper.LINEAR_TOL * min(1.0, float(a.min()) / cfg.tau)
         assert np.linalg.norm(true_res) <= tol
         # the step reports this true residual, summed as the stepper sums
         flat = true_res.ravel()
@@ -301,7 +308,8 @@ class TestIndefiniteJacobian:
         assert min(s.mu.min() for s in traj.states) >= 0.0
         assert all(0.0 < s.rho.min() and s.rho.max() < 1.0
                    for s in traj.states)
-        assert all(r.newton_residual <= cfg.newton_tol for r in traj.reports)
+        assert all(r.newton_residual <= stepper.NEWTON_TOL
+                   for r in traj.reports)
 
 
 class TestMinres:
@@ -447,6 +455,18 @@ class TestAdvanceAndRun:
             run(cfg, laws, (field_of(grid, -0.5), field_of(grid, 0.5)))
         with pytest.raises(ValidationError, match="hpzero"):
             run(cfg, laws, (field_of(grid, 1.0), field_of(grid, 1.5)))
+
+    def test_singular_clamp_step_rejected(self):
+        # delta/tau = 4 = 2 alpha2: the clamp's rho-stage Jacobian is -L
+        # inside [0, 1]; one ulp away it is not, and the data pass
+        grid = Grid(1, 8, 1.0)
+        cfg = SolverConfig(T=0.5, n_steps=2)
+        data = (field_of(grid, 1.0), field_of(grid, 0.5))
+        with pytest.raises(ValidationError, match="delta/tau != 2 alpha2"):
+            run(cfg, make_laws(), data)
+        stepper.validate_initial_data(*data, cfg,
+                                      make_laws(alpha2=np.nextafter(2.0, 3.0)))
+        stepper.validate_initial_data(*data, cfg, make_laws(potential="log"))
 
     def test_step_bound_against_mobility_ceiling(self):
         grid = Grid(1, 8, 1.0)

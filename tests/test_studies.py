@@ -3,7 +3,7 @@ import pytest
 
 from vchsim.config import Config, build_laws
 from vchsim.mesh import Grid
-from vchsim.stepper import SolverConfig
+from vchsim.stepper import LINEAR_TOL, SolverConfig
 from vchsim.studies import (
     StudySpec,
     degenerate_demo,
@@ -77,7 +77,7 @@ class TestHomogeneousOracle:
                                  coupling="constant", g0=0.5))
         cfg = SolverConfig(T=1.0, n_steps=50)
         report = homogeneous_oracle(self.grid, cfg, laws, 1.0, 0.5)
-        assert np.max(np.abs(report.mu_stepper - 1.0)) <= cfg.linear_tol
+        assert np.max(np.abs(report.mu_stepper - 1.0)) <= LINEAR_TOL
         assert report.err_mu <= 1e-10
 
     def test_oracle_invariant_sanity(self):
