@@ -17,6 +17,7 @@ import numpy as np
 from .config import (
     Config,
     ConfigError,
+    build_model,
     build_run,
     parse_config,
     render_config,
@@ -40,7 +41,6 @@ from .stepper import (
     Trajectory,
     ValidationError,
     iterate,
-    validate_initial_data,
 )
 
 
@@ -143,6 +143,15 @@ def _write_state(outdir: Path, n: int, state: SimState) -> None:
                        getattr(state, name), state.t)
 
 
+def _check_out_dir(outdir: Path) -> None:
+    """Reject an --out directory that could not be made, before any work:
+    the nearest of it and its parents that exists must be a directory."""
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write output directory {str(outdir)!r}: "
+                          f"{str(existing)!r} is not a directory")
+
+
 def simulate_to_dir(config: Config, outdir) -> Trajectory:
     """Run a config and write the canonical artifact set into a directory:
     the rendered config, series.csv, per-step field snapshots at the
@@ -154,11 +163,13 @@ def simulate_to_dir(config: Config, outdir) -> Trajectory:
     report.  On a solver failure the completed steps' rows and snapshots
     stay, the last completed state is written, failure.txt records the
     failed step, the manifest is written, and the failure is re-raised.
-    A run rejected by its data rules writes nothing, not even the directory.
+    A run rejected by its data rules, or an --out that cannot be a
+    directory, writes nothing, not even the directory.
     """
+    outdir = Path(outdir)
+    _check_out_dir(outdir)
     _grid, cfg, laws, initial = build_run(config)
     steps = iterate(cfg, laws, initial)  # checks the data before any file
-    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(render_config(config))
     stride, last = config.snapshot_stride, cfg.n_steps
@@ -226,18 +237,21 @@ def read_states(rundir, grid, cfg):
 
 
 def load_trajectory(rundir):
-    """Rebuild (trajectory, laws, config) from a simulate output directory:
-    the states of :func:`read_states`, collected."""
+    """Rebuild (trajectory, laws, config) from a simulate output directory
+    alone: the states of :func:`read_states`, collected."""
     rundir = Path(rundir)
     config = _load_config(rundir / "config.txt")
-    grid, cfg, laws, _initial = build_run(config)
+    grid, cfg, laws = build_model(config)
     return Trajectory(list(read_states(rundir, grid, cfg)), cfg=cfg), laws, config
 
 
 def diagnose_to_report(rundir, report_path) -> list:
-    """Compute the full diagnostic report for a stored run; returns the list
-    of violated checks (empty when the run is clean).  The run's files are
-    first checked against manifest.txt; a missing or changed file, and a
+    """Compute the full diagnostic report for a stored run from its
+    directory alone (the initial data are not rebuilt); returns the list
+    of violated checks (empty when the run is clean).  A report path that
+    is a directory, or whose directory does not exist, is an input error
+    found before any file is read.  The run's files are then checked
+    against manifest.txt; a missing or changed file, and a
     file diagnose reads (config.txt, each snapshot) that the manifest does
     not list, is reported as a violation, and nothing is loaded or
     diagnosed.
@@ -249,14 +263,17 @@ def diagnose_to_report(rundir, report_path) -> list:
     NaN counts as a violation.  report.csv is written once the last state
     has been read, so an unreadable run leaves no report.
     """
-    rundir = Path(rundir)
+    rundir, report_path = Path(rundir), Path(report_path)
+    if report_path.is_dir() or not report_path.parent.is_dir():
+        raise ConfigError(f"cannot write report {str(report_path)!r}: not "
+                          f"a file in an existing directory")
     listed = _read_manifest(rundir)
     tampered = (_changed(rundir, listed)
                 + _unlisted(rundir, listed, ["config.txt"]))
     if tampered:
         return tampered
     config = _load_config(rundir / "config.txt")
-    grid, cfg, laws, _initial = build_run(config)
+    grid, cfg, laws = build_model(config)
     tampered = _unlisted(rundir, listed, [_snapshot_name(n, name)
                                           for n in range(cfg.n_steps + 1)
                                           for name in ("mu", "rho", "xi")])
@@ -294,9 +311,12 @@ def run_study(config: Config, outdir) -> None:
     """Run the study block of a config, then write config.txt, the study's
     table and the manifest into a directory.  Each study checks its rules
     and every member's data before its first step, and the directory is
-    made only once the study has run, so a rejected study writes nothing.
-    A solver failure leaves only config.txt and is re-raised."""
+    made only once the study has run, so a rejected study writes nothing;
+    an --out that cannot be a directory is rejected before the first
+    member runs.  A solver failure leaves only config.txt and is
+    re-raised."""
     outdir = Path(outdir)
+    _check_out_dir(outdir)
 
     def start():
         outdir.mkdir(parents=True, exist_ok=True)
@@ -316,6 +336,7 @@ def _study_table(config: Config):
     """(file name, rows, columns) of the config's study, run in memory."""
     # imported here: only the study command needs the experiment suites
     from .studies import (
+        PERTURB_AMPLITUDE,
         StudySpec,
         degenerate_demo,
         homogeneous_oracle,
@@ -358,7 +379,7 @@ def _study_table(config: Config):
         return "degenerate.csv", rows, ("n_steps", "t", "radius",
                                         "radius_control", "ktau_vnorm_sup")
     if config.study == "perturbation":
-        report = perturbation_pairs(config, tuple(config.perturb_amplitude * v
+        report = perturbation_pairs(config, tuple(PERTURB_AMPLITUDE * v
                                                   for v in config.study_values),
                                     seed=config.perturb_seed)
         rows = [{"amplitude": a, "final_metric": m,
@@ -406,16 +427,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            config = _load_config(args.config)
-            simulate_to_dir(config, args.out)
+            simulate_to_dir(_load_config(args.config), args.out)
         elif args.command == "validate":
-            config = _load_config(args.config)
-            _grid, cfg, laws, (mu0, rho0) = build_run(config)
-            validate_initial_data(mu0, rho0, cfg, laws)
+            _grid, cfg, laws, initial = build_run(_load_config(args.config))
+            iterate(cfg, laws, initial)  # checks the data; takes no step
             print("config ok")
         elif args.command == "study":
-            config = _load_config(args.spec)
-            run_study(config, args.out)
+            run_study(_load_config(args.spec), args.out)
         elif args.command == "diagnose":
             violations = diagnose_to_report(args.traj, args.out)
             if violations:

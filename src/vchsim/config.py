@@ -12,13 +12,13 @@ See docs/config.md for the full key table and defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import constitutive as laws_mod
 from .mesh import Grid, ScalarField, field_of, read_snapshot
-from .stepper import SolverConfig, ValidationError, validate_initial_data
+from .stepper import SolverConfig, ValidationError
 
 
 class ConfigError(ValidationError):
@@ -34,7 +34,10 @@ _STUDIES = ("", "tau_refinement", "homogeneous_oracle", "degenerate_demo",
 
 @dataclass(frozen=True)
 class Config:
-    """Everything one run (or one study) needs, as plain values."""
+    """Everything one run (or one study) needs, as plain values.  The
+    config's own values are checked here, so no instance, a study's
+    ``replace`` copies included, holds an unknown name; the rules of the
+    layers it builds are those of :func:`build_model`."""
 
     # grid
     dim: int = 1
@@ -63,8 +66,20 @@ class Config:
     study: str = ""
     study_values: tuple = ()
     study_reference: int = 512
-    perturb_amplitude: float = 1e-6
     perturb_seed: int = 0
+
+    def __post_init__(self):
+        for key, names in (("potential", _POTENTIALS),
+                           ("mobility", _MOBILITIES), ("coupling", _COUPLINGS)):
+            if getattr(self, key) not in names:
+                raise ConfigError(f"{key} must be one of {names}")
+        if self.snapshot_stride < 0:
+            raise ConfigError("snapshot_stride must be nonnegative")
+        if self.study not in _STUDIES:
+            raise ConfigError(f"study must be one of {_STUDIES[1:]} or absent")
+        if (self.study not in ("", "homogeneous_oracle")
+                and not self.study_values):
+            raise ConfigError("study block needs study_values")
 
     @property
     def tau(self) -> float:
@@ -102,6 +117,10 @@ _RETIRED_KEYS = {
     "linear_tol": (
         lambda raw: raw == "9.9999999999999994e-12",
         "the potential stage always stops at the solution error 1e-11"),
+    "perturb_amplitude": (
+        lambda raw: raw in ("9.9999999999999995e-07", "1e-06"),
+        "the perturbation study's amplitudes are always 1e-6 times "
+        "study_values"),
 }
 
 
@@ -144,7 +163,10 @@ def _parse_recipe(raw: str, key: str, lineno: int) -> tuple:
 
 
 def parse_config(text: str) -> Config:
-    """Parse and validate configuration text; reject anything off-spec."""
+    """Parse and validate configuration text; reject anything off-spec.
+    The rules of the grid, solver config and laws come from
+    :func:`build_model`, re-raised as a ConfigError with the same message;
+    the data rules wait for the run, which fixes the data and the step."""
     overrides = {}
     explicit_tau = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -187,41 +209,11 @@ def parse_config(text: str) -> Config:
             raise ConfigError(
                 f"line {lineno}: violates tau = T/N: tau = {value!r} "
                 f"but T/N = {config.T / config.N if config.N else float('nan')!r}")
-    validate_config(config)
-    return config
-
-
-def validate_config(config: Config) -> None:
-    """The file's own rules, then the rules of every layer the config
-    builds: grid, solver config, laws and, unless a recipe reads a file,
-    the initial data.  Each rule lives in the layer that owns the value;
-    its rejection is re-raised here as a ConfigError with the same message.
-    """
-    if config.potential not in _POTENTIALS:
-        raise ConfigError(f"potential must be one of {_POTENTIALS}")
-    if config.mobility not in _MOBILITIES:
-        raise ConfigError(f"mobility must be one of {_MOBILITIES}")
-    if config.coupling not in _COUPLINGS:
-        raise ConfigError(f"coupling must be one of {_COUPLINGS}")
-    if config.snapshot_stride < 0:
-        raise ConfigError("snapshot_stride must be nonnegative")
-    if config.study not in _STUDIES:
-        raise ConfigError(f"study must be one of {_STUDIES[1:]} or absent")
-    if config.study and config.study != "homogeneous_oracle":
-        if len(config.study_values) < 1:
-            raise ConfigError("study block needs study_values")
     try:
-        grid = build_grid(config)
-        cfg = build_solver_config(config)
-        laws = build_laws(config)
-        if "file" not in (config.mu0[0], config.rho0[0]):
-            # the data rules only; the step rule tau <= kappa_sup is checked
-            # where a run's step is fixed (a study picks its own N)
-            validate_initial_data(build_field(config.mu0, grid),
-                                  build_field(config.rho0, grid),
-                                  replace(cfg, T=0.0, n_steps=0), laws)
+        build_model(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return config
 
 
 def render_config(config: Config) -> str:
@@ -244,15 +236,6 @@ def render_config(config: Config) -> str:
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def build_grid(config: Config) -> Grid:
-    return Grid(config.dim, config.n, config.length)
-
-
-def build_solver_config(config: Config) -> SolverConfig:
-    return SolverConfig(T=config.T, n_steps=config.N, epsilon=config.epsilon,
-                        delta=config.delta)
 
 
 def build_laws(config: Config) -> laws_mod.Laws:
@@ -306,11 +289,18 @@ def build_field(recipe: tuple, grid: Grid) -> ScalarField:
     raise ConfigError(f"unknown initial-data recipe {kind!r}")
 
 
+def build_model(config: Config):
+    """(grid, solver config, laws) of a config: value constructors, each
+    checking its own layer's rules, that build no arrays."""
+    return (Grid(config.dim, config.n, config.length),
+            SolverConfig(T=config.T, n_steps=config.N, epsilon=config.epsilon,
+                         delta=config.delta),
+            build_laws(config))
+
+
 def build_run(config: Config):
-    """Materialize (grid, solver config, laws, (mu0, rho0)) from a config."""
-    grid = build_grid(config)
-    cfg = build_solver_config(config)
-    laws = build_laws(config)
-    mu0 = build_field(config.mu0, grid)
-    rho0 = build_field(config.rho0, grid)
-    return grid, cfg, laws, (mu0, rho0)
+    """Materialize (grid, solver config, laws, (mu0, rho0)) from a config:
+    :func:`build_model` and the two initial fields."""
+    grid, cfg, laws = build_model(config)
+    return grid, cfg, laws, (build_field(config.mu0, grid),
+                             build_field(config.rho0, grid))

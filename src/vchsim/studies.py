@@ -107,8 +107,7 @@ def tau_refinement(spec: StudySpec) -> OrderTable:
     """Run the sweep, measure each member against the reference run, and
     estimate the convergence order between consecutive members.  Every
     member is built and checked before the first run."""
-    laws = build_laws(spec.base)
-    if laws.mobility.r_star != 0.0:
+    if build_laws(spec.base).mobility.r_star != 0.0:
         raise ValidationError(
             "refinement study needs a nondegenerate mobility")
     counts = [int(v) for v in spec.values]
@@ -314,18 +313,23 @@ class PerturbationReport:
     growth_rates: list
 
 
+# the unit of the perturbation study: its amplitudes are this times the
+# config's study_values
+PERTURB_AMPLITUDE = 1e-6
+
+
 def perturbation_pairs(base: Config, amplitudes, seed: int = 0) -> PerturbationReport:
     """Run the base config against perturbed copies of mu0 (one fixed random
     direction, scaled by each amplitude) and report the final contraction
-    metric plus the largest per-step growth rate.  Every perturbed datum is
-    checked before the base run."""
+    metric plus the largest per-step growth rate.  The base datum and every
+    perturbed one are checked before the base run."""
     grid, cfg, laws, (mu0, rho0) = build_run(base)
     direction = np.random.default_rng(seed).standard_normal(grid.shape)
     direction /= np.max(np.abs(direction))
     perturbed = [field_of(grid, mu0.values + amp * direction)
                  for amp in amplitudes]
-    for mu0_pert in perturbed:
-        validate_initial_data(mu0_pert, rho0, cfg, laws)
+    for mu0_x in (mu0, *perturbed):
+        validate_initial_data(mu0_x, rho0, cfg, laws)
     base_traj = run(cfg, laws, (mu0, rho0))
     finals, rates = [], []
     for mu0_pert in perturbed:

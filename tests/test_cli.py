@@ -3,7 +3,9 @@ import hashlib
 import os
 import subprocess
 import sys
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from vchsim.config import (
     Config,
     ConfigError,
     build_field,
-    build_grid,
+    build_model,
     build_run,
     parse_config,
     render_config,
@@ -59,10 +61,6 @@ class TestParseConfig:
         c = parse_config("# a comment\n\nn = 16  # trailing\nT = 0.5\nN = 8\n")
         assert c.n == 16
 
-    def test_negative_constant_mu0_rejected(self):
-        with pytest.raises(ConfigError, match=r"\(hpzero\)"):
-            parse_config(MINIMAL + "mu0 = constant -0.5\n")
-
     def test_inconsistent_tau_rejected(self):
         with pytest.raises(ConfigError, match="tau = T/N"):
             parse_config("n = 16\nT = 1\nN = 7\ntau = 0.2\n")
@@ -89,6 +87,7 @@ class TestParseConfig:
 
     # each rule lives in the layer that owns the value; parse_config still
     # rejects it, with the same rule code, under every law that reads it
+    # (the data rules wait for the run: TestCliExitCodes)
     @pytest.mark.parametrize("extra,message", [
         ("dim = 3\n", "dim must be 1 or 2"),
         ("n = 2\n", "at least 3 nodes"),
@@ -105,11 +104,6 @@ class TestParseConfig:
         ("mobility = constant\nkappa0 = 0\n", r"\(hpcost\): kappa0"),
         ("mobility = tanhpow\nm = 1\n", r"\(hpcost\): tanh-power"),
         ("coupling = constant\ng0 = -0.5\n", r"\(hpfg\)"),
-        ("mu0 = bump 0.5 0.2 -1\n", r"\(hpzero\): mu0"),
-        ("mu0 = cosine 0.1 0.5\n", r"\(hpzero\): mu0"),
-        ("mu0 = constant nan\n", "mu0 has non-finite values"),
-        ("potential = clamp\nrho0 = constant 1.5\n", r"\(hpzero\): rho0"),
-        ("potential = log\nrho0 = constant -0.1\n", r"\(hpzero\): rho0"),
         ("yosida_lambda = -1\n", "yosida_lambda was removed"),
         ("mobility_floor_tau = -0.5\n", "mobility_floor_tau was removed"),
         ("newton_max_iter = 0\n", "newton_max_iter was removed"),
@@ -117,7 +111,6 @@ class TestParseConfig:
         ("delta = inf\n", "delta must be finite, got 'inf'"),
         ("length = inf\n", "length must be finite, got 'inf'"),
         ("T = nan\n", "T must be finite, got 'nan'"),
-        ("mu0 = bump 0.5 -0.3 1\n", "bump radius must be positive, got -0.3"),
     ])
     def test_layer_rules_rejected_with_their_code(self, extra, message):
         with pytest.raises(ConfigError, match=message):
@@ -131,7 +124,7 @@ class TestParseConfig:
         "potential = clamp\nalpha1 = 0\n", "mobility = constant\nm = 1\n",
     ])
     def test_sentinels_and_unread_parameters_accepted(self, extra):
-        parse_config(MINIMAL + extra)
+        parse_config(MINIMAL + extra)  # the text itself is accepted
 
     # earlier versions wrote these keys into every run's config.txt
     @pytest.mark.parametrize("extra", [
@@ -143,9 +136,28 @@ class TestParseConfig:
         "linear_tol = 9.9999999999999994e-12\n",
         "yosida_lambda = 0\nmobility_floor_tau = -1\nnewton_max_iter = 50\n"
         "newton_tol = 1e-10\nlinear_tol = 9.9999999999999994e-12\n",
+        # as render_config wrote it, and as the benchmark configs write it
+        "perturb_amplitude = 9.9999999999999995e-07\n",
+        "perturb_amplitude = 1e-06\n",
     ])
     def test_retired_keys_accepted_at_the_one_scheme(self, extra):
         assert parse_config(MINIMAL + extra) == parse_config(MINIMAL)
+
+    @pytest.mark.parametrize("value,message", [
+        ({"potential": "foo"}, "potential must be one of"),
+        ({"mobility": "foo"}, "mobility must be one of"),
+        ({"coupling": "foo"}, "coupling must be one of"),
+        ({"snapshot_stride": -1}, "snapshot_stride must be nonnegative"),
+        ({"study": "foo"}, "study must be one of"),
+        ({"study": "perturbation"}, "study block needs study_values"),
+    ], ids=["potential", "mobility", "coupling", "stride", "study",
+            "study_without_values"])
+    def test_config_rejects_its_own_bad_values(self, value, message):
+        # no Config holds them, the copies a study makes included
+        with pytest.raises(ConfigError, match=message):
+            Config(**value)
+        with pytest.raises(ConfigError, match=message):
+            replace(Config(), **value)
 
     def test_sentinels_tie_to_the_step(self):
         # the Yosida parameter and the mobility floor are the step; with
@@ -200,22 +212,22 @@ class TestParseConfig:
 class TestInitialDataRecipes:
     def test_bump_is_compactly_supported(self):
         c = Config(n=64, mu0=("bump", 0.5, 0.2, 2.0))
-        field = build_field(c.mu0, build_grid(c))
-        x = build_grid(c).coordinates()
+        field = build_field(c.mu0, build_model(c)[0])
+        x = build_model(c)[0].coordinates()
         outside = np.abs(x - 0.5) >= 0.2
         assert np.all(field.values[outside] == 0.0)
         assert field.max() == pytest.approx(2.0, rel=7e-3)
 
     def test_cosine_profile_in_2d(self):
         c = Config(dim=2, n=8, mu0=("cosine", 1.0, 0.5))
-        field = build_field(c.mu0, build_grid(c))
+        field = build_field(c.mu0, build_model(c)[0])
         assert field.values.shape == (8, 8)
         assert field.min() >= 0.0
 
     def test_file_recipe_roundtrips(self, tmp_path):
         from vchsim.mesh import write_snapshot, field_of
         c = Config(n=16)
-        grid = build_grid(c)
+        grid = build_model(c)[0]
         orig = field_of(grid, np.linspace(0.0, 1.0, 16))
         path = tmp_path / "mu0.txt"
         write_snapshot(path, orig, 0.0)
@@ -224,11 +236,11 @@ class TestInitialDataRecipes:
 
     def test_file_recipe_grid_mismatch(self, tmp_path):
         from vchsim.mesh import write_snapshot, field_of
-        wrong = build_grid(Config(n=8))
+        wrong = build_model(Config(n=8))[0]
         path = tmp_path / "mu0.txt"
         write_snapshot(path, field_of(wrong, 1.0), 0.0)
         with pytest.raises(ConfigError, match="grid"):
-            build_field(("file", str(path)), build_grid(Config(n=16)))
+            build_field(("file", str(path)), build_model(Config(n=16))[0])
 
 
 class TestWriters:
@@ -423,7 +435,7 @@ class TestCliExitCodes:
                      "study = degenerate_demo\nstudy_values = 8 16.5 32\n",
          "positive whole numbers, got 16.5"),
         (("study",), "mu0 = constant 0.001\nstudy = perturbation\n"
-                     "study_values = 1\nperturb_amplitude = 10\n",
+                     "study_values = 1e7\n",
          "(hpzero): mu0"),
         (RUN, "mu0 = constant abc\n", "line 4: bad value for 'mu0'"),
         (RUN, "tau = abc\n", "line 4: bad value for 'tau'"),
@@ -494,6 +506,129 @@ class TestCliExitCodes:
         # a rejected command writes nothing, not even its output directory
         for written in ("out", "s", "rep.csv"):
             assert not (tmp_path / written).exists(), written
+
+    # the data rules run where the run fixes its data and step, not when
+    # the file is parsed
+    @pytest.mark.parametrize("extra,message", [
+        ("mu0 = constant -0.5\n", r"\(hpzero\): mu0"),
+        ("mu0 = bump 0.5 0.2 -1\n", r"\(hpzero\): mu0"),
+        ("mu0 = cosine 0.1 0.5\n", r"\(hpzero\): mu0"),
+        ("mu0 = constant nan\n", "mu0 has non-finite values"),
+        ("potential = clamp\nrho0 = constant 1.5\n", r"\(hpzero\): rho0"),
+        ("potential = log\nrho0 = constant -0.1\n", r"\(hpzero\): rho0"),
+        ("mu0 = bump 0.5 -0.3 1\n", "bump radius must be positive, got -0.3"),
+    ], ids=["negative_constant_mu0", "negative_bump_mu0",
+            "negative_cosine_mu0", "nan_mu0", "clamp_rho0_above_1",
+            "log_rho0_below_0", "negative_bump_radius"])
+    def test_data_rules_wait_for_the_run(self, tmp_path, capsys,
+                                         extra, message):
+        path = self._write(tmp_path, MINIMAL + extra)
+        parse_config(MINIMAL + extra)  # the text itself is accepted
+        out = tmp_path / "out"
+        assert main(["validate", "--config", path]) == 2
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("config error: ")
+        assert re.search(message, err[0])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,out", [
+        ("simulate --config", "afile"), ("simulate --config", "afile/sub"),
+        ("study --spec", "afile"), ("diagnose --traj", "adir"),
+        ("diagnose --traj", "missing/rep.csv"),
+    ], ids=["simulate_to_a_file", "simulate_under_a_file", "study_to_a_file",
+            "diagnose_to_a_directory", "diagnose_into_a_missing_directory"])
+    def test_unwritable_out_exits_2_with_one_line(self, tmp_path, capsys,
+                                                  monkeypatch, command, out):
+        path = self._write(tmp_path, MINIMAL + "study = tau_refinement\n"
+                                              "study_values = 8 16 32\n"
+                                              "study_reference = 64\n")
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", path, "--out", str(run)]) == 0
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+
+        def no_step(*_args):
+            raise AssertionError("a step ran before the rejection")
+
+        monkeypatch.setattr(stepper, "step", no_step)
+        monkeypatch.setattr(studies, "run", no_step)
+        source = str(run) if command.startswith("diagnose") else path
+        assert main([*command.split(), source,
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot write")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    @staticmethod
+    def _count_calls(monkeypatch, *functions) -> dict:
+        """Count the calls of each function, under every name by which a
+        vchsim module holds it."""
+        counts = {f.__name__: 0 for f in functions}
+        for function in functions:
+            def counted(*args, _function=function):
+                counts[_function.__name__] += 1
+                return _function(*args)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("vchsim"):
+                    for attr, value in list(vars(module).items()):
+                        if value is function:
+                            monkeypatch.setattr(module, attr, counted)
+        return counts
+
+    @pytest.mark.parametrize("command,expected", [
+        ("validate", (1, 2)), ("simulate", (1, 2)), ("diagnose", (0, 0))])
+    def test_one_evaluation_of_the_data_rules(self, tmp_path, monkeypatch,
+                                              command, expected):
+        # validate and simulate check the data once and build each initial
+        # field once; diagnose needs neither
+        from vchsim import config as config_mod
+
+        path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
+        out = tmp_path / "out"
+        if command == "diagnose":
+            assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        counts = self._count_calls(monkeypatch, stepper.validate_initial_data,
+                                   config_mod.build_field)
+        argv = {"validate": ["validate", "--config", path],
+                "simulate": ["simulate", "--config", path, "--out", str(out)],
+                "diagnose": ["diagnose", "--traj", str(out),
+                             "--out", str(tmp_path / "rep.csv")]}[command]
+        assert main(argv) == 0
+        assert (counts["validate_initial_data"],
+                counts["build_field"]) == expected
+
+    @pytest.mark.parametrize("case", ["file_moved", "other_directory"])
+    def test_diagnose_needs_only_the_run_directory(self, tmp_path,
+                                                   monkeypatch, case):
+        # a run whose mu0 was read from a file is diagnosed after that file
+        # moves, or from a working directory where its path means nothing
+        from vchsim.mesh import field_of, write_snapshot
+
+        data = tmp_path / "data"
+        data.mkdir()
+        grid = build_model(parse_config(MINIMAL))[0]
+        write_snapshot(data / "mu0.txt",
+                       field_of(grid, 1.0 + 0.5 * grid.coordinates()), 0.0)
+        monkeypatch.chdir(data)
+        recipe = "mu0.txt" if case == "other_directory" else data / "mu0.txt"
+        path = self._write(tmp_path, MINIMAL + f"mu0 = file {recipe}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 0
+        if case == "file_moved":
+            (data / "mu0.txt").rename(tmp_path / "moved.txt")
+        else:
+            monkeypatch.chdir(tmp_path)
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep_after.csv")]) == 0
+        assert ((tmp_path / "rep_after.csv").read_bytes()
+                == (tmp_path / "rep.csv").read_bytes())
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.txt")]) == 2
@@ -599,7 +734,8 @@ class TestCliExitCodes:
                                       "face_average = harmonic\n",
                                       "yosida_lambda = 0.5\n",
                                       "newton_tol = 1e-6\n",
-                                      "linear_tol = 1e-8\n"])
+                                      "linear_tol = 1e-8\n",
+                                      "perturb_amplitude = 1e-6\n"])
     def test_retired_key_at_another_value_exits_2(self, tmp_path, capsys,
                                                   line):
         path = self._write(tmp_path, MINIMAL + line)
@@ -623,8 +759,9 @@ class TestCliExitCodes:
             "\nyosida_lambda = 0\nnewton_tol = 1e-10\nnewton_max_iter = 50\n"
             "linear_tol = 9.9999999999999994e-12\nlinear_max_iter = 0\n"
             "sign_split_reaction = true\nmobility_floor_tau = -1\n"
-            "face_average = arithmetic\nmu0 =")
-        assert text.count("\n") == config_txt.read_text().count("\n") + 8
+            "face_average = arithmetic\n"
+            "perturb_amplitude = 9.9999999999999995e-07\nmu0 =")
+        assert text.count("\n") == config_txt.read_text().count("\n") + 9
         config_txt.write_text(text)
         write_manifest(out)
         assert main(["diagnose", "--traj", str(out),
@@ -791,7 +928,7 @@ class TestCliExitCodes:
         text = ("n = 16\nT = 0.25\nN = 8\npotential = log\ncoupling = linear\n"
                 "mu0 = constant 1\nrho0 = cosine 0.5 0.2\n"
                 "study = perturbation\nstudy_values = 1 0.5\n"
-                "perturb_amplitude = 1e-6\nperturb_seed = 5\n")
+                "perturb_seed = 5\n")
         path = self._write(tmp_path, text)
         out = tmp_path / "study"
         assert main(["study", "--spec", path, "--out", str(out)]) == 0

@@ -1,11 +1,13 @@
 """docs/config.md and the config parser name the same keys: every key the
 parser reads is documented, and every row of a key table is a key it
 reads (a field of ``Config``, ``tau``, or a retired key).  Every message
-of its validation table is one the package raises."""
+of its validation table is one the package raises, and every owning layer
+it names is an attribute of the package."""
 
 import ast
 import re
 from dataclasses import fields
+from importlib import import_module
 from pathlib import Path
 
 from vchsim import config
@@ -45,10 +47,11 @@ def test_every_key_row_is_a_key_the_parser_reads():
     assert set(config._RETIRED_KEYS) <= set(rows)
 
 
-def _validation_messages(text: str) -> list:
-    """Every backticked message in the validation table of docs/config.md
-    (the table whose header is ``rule | owning layer | message``)."""
-    messages, in_table = [], False
+def _validation_column(text: str, column: int) -> list:
+    """Every backticked entry of one column of the validation table of
+    docs/config.md (the table whose header is ``rule | owning layer |
+    message``)."""
+    entries, in_table = [], False
     for line in text.splitlines():
         cells = [cell.strip() for cell in line.split("|")[1:-1]]
         if cells[:3] == ["rule", "owning layer", "message"]:
@@ -56,8 +59,8 @@ def _validation_messages(text: str) -> list:
         elif not line.startswith("|"):
             in_table = False
         elif in_table and not set(cells[0]) <= set("-: "):
-            messages += re.findall(r"`([^`]+)`", cells[2])
-    return messages
+            entries += re.findall(r"`([^`]+)`", cells[column])
+    return entries
 
 
 def _source_strings() -> str:
@@ -81,9 +84,22 @@ def test_every_documented_rejection_message_is_raised_by_the_code():
     # message is formatted with; every literal piece between them must be
     # in one string literal of the package
     source = _source_strings()
-    messages = _validation_messages(CONFIG_MD.read_text())
+    messages = _validation_column(CONFIG_MD.read_text(), 2)
     assert len(messages) >= 25
     missing = [(message, piece) for message in messages
                for piece in re.split(r"<[^>]*>|\.\.\.", message)
                if piece.strip() and piece.strip() not in source]
+    assert missing == []
+
+
+def test_every_owning_layer_is_an_attribute_of_the_package():
+    layers = _validation_column(CONFIG_MD.read_text(), 1)
+    assert len(layers) >= 20
+    missing = []
+    for layer in layers:
+        module, _, attr = layer.partition(".")
+        try:
+            getattr(import_module(f"vchsim.{module}"), attr)
+        except (ImportError, AttributeError):
+            missing.append(layer)
     assert missing == []
