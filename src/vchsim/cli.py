@@ -133,12 +133,16 @@ def _unlisted(rundir: Path, listed: dict, names) -> list:
             if name not in listed and (rundir / name).exists()]
 
 
+# the state fields each stored step writes, one snapshot file each
+_SNAPSHOT_FIELDS = ("mu", "rho", "xi")
+
+
 def _snapshot_name(n: int, name: str) -> str:
     return f"state_{n:05d}_{name}.txt"
 
 
 def _write_state(outdir: Path, n: int, state: SimState) -> None:
-    for name in ("mu", "rho", "xi"):
+    for name in _SNAPSHOT_FIELDS:
         write_snapshot(outdir / _snapshot_name(n, name),
                        getattr(state, name), state.t)
 
@@ -214,21 +218,17 @@ def read_states(rundir, grid, cfg):
     prev = None
     for n in range(cfg.n_steps + 1):
         snaps = []
-        for name in ("mu", "rho", "xi"):
+        for name in _SNAPSHOT_FIELDS:
             path = rundir / _snapshot_name(n, name)
             if not path.exists():
                 raise ConfigError(
                     f"trajectory is incomplete (missing {path.name}); "
                     f"diagnose needs snapshot_stride = 1")
             try:
-                field, t = read_snapshot(path)
+                snaps.append(read_snapshot(path, grid))
             except (OSError, ValueError) as exc:
                 raise ConfigError(
                     f"cannot read snapshot {str(path)!r}: {exc}") from exc
-            if field.grid != grid:
-                raise ConfigError(f"snapshot {str(path)!r} was written for "
-                                  f"grid {field.grid}, run uses {grid}")
-            snaps.append((field, t))
         (mu, t), (rho, _), (xi, _) = snaps
         dt_rho = (field_of(grid, 0.0) if prev is None else ScalarField(
             grid, (rho.values - prev.rho.values) / cfg.tau))
@@ -276,7 +276,7 @@ def diagnose_to_report(rundir, report_path) -> list:
     grid, cfg, laws = build_model(config)
     tampered = _unlisted(rundir, listed, [_snapshot_name(n, name)
                                           for n in range(cfg.n_steps + 1)
-                                          for name in ("mu", "rho", "xi")])
+                                          for name in _SNAPSHOT_FIELDS])
     if tampered:
         return tampered
     fold = LedgerFold(cfg, laws, residuals=True)

@@ -81,10 +81,6 @@ class Config:
                 and not self.study_values):
             raise ConfigError("study block needs study_values")
 
-    @property
-    def tau(self) -> float:
-        return self.T / self.N if self.N > 0 else 0.0
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
@@ -277,15 +273,10 @@ def build_field(recipe: tuple, grid: Grid) -> ScalarField:
         return field_of(grid, mean + amplitude * profile)
     if kind == "file":
         try:
-            field, _t = read_snapshot(recipe[1])
+            return read_snapshot(recipe[1], grid)[0]
         except (OSError, ValueError) as exc:
             raise ConfigError(
                 f"cannot read initial-data file {recipe[1]!r}: {exc}") from exc
-        if field.grid != grid:
-            raise ConfigError(
-                f"initial-data file {recipe[1]!r} was written for grid "
-                f"{field.grid}, run uses {grid}")
-        return field
     raise ConfigError(f"unknown initial-data recipe {kind!r}")
 
 

@@ -269,10 +269,12 @@ def write_snapshot(path, field: ScalarField, t: float) -> None:
         fh.write(f"{g.dim} {g.n} {g.length:.17g} {t:.17g}\n{body}")
 
 
-def read_snapshot(path) -> tuple:
+def read_snapshot(path, grid: Grid | None = None) -> tuple:
     """Read a snapshot written by :func:`write_snapshot`.
 
-    Returns ``(field, t)``.
+    Returns ``(field, t)``.  A stored field means something only on the
+    grid it was written for, so given ``grid``, a snapshot whose header
+    names another grid is refused before any value is parsed.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -280,10 +282,13 @@ def read_snapshot(path) -> tuple:
             raise ValueError(f"{path}: malformed snapshot header")
         dim, n = int(header[0]), int(header[1])
         length, t = float(header[2]), float(header[3])
-        grid = Grid(dim, n, length)
+        written = Grid(dim, n, length)
+        if grid is not None and written != grid:
+            raise ValueError(
+                f"{path}: was written for grid {written}, run uses {grid}")
         values = np.loadtxt(fh, dtype=float, ndmin=1)
-    if values.size != grid.num_nodes:
+    if values.size != written.num_nodes:
         raise ValueError(
-            f"{path}: expected {grid.num_nodes} values, found {values.size}"
+            f"{path}: expected {written.num_nodes} values, found {values.size}"
         )
-    return ScalarField(grid, values.reshape(grid.shape)), t
+    return ScalarField(written, values.reshape(written.shape)), t

@@ -55,7 +55,7 @@ class TestParseConfig:
         assert c.potential == "clamp"
         assert c.mobility == "constant" and c.kappa0 == 1.0
         assert c.epsilon == 1.0 and c.delta == 1.0
-        assert c.tau == 0.0625
+        assert build_model(c)[1].tau == 0.0625
 
     def test_comments_and_blank_lines(self):
         c = parse_config("# a comment\n\nn = 16  # trailing\nT = 0.5\nN = 8\n")
@@ -67,7 +67,7 @@ class TestParseConfig:
 
     def test_consistent_tau_accepted(self):
         c = parse_config("n = 16\nT = 1\nN = 8\ntau = 0.125\n")
-        assert c.tau == 0.125
+        assert build_model(c)[1].tau == 0.125
 
     def test_unknown_key_is_hard_error_with_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -446,6 +446,7 @@ class TestCliExitCodes:
          "finite (max mu0 1e+300)"),
         (RUN, "mu0 = file {tmp}/absent.txt\n", "absent.txt"),
         (RUN, "mu0 = file {tmp}/malformed.txt\n", "malformed snapshot header"),
+        (RUN, "mu0 = file {tmp}/regrid.txt\n", "was written for grid"),
         (("diagnose absent",), "", "absent"),
         (("diagnose corrupt",), "", "state_00004_mu.txt"),
         (("diagnose regrid",), "", "was written for grid"),
@@ -458,12 +459,15 @@ class TestCliExitCodes:
             "perturbation_negative", "malformed_recipe_number",
             "malformed_tau", "non_finite_float", "zero_bump_radius",
             "initial_energy_overflow",
-            "missing_mu0_file", "malformed_mu0_file", "missing_traj",
+            "missing_mu0_file", "malformed_mu0_file", "mu0_file_on_other_grid",
+            "missing_traj",
             "corrupt_snapshot", "snapshot_on_other_grid"])
     def test_input_errors_exit_2_before_any_step(self, tmp_path, capsys,
                                                  monkeypatch, commands,
                                                  extra, message):
         (tmp_path / "malformed.txt").write_text("1 16\n0.5\n")
+        # an 8-node field whose values do not parse: the grid is checked first
+        (tmp_path / "regrid.txt").write_text("1 8 1 0\n" + "x\n" * 8)
         path = self._write(tmp_path, MINIMAL + extra.format(tmp=tmp_path))
         if commands[0] in ("diagnose corrupt", "diagnose regrid"):
             rundir = tmp_path / commands[0].split()[1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from vchsim.config import Config, build_run
+from vchsim.config import Config, build_model, build_run
 from vchsim.diagnostics import (
     _bump_means,
     contraction_metric,
@@ -161,7 +161,7 @@ class TestBoundedness:
                    coupling="constant", g0=0.3)
         laws = build_laws(c)
         grid = Grid(1, 16, 1.0)
-        tau = c.tau
+        tau = build_model(c)[1].tau
         a = c.epsilon + 2.0 * 0.3
         kappa = np.full(grid.shape, 1.0 + tau)
         nn = grid.num_nodes
