@@ -17,8 +17,7 @@ _EXPORTS = {
         "TanhPowerMobility", "yosida_array",
     ),
     "diagnostics": (
-        "ContractionSeries", "EnergyLedger", "contraction_metric",
-        "formulation_residuals", "mu_energy_ledger", "rho_energy_ledger",
+        "ContractionSeries", "contraction_metric", "ledger_columns",
     ),
     "mesh": (
         "Grid", "ScalarField", "dirichlet_energy", "field_of", "integrate",

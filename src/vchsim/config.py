@@ -75,6 +75,8 @@ class Config:
                 raise ConfigError(f"{key} must be one of {names}")
         if self.snapshot_stride < 0:
             raise ConfigError("snapshot_stride must be nonnegative")
+        if self.perturb_seed < 0:
+            raise ConfigError("perturb_seed must be nonnegative")
         if self.study not in _STUDIES:
             raise ConfigError(f"study must be one of {_STUDIES[1:]} or absent")
         if (self.study not in ("", "homogeneous_oracle")

@@ -17,9 +17,9 @@ module recasts each of these as a discrete, computable quantity:
 Everything here is pure post-processing of immutable states.  One per-step
 entry computes a step's ledger terms (and, on request, its residuals) from
 consecutive states, and one fold turns the entries into rows with running
-sums.  series.csv, report.csv and the whole-trajectory ledgers are all
-read off those rows, so a whole trajectory and a run streamed step by step
-get the same numbers.
+sums.  series.csv, report.csv and :func:`ledger_columns` (a whole
+trajectory's columns) are all read off those rows, so a whole trajectory
+and a run streamed step by step get the same numbers.
 """
 
 from __future__ import annotations
@@ -54,71 +54,6 @@ RESIDUAL_COLUMNS = ("res_mu_native", "res_mu_kirchhoff", "res_rho_native",
 REPORT_COLUMNS = ("step", "t", "E_mu", "diss", "extra", "cross", "mu_energy_resid",
                   "F_rho", "visc_cum", "work_cum", "rho_violation",
                   "min_mu", "max_mu", *RESIDUAL_COLUMNS)
-
-
-@dataclass
-class EnergyLedger:
-    """Per-step potential-energy bookkeeping.
-
-    ``E_mu[n]`` is the weighted energy (1/2) int (eps + 2 g(rho)) mu^2 at step
-    n; ``diss`` the face dissipation tau * sum kappa_tau |grad mu|^2 of that
-    step (zero at n = 0); ``extra`` the backward-Euler over-dissipation
-    (1/2) int a |mu^n - mu^(n-1)|^2; ``cross`` collects the discrete coupling
-    terms; ``resid = dE + diss - cross`` is nonpositive up to solver noise.
-    """
-
-    t: np.ndarray
-    E_mu: np.ndarray
-    diss: np.ndarray
-    extra: np.ndarray
-    cross: np.ndarray
-    resid: np.ndarray
-    diss_cum: np.ndarray
-    extra_cum: np.ndarray
-
-
-@dataclass
-class RhoLedger:
-    """Free-energy side of the order parameter.
-
-    ``F_rho[n] = (1/2)|grad rho|^2 + int f(rho)`` (infinite if rho escaped
-    the potential domain), ``visc`` the viscous dissipation
-    delta * tau * int |dt_rho|^2 of the step, ``work`` the coupling work
-    tau * int g'(rho) mu_delayed dt_rho with mu_delayed the previous
-    step's mu, and ``violation`` the running defect of the one-sided
-    energy inequality (nonpositive when the dissipation inequality holds,
-    small positive values bounded by the first-order formulation gap
-    otherwise).
-    """
-
-    t: np.ndarray
-    F_rho: np.ndarray
-    visc: np.ndarray
-    work: np.ndarray
-    visc_cum: np.ndarray
-    work_cum: np.ndarray
-    violation: np.ndarray
-
-
-@dataclass
-class ResidualRows:
-    """Max-norm residuals of the discrete equation forms, step by step.
-
-    ``mu_native`` / ``rho_native`` are the forms the solvers drove to zero
-    and must sit at the solver tolerances (``rho_native`` is the stage's
-    own residual, :func:`rho_stage_residual`); ``mu_kirchhoff`` tests the
-    conservative form (difference of the weighted potential, Kirchhoff flux
-    of the current step, unsplit reaction) against localized bump fields,
-    i.e. takes bump-weighted means of its strong residual, and
-    ``rho_strong`` evaluates the inclusion at the committed pair -- both
-    measure the first-order formulation gap.
-    """
-
-    t: np.ndarray
-    mu_native: np.ndarray
-    mu_kirchhoff: np.ndarray
-    rho_native: np.ndarray
-    rho_strong: np.ndarray
 
 
 def _bump_means(r: np.ndarray) -> np.ndarray:
@@ -285,32 +220,16 @@ def _fold(traj: Trajectory, laws: Laws, residuals=False) -> list:
             in zip_longest(traj.states, [None, *traj.reports])]
 
 
-def _columns(traj: Trajectory, laws: Laws, residuals=False) -> dict:
-    rows = _fold(traj, laws, residuals)
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+def ledger_columns(traj: Trajectory, laws: Laws) -> dict:
+    """The fold's rows over a whole trajectory, residuals included, as one
+    array per row key: the column names report.csv and series.csv print,
+    and the step terms ``visc``, ``work`` and the running ``extra_cum``."""
+    rows = _fold(traj, laws, residuals=True)
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
-def mu_energy_ledger(traj: Trajectory, laws: Laws) -> EnergyLedger:
-    c = _columns(traj, laws)
-    return EnergyLedger(
-        t=c["t"], E_mu=c["E_mu"], diss=c["diss"], extra=c["extra"],
-        cross=c["cross"], resid=c["mu_energy_resid"], diss_cum=c["diss_cum"],
-        extra_cum=c["extra_cum"])
-
-
-def rho_energy_ledger(traj: Trajectory, laws: Laws) -> RhoLedger:
-    c = _columns(traj, laws)
-    return RhoLedger(t=c["t"], F_rho=c["F_rho"], visc=c["visc"],
-                     work=c["work"], visc_cum=c["visc_cum"],
-                     work_cum=c["work_cum"], violation=c["rho_violation"])
-
-
-def formulation_residuals(traj: Trajectory, laws: Laws) -> ResidualRows:
-    c = _columns(traj, laws, residuals=True)
-    return ResidualRows(t=c["t"], mu_native=c["res_mu_native"],
-                        mu_kirchhoff=c["res_mu_kirchhoff"],
-                        rho_native=c["res_rho_native"],
-                        rho_strong=c["res_rho_strong"])
+# no command calls these names; perfbench/traced.py wraps them by name
+mu_energy_ledger = rho_energy_ledger = formulation_residuals = ledger_columns
 
 
 def series_rows(traj: Trajectory, laws: Laws) -> list:

@@ -274,21 +274,20 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple:
 
     Returns ``(field, t)``.  A stored field means something only on the
     grid it was written for, so given ``grid``, a snapshot whose header
-    names another grid is refused before any value is parsed.
+    names another grid is refused before any value is parsed.  Its own
+    errors do not name the path: the callers' messages do.
     """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4:
-            raise ValueError(f"{path}: malformed snapshot header")
+            raise ValueError("malformed snapshot header")
         dim, n = int(header[0]), int(header[1])
         length, t = float(header[2]), float(header[3])
         written = Grid(dim, n, length)
         if grid is not None and written != grid:
-            raise ValueError(
-                f"{path}: was written for grid {written}, run uses {grid}")
+            raise ValueError(f"was written for grid {written}, run uses {grid}")
         values = np.loadtxt(fh, dtype=float, ndmin=1)
     if values.size != written.num_nodes:
         raise ValueError(
-            f"{path}: expected {written.num_nodes} values, found {values.size}"
-        )
+            f"expected {written.num_nodes} values, found {values.size}")
     return ScalarField(written, values.reshape(written.shape)), t

@@ -181,6 +181,8 @@ def integrate_reduced_ode(cfg: SolverConfig, laws: Laws, mu0: float,
     # pays for loading it
     from scipy.integrate import solve_ivp
 
+    if t_eval[-1] == 0.0:  # solve_ivp returns no state for an empty span
+        return np.array([mu0]), np.array([rho0])
     sol = solve_ivp(reduced_ode_rhs(cfg, laws), (0.0, float(t_eval[-1])),
                     [mu0, rho0], method="DOP853", t_eval=t_eval,
                     rtol=1e-11, atol=1e-13, max_step=np.inf)

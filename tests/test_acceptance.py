@@ -12,7 +12,7 @@ import numpy as np
 
 from vchsim.cli import simulate_to_dir
 from vchsim.config import Config, build_run
-from vchsim.diagnostics import contraction_metric, mu_energy_ledger
+from vchsim.diagnostics import contraction_metric, ledger_columns
 from vchsim.mesh import Grid, ScalarField, field_of
 from vchsim.stepper import (
     SimState,
@@ -136,15 +136,16 @@ def test_criterion_3_mu_energy_dissipation():
     worst_oneside = -np.inf
     for config in DECOUPLED_CONFIGS:
         traj, laws, _ = run_cfg(config)
-        led = mu_energy_ledger(traj, laws)
-        E0 = led.E_mu[0]
-        worst_oneside = max(worst_oneside,
-                            float(np.max(led.E_mu + led.diss_cum - E0) / E0))
+        led = ledger_columns(traj, laws)
+        E0 = led["E_mu"][0]
+        worst_oneside = max(worst_oneside, float(
+            np.max(led["E_mu"] + led["diss_cum"] - E0) / E0))
     # exact identity for the pure heat member
     traj, laws, _ = run_cfg(DECOUPLED_CONFIGS[0])
-    led = mu_energy_ledger(traj, laws)
-    E0 = led.E_mu[0]
-    ident = float(np.max(np.abs(led.E_mu + led.diss_cum + led.extra_cum - E0)) / E0)
+    led = ledger_columns(traj, laws)
+    E0 = led["E_mu"][0]
+    ident = float(np.max(np.abs(led["E_mu"] + led["diss_cum"]
+                                + led["extra_cum"] - E0)) / E0)
     ok = worst_oneside <= 1e-9 and ident <= 1e-9
     record_acceptance(3, ok, f"one-sided excess {worst_oneside:.2e} <= 1e-9, "
                              f"heat identity defect {ident:.2e} <= 1e-9")

@@ -23,11 +23,7 @@ from vchsim.config import (
     parse_config,
     render_config,
 )
-from vchsim.diagnostics import (
-    formulation_residuals,
-    mu_energy_ledger,
-    rho_energy_ledger,
-)
+from vchsim.diagnostics import REPORT_COLUMNS, ledger_columns
 from vchsim.mesh import read_snapshot
 
 
@@ -298,33 +294,14 @@ class TestWriters:
     def test_report_matches_the_whole_trajectory_folds(self, tmp_path):
         # the one-pass report reproduces, bit for bit, the ledgers and
         # residuals folded over the collected trajectory
-        simulate_to_dir(parse_config(
-            "dim = 2\nn = 12\nT = 0.1\nN = 6\npotential = log\n"
-            "coupling = linear\nmobility = tanhpow\nm = 2.5\n"
-            "mu0 = bump 0.5 0.3 1\nrho0 = cosine 0.5 0.2\n"), tmp_path / "run")
+        simulate_to_dir(parse_config(LOG_TANHPOW_2D), tmp_path / "run")
         cli.diagnose_to_report(tmp_path / "run", tmp_path / "rep.csv")
         traj, laws, _ = cli.load_trajectory(tmp_path / "run")
-        led = mu_energy_ledger(traj, laws)
-        rho_led = rho_energy_ledger(traj, laws)
-        res = formulation_residuals(traj, laws)
-        expected = {
-            "t": traj.times(), "E_mu": led.E_mu, "diss": led.diss,
-            "extra": led.extra, "cross": led.cross,
-            "mu_energy_resid": led.resid, "F_rho": rho_led.F_rho,
-            "visc_cum": rho_led.visc_cum, "work_cum": rho_led.work_cum,
-            "rho_violation": rho_led.violation,
-            "min_mu": [s.mu.min() for s in traj.states],
-            "max_mu": [s.mu.max() for s in traj.states],
-            "res_mu_native": res.mu_native,
-            "res_mu_kirchhoff": res.mu_kirchhoff,
-            "res_rho_native": res.rho_native, "res_rho_strong": res.rho_strong,
-        }
-        header, *rows = (tmp_path / "rep.csv").read_text().splitlines()
-        columns = dict(zip(header.split(","),
-                           zip(*(row.split(",") for row in rows))))
-        assert len(rows) == 7
-        for name, values in expected.items():
-            assert list(columns[name]) == [f"{v:.17g}" for v in values], name
+        ledger = ledger_columns(traj, laws)
+        report = _csv_columns(tmp_path / "rep.csv")
+        assert len(report["step"]) == 7
+        for name in REPORT_COLUMNS:
+            assert report[name] == [f"{v:.17g}" for v in ledger[name]], name
 
     def test_series_and_report_come_from_one_fold(self, tmp_path):
         # the columns the two files share agree digit for digit, and
@@ -437,6 +414,9 @@ class TestCliExitCodes:
         (("study",), "mu0 = constant 0.001\nstudy = perturbation\n"
                      "study_values = 1e7\n",
          "(hpzero): mu0"),
+        (("validate", "study"), "study = perturbation\nstudy_values = 1 0.5\n"
+                                "perturb_seed = -1\n",
+         "perturb_seed must be nonnegative"),
         (RUN, "mu0 = constant abc\n", "line 4: bad value for 'mu0'"),
         (RUN, "tau = abc\n", "line 4: bad value for 'tau'"),
         (RUN, "epsilon = inf\n", "line 4: epsilon must be finite"),
@@ -456,7 +436,8 @@ class TestCliExitCodes:
             "demo_steps_not_divisible", "two_values", "non_monotone",
             "refinement_degenerate", "demo_constant", "refinement_inf_steps",
             "refinement_fractional_steps", "demo_fractional_steps",
-            "perturbation_negative", "malformed_recipe_number",
+            "perturbation_negative", "negative_perturb_seed",
+            "malformed_recipe_number",
             "malformed_tau", "non_finite_float", "zero_bump_radius",
             "initial_energy_overflow",
             "missing_mu0_file", "malformed_mu0_file", "mu0_file_on_other_grid",
@@ -510,6 +491,33 @@ class TestCliExitCodes:
         # a rejected command writes nothing, not even its output directory
         for written in ("out", "s", "rep.csv"):
             assert not (tmp_path / written).exists(), written
+
+    @pytest.mark.parametrize("case", ["mu0_file_on_other_grid",
+                                      "corrupt_snapshot",
+                                      "snapshot_on_other_grid"])
+    def test_snapshot_errors_name_the_path_once(self, tmp_path, capsys, case):
+        # the reader's own errors leave the path to the message that wraps
+        # them
+        if case == "mu0_file_on_other_grid":
+            snap = tmp_path / "regrid.txt"
+            snap.write_text("1 8 1 0\n" + "0.5\n" * 8)
+            argv = ["validate", "--config",
+                    self._write(tmp_path, MINIMAL + f"mu0 = file {snap}\n")]
+        else:
+            rundir = tmp_path / "run"
+            assert main(["simulate", "--config", self._write(tmp_path, MINIMAL),
+                         "--out", str(rundir)]) == 0
+            snap = rundir / "state_00004_mu.txt"
+            lines = snap.read_text().splitlines()
+            lines = (lines[:3] + ["not-a-number"] + lines[4:]
+                     if case == "corrupt_snapshot" else
+                     ["1 8 1 0.25"] + lines[1:9])
+            snap.write_text("\n".join(lines) + "\n")
+            write_manifest(rundir)
+            argv = ["diagnose", "--traj", str(rundir),
+                    "--out", str(tmp_path / "rep.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.count(str(snap)) == 1
 
     # the data rules run where the run fixes its data and step, not when
     # the file is parsed
@@ -908,6 +916,16 @@ class TestCliExitCodes:
         lines = (out / "oracle.csv").read_text().splitlines()
         assert lines[0] == "t,mu_stepper,rho_stepper,mu_oracle,rho_oracle"
         assert len(lines) == 52
+
+    def test_zero_step_oracle_study_writes_the_initial_row(self, tmp_path):
+        text = ("n = 4\nT = 0\nN = 0\npotential = log\n"
+                "mu0 = constant 1\nrho0 = constant 0.5\n"
+                "study = homogeneous_oracle\n")
+        path = self._write(tmp_path, text)
+        out = tmp_path / "study"
+        assert main(["study", "--spec", path, "--out", str(out)]) == 0
+        assert (out / "oracle.csv").read_text().splitlines() == [
+            "t,mu_stepper,rho_stepper,mu_oracle,rho_oracle", "0,1,0.5,1,0.5"]
 
     def test_study_subcommand_oracle_rejects_nonconstant_data(self, tmp_path):
         text = ("n = 8\nT = 0.5\nN = 10\nmu0 = cosine 1 0.5\n"

@@ -10,9 +10,7 @@ from vchsim.diagnostics import (
     _bump_means,
     contraction_metric,
     RESIDUAL_COLUMNS,
-    formulation_residuals,
-    mu_energy_ledger,
-    rho_energy_ledger,
+    ledger_columns,
     series_rows,
     step_entry,
 )
@@ -40,26 +38,26 @@ HEAT = dict(dim=1, n=48, T=0.5, N=40, potential="clamp", coupling="constant",
 class TestMuEnergyLedger:
     def test_constant_trajectory(self):
         traj, laws, _ = run_config(**EQUILIBRIUM)
-        led = mu_energy_ledger(traj, laws)
-        assert np.all(led.E_mu == led.E_mu[0])
-        assert np.all(led.diss == 0.0)
-        assert np.all(led.resid == 0.0)
+        led = ledger_columns(traj, laws)
+        assert np.all(led["E_mu"] == led["E_mu"][0])
+        assert np.all(led["diss"] == 0.0)
+        assert np.all(led["mu_energy_resid"] == 0.0)
 
     def test_heat_case_identity(self):
         # implicit Euler: E^n + sum(diss) + sum(increment energy) = E^0 exactly
         traj, laws, _ = run_config(**HEAT)
-        led = mu_energy_ledger(traj, laws)
-        E0 = led.E_mu[0]
-        ident = led.E_mu + led.diss_cum + led.extra_cum - E0
+        led = ledger_columns(traj, laws)
+        E0 = led["E_mu"][0]
+        ident = led["E_mu"] + led["diss_cum"] + led["extra_cum"] - E0
         assert np.max(np.abs(ident)) <= 1e-9 * E0
-        assert np.all(led.cross == 0.0)
+        assert np.all(led["cross"] == 0.0)
 
     def test_decoupled_one_sided_dissipation(self):
         traj, laws, _ = run_config(**HEAT)
-        led = mu_energy_ledger(traj, laws)
-        E0 = led.E_mu[0]
-        assert np.all(led.E_mu + led.diss_cum <= E0 * (1.0 + 1e-9))
-        assert np.all(led.resid <= 1e-9 * E0)
+        led = ledger_columns(traj, laws)
+        E0 = led["E_mu"][0]
+        assert np.all(led["E_mu"] + led["diss_cum"] <= E0 * (1.0 + 1e-9))
+        assert np.all(led["mu_energy_resid"] <= 1e-9 * E0)
 
     def test_homogeneous_drift_halves_with_tau(self):
         # weighted energy of the spatially constant coupled run conserves
@@ -69,34 +67,34 @@ class TestMuEnergyLedger:
             traj, laws, cfg = run_config(
                 dim=1, n=4, T=1.0, N=N, potential="log", alpha1=0.5, alpha2=2.0,
                 coupling="linear", mu0=("constant", 1.0), rho0=("constant", 0.5))
-            led = mu_energy_ledger(traj, laws)
-            drifts.append(np.max(np.abs(led.E_mu - led.E_mu[0])))
+            led = ledger_columns(traj, laws)
+            drifts.append(np.max(np.abs(led["E_mu"] - led["E_mu"][0])))
         assert drifts[0] / drifts[1] == pytest.approx(2.0, abs=0.3)
 
     def test_nonnegative_columns(self):
         traj, laws, _ = run_config(dim=1, n=24, T=0.5, N=16, potential="log",
                                    mu0=("bump", 0.5, 0.3, 1.0),
                                    rho0=("cosine", 0.5, 0.2))
-        led = mu_energy_ledger(traj, laws)
-        assert np.all(led.diss >= 0.0)
-        assert np.all(led.E_mu >= 0.0)
+        led = ledger_columns(traj, laws)
+        assert np.all(led["diss"] >= 0.0)
+        assert np.all(led["E_mu"] >= 0.0)
 
     def test_cumulative_matches_running_sum_exactly(self):
         traj, laws, _ = run_config(**HEAT)
-        led = mu_energy_ledger(traj, laws)
+        led = ledger_columns(traj, laws)
         acc = 0.0
-        for n in range(len(led.diss)):
-            acc += led.diss[n]
-            assert led.diss_cum[n] == acc
+        for n in range(len(led["diss"])):
+            acc += led["diss"][n]
+            assert led["diss_cum"][n] == acc
 
 
 class TestRhoEnergyLedger:
     def test_stationary_trajectory(self):
         traj, laws, _ = run_config(**EQUILIBRIUM)
-        led = rho_energy_ledger(traj, laws)
-        assert np.all(led.F_rho == led.F_rho[0])
-        assert np.all(led.visc == 0.0)
-        assert np.all(led.work == 0.0)
+        led = ledger_columns(traj, laws)
+        assert np.all(led["F_rho"] == led["F_rho"][0])
+        assert np.all(led["visc"] == 0.0)
+        assert np.all(led["work"] == 0.0)
 
     def test_pure_gradient_flow_energy_descends(self):
         # mu identically zero; tau small enough that the viscous term
@@ -105,9 +103,10 @@ class TestRhoEnergyLedger:
             dim=1, n=48, T=0.5, N=64, potential="clamp", alpha2=2.0,
             coupling="linear", mu0=("constant", 0.0),
             rho0=("bump", 0.5, 0.4, 0.4))
-        led = rho_energy_ledger(traj, laws)
-        assert np.all(np.diff(led.F_rho) <= 1e-9 * (1.0 + abs(led.F_rho[0])))
-        assert np.all(led.violation <= 1e-9 * (1.0 + abs(led.F_rho[0])))
+        led = ledger_columns(traj, laws)
+        scale = 1.0 + abs(led["F_rho"][0])
+        assert np.all(np.diff(led["F_rho"]) <= 1e-9 * scale)
+        assert np.all(led["rho_violation"] <= 1e-9 * scale)
 
     def test_one_sided_inequality_convex_smooth_part(self):
         # with alpha2 = 0 the smooth part is convex and the full inequality
@@ -116,8 +115,9 @@ class TestRhoEnergyLedger:
             dim=1, n=32, T=0.5, N=32, potential="clamp", alpha2=0.0,
             coupling="linear", mu0=("bump", 0.5, 0.3, 1.0),
             rho0=("cosine", 0.5, 0.2))
-        led = rho_energy_ledger(traj, laws)
-        assert np.all(led.violation <= 1e-7 * (1.0 + abs(led.F_rho[0])))
+        led = ledger_columns(traj, laws)
+        assert np.all(led["rho_violation"]
+                      <= 1e-7 * (1.0 + abs(led["F_rho"][0])))
 
     def test_weighted_inequality_concave_smooth_part(self):
         # general coupled run: the provable inequality carries the viscous
@@ -127,11 +127,11 @@ class TestRhoEnergyLedger:
             dim=1, n=32, T=0.5, N=32, potential="clamp", alpha2=2.0,
             coupling="linear", mu0=("bump", 0.5, 0.3, 1.0),
             rho0=("cosine", 0.5, 0.2))
-        led = rho_energy_ledger(traj, laws)
+        led = ledger_columns(traj, laws)
         factor = 1.0 - 2.0 * cfg.tau / cfg.delta
-        weighted = (led.F_rho + factor * led.visc_cum
-                    - led.F_rho[0] - led.work_cum)
-        assert np.all(weighted <= 1e-9 * (1.0 + abs(led.F_rho[0])))
+        weighted = (led["F_rho"] + factor * led["visc_cum"]
+                    - led["F_rho"][0] - led["work_cum"])
+        assert np.all(weighted <= 1e-9 * (1.0 + abs(led["F_rho"][0])))
 
     def test_clamp_run_has_zero_indicator_integral(self):
         # the indicator integrates to 0 or +inf, so a finite free energy
@@ -139,8 +139,8 @@ class TestRhoEnergyLedger:
         traj, laws, _ = run_config(
             dim=1, n=24, T=0.5, N=16, potential="clamp", alpha2=2.0,
             mu0=("bump", 0.5, 0.3, 2.0), rho0=("cosine", 0.5, 0.4))
-        led = rho_energy_ledger(traj, laws)
-        assert np.all(np.isfinite(led.F_rho))
+        led = ledger_columns(traj, laws)
+        assert np.all(np.isfinite(led["F_rho"]))
 
 
 class TestBoundedness:
@@ -199,10 +199,10 @@ SMOOTH_INTERIOR = dict(dim=1, n=32, T=0.25, potential="log", alpha1=1.0,
 class TestFormulationResiduals:
     def test_native_residuals_at_solver_tolerance(self):
         traj, laws, _ = run_config(N=32, **SMOOTH_INTERIOR)
-        res = formulation_residuals(traj, laws)
+        res = ledger_columns(traj, laws)
         band = 10.0 * (NEWTON_TOL + LINEAR_TOL)
-        assert res.mu_native.max() <= band
-        assert res.rho_native.max() <= band
+        assert res["res_mu_native"].max() <= band
+        assert res["res_rho_native"].max() <= band
 
     @pytest.mark.parametrize("dim,n,mobility", [(1, 32, "constant"),
                                                 (2, 12, "tanhpow")])
@@ -214,16 +214,15 @@ class TestFormulationResiduals:
                                    coupling="linear", mobility=mobility,
                                    mu0=("bump", 0.5, 0.3, 1.0),
                                    rho0=("cosine", 0.5, 0.2))
-        res = formulation_residuals(traj, laws)
+        res = ledger_columns(traj, laws)
         for k, report in enumerate(traj.reports, start=1):
-            assert res.rho_native[k] == report.newton_residual
+            assert res["res_rho_native"][k] == report.newton_residual
 
     def test_equilibrium_residuals_vanish(self):
         traj, laws, _ = run_config(**EQUILIBRIUM)
-        res = formulation_residuals(traj, laws)
-        for arr in (res.mu_native, res.mu_kirchhoff, res.rho_native,
-                    res.rho_strong):
-            assert np.max(np.abs(arr)) <= 1e-12
+        res = ledger_columns(traj, laws)
+        for name in RESIDUAL_COLUMNS:
+            assert np.max(np.abs(res[name])) <= 1e-12
 
     def test_node_on_the_endpoint_raises_no_warning(self):
         # the log graph's value is taken at inside nodes only; a node at
@@ -244,8 +243,9 @@ class TestFormulationResiduals:
         gaps = {}
         for N in (32, 64):
             traj, laws, _ = run_config(N=N, **SMOOTH_INTERIOR)
-            res = formulation_residuals(traj, laws)
-            gaps[N] = (res.mu_kirchhoff.max(), res.rho_strong.max())
+            res = ledger_columns(traj, laws)
+            gaps[N] = (res["res_mu_kirchhoff"].max(),
+                       res["res_rho_strong"].max())
         assert gaps[32][0] / gaps[64][0] == pytest.approx(2.0, abs=0.5)
         assert gaps[32][1] / gaps[64][1] == pytest.approx(2.0, abs=0.5)
 
@@ -328,10 +328,11 @@ class TestKirchhoffResidual:
                                    coupling="linear", mobility=mobility,
                                    mu0=("bump", 0.5, 0.3, 1.0),
                                    rho0=("cosine", 0.5, 0.2))
-        res = formulation_residuals(traj, laws)
+        res = ledger_columns(traj, laws)
         ref = kirchhoff_reference(traj, laws)
         assert np.all(ref[1:] > 0.0)
-        np.testing.assert_allclose(res.mu_kirchhoff, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res["res_mu_kirchhoff"], ref, rtol=1e-12,
+                                   atol=0.0)
 
 
 class TestContraction:

@@ -2,7 +2,9 @@
 parser reads is documented, and every row of a key table is a key it
 reads (a field of ``Config``, ``tau``, or a retired key).  Every message
 of its validation table is one the package raises, and every owning layer
-it names is an attribute of the package."""
+it names is an attribute of the package.  docs/diagnostics.md documents
+exactly the columns report.csv prints, and the library's whole-run ledger
+is keyed by those names."""
 
 import ast
 import re
@@ -11,8 +13,11 @@ from importlib import import_module
 from pathlib import Path
 
 from vchsim import config
+from vchsim.diagnostics import REPORT_COLUMNS, SERIES_COLUMNS, ledger_columns
+from vchsim.stepper import run
 
 CONFIG_MD = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+DIAGNOSTICS_MD = CONFIG_MD.with_name("diagnostics.md")
 
 
 def _key_rows(text: str) -> list:
@@ -103,3 +108,17 @@ def test_every_owning_layer_is_an_attribute_of_the_package():
         except (ImportError, AttributeError):
             missing.append(layer)
     assert missing == []
+
+
+def test_report_columns_are_documented():
+    # the first cells of the report.csv table's body rows, in table order
+    section = DIAGNOSTICS_MD.read_text().split("## report.csv columns\n\n")[1]
+    table = section.split("\n\n")[0].splitlines()[2:]
+    documented = [name for line in table
+                  for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert documented == list(REPORT_COLUMNS)
+    _grid, cfg, laws, initial = config.build_run(config.parse_config(
+        "n = 8\nT = 0.25\nN = 2\nmu0 = bump 0.5 0.3 1\n"))
+    ledger = ledger_columns(run(cfg, laws, initial), laws)
+    assert set(REPORT_COLUMNS) | set(SERIES_COLUMNS) <= set(ledger)
+    assert all(len(column) == 3 for column in ledger.values())

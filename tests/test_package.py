@@ -18,12 +18,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_readme_import_line_works():
-    from vchsim import build_run, mu_energy_ledger, parse_config, run
+    from vchsim import build_run, ledger_columns, parse_config, run
 
     assert parse_config is import_module("vchsim.config").parse_config
     assert build_run is import_module("vchsim.config").build_run
     assert run is import_module("vchsim.stepper").run
-    assert mu_energy_ledger is import_module("vchsim.diagnostics").mu_energy_ledger
+    assert ledger_columns is import_module("vchsim.diagnostics").ledger_columns
 
 
 def test_every_reexported_name_is_its_module_attribute():
@@ -36,7 +36,7 @@ def test_every_reexported_name_is_its_module_attribute():
 def test_dir_lists_the_reexported_names():
     listed = dir(vchsim)
     assert set(vchsim.__all__) <= set(listed)
-    assert {"parse_config", "build_run", "run", "mu_energy_ledger",
+    assert {"parse_config", "build_run", "run", "ledger_columns",
             "tau_refinement", "__version__"} <= set(listed)
 
 

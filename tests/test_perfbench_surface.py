@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vchsim import mesh
+from vchsim import diagnostics, mesh
 from vchsim.config import build_run, parse_config
 from vchsim.stepper import run
 
@@ -26,6 +26,14 @@ import traced  # noqa: E402  (imported from the benchmark directory)
 def test_every_patched_target_exists():
     for module, attr, _span, _counter in traced._layer_targets():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_the_whole_trajectory_ledger_names_are_one_function():
+    # traced.py wraps three names that no command calls; each is the one
+    # whole-run ledger
+    for name in ("mu_energy_ledger", "rho_energy_ledger",
+                 "formulation_residuals"):
+        assert getattr(diagnostics, name) is diagnostics.ledger_columns, name
 
 
 def test_every_package_attribute_it_reads_exists():

@@ -10,6 +10,7 @@ from vchsim.studies import (
     homogeneous_oracle,
     integrate_reduced_ode,
     perturbation_pairs,
+    reduced_ode_rhs,
     spread_radius,
     tau_refinement,
 )
@@ -79,6 +80,22 @@ class TestHomogeneousOracle:
         report = homogeneous_oracle(self.grid, cfg, laws, 1.0, 0.5)
         assert np.max(np.abs(report.mu_stepper - 1.0)) <= LINEAR_TOL
         assert report.err_mu <= 1e-10
+
+    def test_oracle_meets_its_documented_accuracy(self):
+        # docs/studies.md bounds the oracle's error by 3e-10 against a tight
+        # Radau reference at criterion 4's lambda = tau = 1e-3; a quarter of
+        # criterion 4's horizon keeps the stiff reference near a second
+        from scipy.integrate import solve_ivp
+
+        cfg = SolverConfig(T=0.25, n_steps=250)
+        t = np.linspace(0.0, 0.25, 251)
+        mu, rho = integrate_reduced_ode(cfg, self.laws, 1.0, 0.5, t)
+        ref = solve_ivp(reduced_ode_rhs(cfg, self.laws), (0.0, 0.25),
+                        [1.0, 0.5], method="Radau", t_eval=t, rtol=3e-14,
+                        atol=1e-16)
+        assert ref.success and cfg.yosida_lambda == 1e-3
+        assert np.max(np.abs(mu - ref.y[0])) <= 3e-10
+        assert np.max(np.abs(rho - ref.y[1])) <= 3e-10
 
     def test_oracle_invariant_sanity(self):
         cfg = SolverConfig(T=1.0, n_steps=100)
