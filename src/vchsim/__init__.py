@@ -30,8 +30,8 @@ _EXPORTS = {
         "ValidationError", "iterate", "run", "step", "step_mu", "step_rho",
     ),
     "studies": (
-        "OrderTable", "StudySpec", "degenerate_demo", "homogeneous_oracle",
-        "perturbation_pairs", "tau_refinement",
+        "degenerate_demo", "homogeneous_oracle", "perturbation_pairs",
+        "tau_refinement",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -96,7 +96,8 @@ def _read_manifest(rundir) -> dict:
     try:
         lines = manifest.read_text().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read manifest {str(manifest)!r}: {exc}") from exc
+        raise ConfigError(f"cannot read manifest {str(manifest)!r}: "
+                          f"{exc.strerror}") from exc
     listed = {}
     for line in lines:
         digest, sep, name = line.partition("  ")
@@ -228,7 +229,8 @@ def read_states(rundir, grid, cfg):
                 snaps.append(read_snapshot(path, grid))
             except (OSError, ValueError) as exc:
                 raise ConfigError(
-                    f"cannot read snapshot {str(path)!r}: {exc}") from exc
+                    f"cannot read snapshot {str(path)!r}: "
+                    f"{ConfigError.reason(exc)}") from exc
         (mu, t), (rho, _), (xi, _) = snaps
         dt_rho = (field_of(grid, 0.0) if prev is None else ScalarField(
             grid, (rho.values - prev.rho.values) / cfg.tau))
@@ -315,80 +317,27 @@ def run_study(config: Config, outdir) -> None:
     an --out that cannot be a directory is rejected before the first
     member runs.  A solver failure leaves only config.txt and is
     re-raised."""
+    # imported here: only the study command needs the experiment suites
+    from .studies import STUDIES
+
     outdir = Path(outdir)
     _check_out_dir(outdir)
+    if config.study not in STUDIES:
+        raise ConfigError("config has no study block")
+    name, columns, study = STUDIES[config.study]
 
     def start():
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "config.txt").write_text(render_config(config))
 
     try:
-        name, rows, columns = _study_table(config)
+        rows = study(config)
     except SolverFailure:
         start()
         raise
     start()
     write_series(outdir / name, rows, columns)
     write_manifest(outdir)
-
-
-def _study_table(config: Config):
-    """(file name, rows, columns) of the config's study, run in memory."""
-    # imported here: only the study command needs the experiment suites
-    from .studies import (
-        PERTURB_AMPLITUDE,
-        StudySpec,
-        degenerate_demo,
-        homogeneous_oracle,
-        perturbation_pairs,
-        tau_refinement,
-    )
-
-    if config.study == "tau_refinement":
-        spec = StudySpec(base=config, values=tuple(config.study_values),
-                         reference=config.study_reference)
-        table = tau_refinement(spec)
-        rows = [{"n_steps": v, "error": e,
-                 "order": o if o is not None else float("nan")}
-                for v, e, o in table.rows]
-        return "orders.csv", rows, ("n_steps", "error", "order")
-    if config.study == "homogeneous_oracle":
-        grid, cfg, laws, (mu0, rho0) = build_run(config)
-        if np.ptp(mu0.values) or np.ptp(rho0.values):
-            raise ConfigError("the oracle study needs spatially constant data")
-        report = homogeneous_oracle(grid, cfg, laws,
-                                    float(mu0.values.flat[0]),
-                                    float(rho0.values.flat[0]))
-        rows = [{"t": report.t[i],
-                 "mu_stepper": report.mu_stepper[i],
-                 "rho_stepper": report.rho_stepper[i],
-                 "mu_oracle": report.mu_oracle[i],
-                 "rho_oracle": report.rho_oracle[i]}
-                for i in range(len(report.t))]
-        return "oracle.csv", rows, ("t", "mu_stepper", "rho_stepper",
-                                    "mu_oracle", "rho_oracle")
-    if config.study == "degenerate_demo":
-        report = degenerate_demo(config, step_counts=config.study_values)
-        rows = []
-        for n_steps in report.step_counts:
-            for i, t in enumerate(report.sample_times):
-                rows.append({"n_steps": n_steps, "t": t,
-                             "radius": report.radii[n_steps][i],
-                             "radius_control": report.control_radii[n_steps][i],
-                             "ktau_vnorm_sup": report.ktau_vnorm_sup[n_steps]})
-        return "degenerate.csv", rows, ("n_steps", "t", "radius",
-                                        "radius_control", "ktau_vnorm_sup")
-    if config.study == "perturbation":
-        report = perturbation_pairs(config, tuple(PERTURB_AMPLITUDE * v
-                                                  for v in config.study_values),
-                                    seed=config.perturb_seed)
-        rows = [{"amplitude": a, "final_metric": m,
-                 "growth_rate": r if r is not None else float("nan")}
-                for a, m, r in zip(report.amplitudes, report.final_metrics,
-                                   report.growth_rates)]
-        return "perturbation.csv", rows, ("amplitude", "final_metric",
-                                          "growth_rate")
-    raise ConfigError("config has no study block")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +347,8 @@ def _load_config(path) -> Config:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
+        raise ConfigError(f"cannot read config {str(path)!r}: "
+                          f"{exc.strerror}") from exc
     return parse_config(text)
 
 

@@ -24,6 +24,12 @@ from .stepper import SolverConfig, ValidationError
 class ConfigError(ValidationError):
     """Malformed or invalid configuration text or input file."""
 
+    @staticmethod
+    def reason(exc: Exception) -> str:
+        """Why an input file could not be read, without its path: an
+        OSError's message repeats the path its wrapping message names."""
+        return exc.strerror if isinstance(exc, OSError) else str(exc)
+
 
 _POTENTIALS = ("clamp", "log")
 _MOBILITIES = ("constant", "tanhpow")
@@ -278,7 +284,8 @@ def build_field(recipe: tuple, grid: Grid) -> ScalarField:
             return read_snapshot(recipe[1], grid)[0]
         except (OSError, ValueError) as exc:
             raise ConfigError(
-                f"cannot read initial-data file {recipe[1]!r}: {exc}") from exc
+                f"cannot read initial-data file {recipe[1]!r}: "
+                f"{ConfigError.reason(exc)}") from exc
     raise ConfigError(f"unknown initial-data recipe {kind!r}")
 
 

@@ -1,17 +1,21 @@
 """Scripted experiment suites.
 
-Three families of desk-scale experiments:
+Four desk-scale experiments, each a function of the whole config that
+returns the rows of its CSV table:
 
 * ``tau_refinement`` -- self-convergence of the stepper under step halving,
   errors in the discrete space-time L2 norm against the finest member;
 * ``homogeneous_oracle`` -- spatially constant runs checked against a
   high-order adaptive integration of the reduced two-variable ODE system
-  (the oracle is built on scipy's DOP853, an entirely independent path),
-  including the exact invariant (eps + 2 g(rho)) mu^2 = const;
+  (the oracle is built on scipy's DOP853, an entirely independent path);
 * ``degenerate_demo`` -- qualitative slow-diffusion study for the
   tanh-power mobility: spread radii of a compact bump against a
-  constant-mobility control, across shrinking parabolicity floors.
+  constant-mobility control, across shrinking parabolicity floors;
+* ``perturbation_pairs`` -- two-run contraction scaling under perturbed
+  initial potentials.
 
+:data:`STUDIES` names each study's file and columns.  Each study reads its
+own config keys and checks its own rules before the first member runs.
 Sweep members run independently; aggregation is ordered by sweep value, so
 repeated executions produce identical tables.
 """
@@ -19,11 +23,11 @@ repeated executions produce identical tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .config import Config, build_laws, build_run
+from .config import Config, ConfigError, build_laws, build_run
 from .constitutive import K_tau_array, Laws, yosida_array
 from .diagnostics import contraction_metric
 from .mesh import ScalarField, dirichlet_energy, field_of, integrate
@@ -47,40 +51,21 @@ def _step_counts(values) -> list:
     return [int(v) for v in values]
 
 
-@dataclass(frozen=True)
-class StudySpec:
-    """A step-count sweep of a base configuration."""
-
-    base: Config
-    values: tuple              # member step counts
-    reference: int = 512       # finest-step member used as reference
-
-    def __post_init__(self):
-        vals = np.asarray(_step_counts(self.values), dtype=float)
-        if len(vals) < 3:
-            raise ValidationError(
-                "order estimation needs at least 3 sweep values")
-        diffs = np.diff(vals)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValidationError("sweep values must be strictly monotone")
+def _rows(study: str, rows) -> list:
+    """Value tuples as rows keyed by the study's columns in :data:`STUDIES`."""
+    columns = STUDIES[study][1]
+    return [dict(zip(columns, row)) for row in rows]
 
 
-@dataclass
-class OrderTable:
-    """(sweep value, error norm, estimated order) rows; the order column is
-    None on the first row and between non-finite pairs."""
+def _prepare(config: Config) -> tuple:
+    """Build a member run's ``(cfg, laws, initial)`` and check its data."""
+    _grid, cfg, laws, initial = build_run(config)
+    validate_initial_data(*initial, cfg, laws)
+    return cfg, laws, initial
 
-    rows: list
 
-    def fit_order(self):
-        """Least-squares slope of log error vs log step count -- the sweep's
-        headline empirical order (pairwise column entries wobble around it)."""
-        pts = [(math.log(v), math.log(e)) for v, e, _ in self.rows if e > 0]
-        if len(pts) < 2:
-            return None
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        return float(-np.polyfit(xs, ys, 1)[0])
+# ---------------------------------------------------------------------------
+# step refinement
 
 
 def _space_l2_sq(grid, a: np.ndarray, b: np.ndarray) -> float:
@@ -103,58 +88,47 @@ def _l2q_error(member: Trajectory, reference: Trajectory) -> float:
     return math.sqrt(total)
 
 
-def tau_refinement(spec: StudySpec) -> OrderTable:
-    """Run the sweep, measure each member against the reference run, and
-    estimate the convergence order between consecutive members.  Every
-    member is built and checked before the first run."""
-    if build_laws(spec.base).mobility.r_star != 0.0:
+def tau_refinement(config: Config) -> list:
+    """Run the config at each of its ``study_values`` step counts, measure
+    each member against the ``study_reference`` run, and estimate the
+    convergence order between consecutive members (NaN on the first row and
+    between non-positive errors).  Every member is built and checked before
+    the first run."""
+    counts = _step_counts(config.study_values)
+    if len(counts) < 3:
+        raise ValidationError(
+            "order estimation needs at least 3 sweep values")
+    diffs = np.diff(counts)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValidationError("sweep values must be strictly monotone")
+    if build_laws(config).mobility.r_star != 0.0:
         raise ValidationError(
             "refinement study needs a nondegenerate mobility")
-    counts = [int(v) for v in spec.values]
-    if spec.base.T > 0:
-        members = [_prepare(replace(spec.base, N=n))
-                   for n in (spec.reference, *counts)]
-        uneven = [n for n in counts if spec.reference % n]
+    reference_n = config.study_reference
+    if config.T > 0:
+        members = [_prepare(replace(config, N=n))
+                   for n in (reference_n, *counts)]
+        uneven = [n for n in counts if reference_n % n]
         if uneven:
             raise ValidationError(
-                f"study_reference = {spec.reference} must be a multiple of "
+                f"study_reference = {reference_n} must be a multiple of "
                 f"every member step count (not of {uneven[0]})")
     else:
-        members = [_prepare(spec.base)] * (len(counts) + 1)
+        members = [_prepare(config)] * (len(counts) + 1)
     reference = run(*members[0])
     errors = [_l2q_error(run(*member), reference) for member in members[1:]]
     rows = []
     for i, n_steps in enumerate(counts):
-        order = None
+        order = math.nan
         if i > 0 and errors[i - 1] > 0 and errors[i] > 0:
             order = math.log(errors[i - 1] / errors[i]) \
                 / math.log(counts[i] / counts[i - 1])
         rows.append((n_steps, errors[i], order))
-    return OrderTable(rows)
-
-
-def _prepare(config: Config) -> tuple:
-    """Build a member run's ``(cfg, laws, initial)`` and check its data."""
-    _grid, cfg, laws, initial = build_run(config)
-    validate_initial_data(*initial, cfg, laws)
-    return cfg, laws, initial
+    return _rows("tau_refinement", rows)
 
 
 # ---------------------------------------------------------------------------
 # homogeneous oracle
-
-
-@dataclass
-class HomogeneousOracleReport:
-    t: np.ndarray
-    mu_stepper: np.ndarray
-    rho_stepper: np.ndarray
-    mu_oracle: np.ndarray
-    rho_oracle: np.ndarray
-    err_mu: float                 # sup over step times of |stepper - oracle|
-    err_rho: float
-    invariant_drift_stepper: float
-    invariant_drift_oracle: float
 
 
 def reduced_ode_rhs(cfg: SolverConfig, laws: Laws):
@@ -191,54 +165,29 @@ def integrate_reduced_ode(cfg: SolverConfig, laws: Laws, mu0: float,
     return sol.y[0], sol.y[1]
 
 
-def _invariant(cfg, laws, mu: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return mu_weight(cfg, laws, rho) * mu ** 2
-
-
-def homogeneous_oracle(grid, cfg: SolverConfig, laws: Laws, mu0: float,
-                       rho0: float) -> HomogeneousOracleReport:
-    """Compare the stepper's spatially constant run with the adaptive ODE
-    integration of the reduced system, and track the exact invariant
-    (eps + 2 g(rho)) mu^2 on both."""
-    traj = run(cfg, laws, (field_of(grid, mu0), field_of(grid, rho0)))
+def homogeneous_oracle(config: Config) -> list:
+    """Compare the stepper's run of spatially constant data with the
+    adaptive ODE integration of the reduced system, one row per step."""
+    _grid, cfg, laws, (mu0, rho0) = build_run(config)
+    if np.ptp(mu0.values) or np.ptp(rho0.values):
+        raise ConfigError("the oracle study needs spatially constant data")
+    traj = run(cfg, laws, (mu0, rho0))
     t = traj.times()
-    mu_step = np.array([s.mu.values.flat[0] for s in traj.states])
-    rho_step = np.array([s.rho.values.flat[0] for s in traj.states])
-    mu_orc, rho_orc = integrate_reduced_ode(cfg, laws, mu0, rho0, t)
-    inv_step = _invariant(cfg, laws, mu_step, rho_step)
-    inv_orc = _invariant(cfg, laws, mu_orc, rho_orc)
-    inv0 = inv_step[0]
-    return HomogeneousOracleReport(
-        t=t, mu_stepper=mu_step, rho_stepper=rho_step,
-        mu_oracle=mu_orc, rho_oracle=rho_orc,
-        err_mu=float(np.max(np.abs(mu_step - mu_orc))),
-        err_rho=float(np.max(np.abs(rho_step - rho_orc))),
-        invariant_drift_stepper=float(np.max(np.abs(inv_step - inv0))),
-        invariant_drift_oracle=float(np.max(np.abs(inv_orc - inv0))),
-    )
+    mu_step = [s.mu.values.flat[0] for s in traj.states]
+    rho_step = [s.rho.values.flat[0] for s in traj.states]
+    mu_orc, rho_orc = integrate_reduced_ode(cfg, laws,
+                                            float(mu0.values.flat[0]),
+                                            float(rho0.values.flat[0]), t)
+    return _rows("homogeneous_oracle",
+                 zip(t, mu_step, rho_step, mu_orc, rho_orc))
 
 
 # ---------------------------------------------------------------------------
 # degenerate mobility demo
 
 
-@dataclass
-class DegenerateReport:
-    """Spread radii of the superlevel set {mu > threshold} over time.
-
-    ``radii[n_steps]`` holds the degenerate-mobility radii at the sampled
-    times, ``control_radii[n_steps]`` the constant-mobility control at the
-    same step count; ``ktau_vnorm_sup`` is the largest discrete H1 norm of
-    the floored Kirchhoff transform seen along each degenerate run.
-    """
-
-    sample_times: np.ndarray
-    step_counts: list
-    radii: dict
-    control_radii: dict
-    ktau_vnorm_sup: dict
-    threshold: float
-    center: float
+# sampled times per member of the degenerate demo
+N_SAMPLES = 8
 
 
 def spread_radius(field: ScalarField, threshold: float, center: float) -> float:
@@ -256,63 +205,55 @@ def spread_radius(field: ScalarField, threshold: float, center: float) -> float:
     return float(dist[mask].max())
 
 
-def degenerate_demo(base: Config, step_counts=(64, 128, 256),
-                    n_samples: int = 8, threshold: float = 1e-3) -> DegenerateReport:
-    """Paired degenerate/control runs over shrinking parabolicity floors.
-    Every member is built and checked before the first run."""
-    if base.mobility != "tanhpow":
+def _ktau_vnorm(traj: Trajectory, laws: Laws) -> float:
+    """Largest discrete H1 norm of the floored Kirchhoff transform of mu
+    along a run."""
+    grid, norms = traj.grid, []
+    for state in traj.states:
+        kt = ScalarField(grid, K_tau_array(
+            laws.mobility, traj.cfg.mobility_floor_tau, state.mu.values))
+        norms.append(math.sqrt(integrate(grid, ScalarField(
+            grid, kt.values ** 2)) + dirichlet_energy(
+                grid, field_of(grid, 1.0), kt)))
+    return float(max(norms))
+
+
+def degenerate_demo(config: Config, threshold: float = 1e-3) -> list:
+    """Paired degenerate/control runs at each of the ``study_values`` step
+    counts (the parabolicity floor shrinks with the step): the spread radius
+    of {mu > threshold} at ``N_SAMPLES`` evenly spaced times.  Every member
+    is built and checked before the first run."""
+    if config.mobility != "tanhpow":
         raise ValidationError(
             "the degenerate demo expects the tanh-power mobility")
-    if base.mu0[0] != "bump":
+    if config.mu0[0] != "bump":
         raise ValidationError(
             "the demo expects a compact bump over a zero background")
-    step_counts = _step_counts(step_counts)
-    if any(n_steps % n_samples for n_steps in step_counts):
+    step_counts = _step_counts(config.study_values)
+    if any(n_steps % N_SAMPLES for n_steps in step_counts):
         raise ValidationError(
-            f"step counts must be divisible by the sample count {n_samples}")
-    center = base.mu0[1]
-    members = [replace(base, N=n_steps) for n_steps in step_counts]
+            f"step counts must be divisible by the sample count {N_SAMPLES}")
+    center = config.mu0[1]
+    members = [replace(config, N=n_steps) for n_steps in step_counts]
     pairs = [(_prepare(member), _prepare(
         replace(member, mobility="constant", kappa0=1.0))) for member in members]
-    radii, control_radii, vnorm = {}, {}, {}
-    sample_times = None
+    rows = []
     for n_steps, (member_run, control_run) in zip(step_counts, pairs):
-        stride = n_steps // n_samples
+        stride = n_steps // N_SAMPLES
         traj = run(*member_run)
         control = run(*control_run)
-        laws = member_run[1]
-        times = []
-        r_deg, r_ctl, vn = [], [], []
-        for k in range(1, n_samples + 1):
-            idx = k * stride
-            times.append(traj.states[idx].t)
-            r_deg.append(spread_radius(traj.states[idx].mu, threshold, center))
-            r_ctl.append(spread_radius(control.states[idx].mu, threshold, center))
-        for state in traj.states:
-            kt = ScalarField(traj.grid, K_tau_array(
-                laws.mobility, traj.cfg.mobility_floor_tau, state.mu.values))
-            vn.append(math.sqrt(integrate(traj.grid, ScalarField(
-                traj.grid, kt.values ** 2)) + dirichlet_energy(
-                    traj.grid, field_of(traj.grid, 1.0), kt)))
-        radii[n_steps] = np.array(r_deg)
-        control_radii[n_steps] = np.array(r_ctl)
-        vnorm[n_steps] = float(max(vn))
-        sample_times = np.array(times)
-    return DegenerateReport(sample_times=sample_times,
-                            step_counts=step_counts, radii=radii,
-                            control_radii=control_radii, ktau_vnorm_sup=vnorm,
-                            threshold=threshold, center=center)
+        vnorm = _ktau_vnorm(traj, member_run[1])
+        for k in range(1, N_SAMPLES + 1):
+            state, state_ctl = traj.states[k * stride], control.states[k * stride]
+            rows.append((n_steps, state.t,
+                         spread_radius(state.mu, threshold, center),
+                         spread_radius(state_ctl.mu, threshold, center),
+                         vnorm))
+    return _rows("degenerate_demo", rows)
 
 
 # ---------------------------------------------------------------------------
 # two-run perturbation pairs (contraction scaling)
-
-
-@dataclass
-class PerturbationReport:
-    amplitudes: tuple
-    final_metrics: list
-    growth_rates: list
 
 
 # the unit of the perturbation study: its amplitudes are this times the
@@ -320,24 +261,44 @@ class PerturbationReport:
 PERTURB_AMPLITUDE = 1e-6
 
 
-def perturbation_pairs(base: Config, amplitudes, seed: int = 0) -> PerturbationReport:
-    """Run the base config against perturbed copies of mu0 (one fixed random
-    direction, scaled by each amplitude) and report the final contraction
-    metric plus the largest per-step growth rate.  The base datum and every
-    perturbed one are checked before the base run."""
-    grid, cfg, laws, (mu0, rho0) = build_run(base)
-    direction = np.random.default_rng(seed).standard_normal(grid.shape)
+def perturbation_pairs(config: Config) -> list:
+    """Run the config against perturbed copies of mu0 (one fixed random
+    direction drawn from ``perturb_seed``, scaled by each amplitude) and
+    report the final contraction metric plus the largest per-step growth
+    rate (NaN when no step grew).  The base datum and every perturbed one
+    are checked before the base run."""
+    amplitudes = [PERTURB_AMPLITUDE * v for v in config.study_values]
+    grid, cfg, laws, (mu0, rho0) = build_run(config)
+    direction = np.random.default_rng(
+        config.perturb_seed).standard_normal(grid.shape)
     direction /= np.max(np.abs(direction))
     perturbed = [field_of(grid, mu0.values + amp * direction)
                  for amp in amplitudes]
     for mu0_x in (mu0, *perturbed):
         validate_initial_data(mu0_x, rho0, cfg, laws)
     base_traj = run(cfg, laws, (mu0, rho0))
-    finals, rates = [], []
-    for mu0_pert in perturbed:
+    rows = []
+    for amp, mu0_pert in zip(amplitudes, perturbed):
         pert_traj = run(cfg, laws, (mu0_pert, rho0))
         series = contraction_metric(base_traj, pert_traj, laws)
-        finals.append(float(series.total[-1]))
-        rates.append(series.growth_rate(cfg.tau))
-    return PerturbationReport(amplitudes=tuple(amplitudes),
-                              final_metrics=finals, growth_rates=rates)
+        rate = series.growth_rate(cfg.tau)
+        rows.append((amp, float(series.total[-1]),
+                     math.nan if rate is None else rate))
+    return _rows("perturbation", rows)
+
+
+# study name -> (file name, columns, study); docs/studies.md documents each
+# table under the heading of its file name
+STUDIES = {
+    "tau_refinement": ("orders.csv", ("n_steps", "error", "order"),
+                       tau_refinement),
+    "homogeneous_oracle": ("oracle.csv", ("t", "mu_stepper", "rho_stepper",
+                                          "mu_oracle", "rho_oracle"),
+                           homogeneous_oracle),
+    "degenerate_demo": ("degenerate.csv", ("n_steps", "t", "radius",
+                                           "radius_control", "ktau_vnorm_sup"),
+                        degenerate_demo),
+    "perturbation": ("perturbation.csv", ("amplitude", "final_metric",
+                                          "growth_rate"),
+                     perturbation_pairs),
+}

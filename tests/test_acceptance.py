@@ -13,23 +13,18 @@ import numpy as np
 from vchsim.cli import simulate_to_dir
 from vchsim.config import Config, build_run
 from vchsim.diagnostics import contraction_metric, ledger_columns
-from vchsim.mesh import Grid, ScalarField, field_of
+from vchsim.mesh import ScalarField, field_of
 from vchsim.stepper import (
     SimState,
-    SolverConfig,
     initial_state,
     run,
     step_mu,
     step_rho,
 )
-from vchsim.studies import (
-    StudySpec,
-    degenerate_demo,
-    homogeneous_oracle,
-    tau_refinement,
-)
+from vchsim.studies import degenerate_demo, homogeneous_oracle, tau_refinement
 
 from conftest import record_acceptance
+from oracles import fit_order, oracle_gaps
 
 
 def run_cfg(config: Config):
@@ -155,21 +150,20 @@ def test_criterion_3_mu_energy_dissipation():
 
 def test_criterion_4_homogeneous_oracle():
     t0 = time.monotonic()
-    grid = Grid(1, 4, 1.0)
-    config = Config(potential="log", alpha1=0.5, alpha2=2.0, coupling="linear",
-                    mobility="constant", kappa0=1.0)
-    from vchsim.config import build_laws
-    laws = build_laws(config)
+    config = Config(dim=1, n=4, length=1.0, T=1.0, potential="log",
+                    alpha1=0.5, alpha2=2.0, coupling="linear",
+                    mobility="constant", kappa0=1.0, mu0=("constant", 1.0),
+                    rho0=("constant", 0.5), study="homogeneous_oracle")
     reports = {}
     for N in (1000, 2000):
-        cfg = SolverConfig(T=1.0, n_steps=N)
-        reports[N] = homogeneous_oracle(grid, cfg, laws, mu0=1.0, rho0=0.5)
-    err_coarse = max(reports[1000].err_mu, reports[1000].err_rho)
-    err_fine = max(reports[2000].err_mu, reports[2000].err_rho)
+        member = replace(config, N=N)
+        reports[N] = oracle_gaps(member, homogeneous_oracle(member))
+    err_coarse = max(reports[1000]["err_mu"], reports[1000]["err_rho"])
+    err_fine = max(reports[2000]["err_mu"], reports[2000]["err_rho"])
     ratio = err_coarse / err_fine
-    inv_ratio = (reports[1000].invariant_drift_stepper
-                 / reports[2000].invariant_drift_stepper)
-    oracle_drift = max(r.invariant_drift_oracle for r in reports.values())
+    inv_ratio = (reports[1000]["drift_stepper"]
+                 / reports[2000]["drift_stepper"])
+    oracle_drift = max(r["drift_oracle"] for r in reports.values())
     elapsed = time.monotonic() - t0
     ok = (err_coarse <= 2e-3 and 1.7 <= ratio <= 2.3
           and 1.7 <= inv_ratio <= 2.3 and oracle_drift <= 1e-9
@@ -195,11 +189,14 @@ def test_criterion_5_tau_refinement_order():
                      alpha2=0.5, coupling="linear", mobility="constant",
                      kappa0=1.0, mu0=("cosine", 1.0, 0.5),
                      rho0=("cosine", 0.5, 0.25))
-    values = (16, 32, 64, 128)
-    lin = tau_refinement(StudySpec(base=linear, values=values,
-                                   reference=512)).fit_order()
-    cpl = tau_refinement(StudySpec(base=coupled, values=values,
-                                   reference=512)).fit_order()
+    sweep = {"study": "tau_refinement", "study_values": (16, 32, 64, 128),
+             "study_reference": 512}
+    orders = []
+    for base in (linear, coupled):
+        rows = tau_refinement(replace(base, **sweep))
+        orders.append(fit_order([row["n_steps"] for row in rows],
+                                [row["error"] for row in rows]))
+    lin, cpl = orders
     elapsed = time.monotonic() - t0
     ok = 0.9 <= lin <= 1.1 and cpl >= 0.8 and elapsed <= 60.0
     record_acceptance(5, ok, f"linear order {lin:.3f} in [0.9, 1.1], coupled "
@@ -275,15 +272,14 @@ def test_criterion_8_degenerate_regime():
     t0 = time.monotonic()
     base = Config(dim=1, n=128, length=4.0, T=1.0, N=64, potential="clamp",
                   coupling="constant", g0=0.0, mobility="tanhpow", m=2.0,
-                  mu0=("bump", 2.0, 0.25, 1.0), rho0=("constant", 0.5))
-    report = degenerate_demo(base, step_counts=(64, 128, 256), n_samples=8,
-                             threshold=0.05)
-    control_larger = all(
-        np.all(report.control_radii[n] > report.radii[n])
-        for n in report.step_counts)
-    finals = [float(report.radii[n][-1]) for n in report.step_counts]
+                  mu0=("bump", 2.0, 0.25, 1.0), rho0=("constant", 0.5),
+                  study="degenerate_demo", study_values=(64, 128, 256))
+    rows = degenerate_demo(base, threshold=0.05)
+    control_larger = all(row["radius_control"] > row["radius"] for row in rows)
+    finals = [[row["radius"] for row in rows if row["n_steps"] == n][-1]
+              for n in base.study_values]
     floor_monotone = all(b <= a for a, b in zip(finals, finals[1:]))
-    ktau_bounded = all(np.isfinite(v) for v in report.ktau_vnorm_sup.values())
+    ktau_bounded = all(np.isfinite(row["ktau_vnorm_sup"]) for row in rows)
     elapsed = time.monotonic() - t0
     ok = control_larger and floor_monotone and ktau_bounded and elapsed <= 60.0
     record_acceptance(8, ok, f"control strictly wider at all sampled times: "

@@ -494,15 +494,25 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("case", ["mu0_file_on_other_grid",
                                       "corrupt_snapshot",
-                                      "snapshot_on_other_grid"])
+                                      "snapshot_on_other_grid",
+                                      "missing_mu0_file", "missing_config",
+                                      "missing_run_directory"])
     def test_snapshot_errors_name_the_path_once(self, tmp_path, capsys, case):
-        # the reader's own errors leave the path to the message that wraps
-        # them
-        if case == "mu0_file_on_other_grid":
+        # the reader's own errors, and an OSError's reason, leave the path
+        # to the message that wraps them
+        if case in ("mu0_file_on_other_grid", "missing_mu0_file"):
             snap = tmp_path / "regrid.txt"
-            snap.write_text("1 8 1 0\n" + "0.5\n" * 8)
+            if case == "mu0_file_on_other_grid":
+                snap.write_text("1 8 1 0\n" + "0.5\n" * 8)
             argv = ["validate", "--config",
                     self._write(tmp_path, MINIMAL + f"mu0 = file {snap}\n")]
+        elif case == "missing_config":
+            snap = tmp_path / "absent.txt"
+            argv = ["validate", "--config", str(snap)]
+        elif case == "missing_run_directory":
+            snap = tmp_path / "absent"
+            argv = ["diagnose", "--traj", str(snap),
+                    "--out", str(tmp_path / "rep.csv")]
         else:
             rundir = tmp_path / "run"
             assert main(["simulate", "--config", self._write(tmp_path, MINIMAL),

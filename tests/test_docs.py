@@ -4,7 +4,8 @@ reads (a field of ``Config``, ``tau``, or a retired key).  Every message
 of its validation table is one the package raises, and every owning layer
 it names is an attribute of the package.  docs/diagnostics.md documents
 exactly the columns report.csv prints, and the library's whole-run ledger
-is keyed by those names."""
+is keyed by those names; docs/studies.md documents exactly the columns
+each study table prints."""
 
 import ast
 import re
@@ -15,9 +16,11 @@ from pathlib import Path
 from vchsim import config
 from vchsim.diagnostics import REPORT_COLUMNS, SERIES_COLUMNS, ledger_columns
 from vchsim.stepper import run
+from vchsim.studies import STUDIES
 
 CONFIG_MD = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 DIAGNOSTICS_MD = CONFIG_MD.with_name("diagnostics.md")
+STUDIES_MD = CONFIG_MD.with_name("studies.md")
 
 
 def _key_rows(text: str) -> list:
@@ -122,3 +125,16 @@ def test_report_columns_are_documented():
     ledger = ledger_columns(run(cfg, laws, initial), laws)
     assert set(REPORT_COLUMNS) | set(SERIES_COLUMNS) <= set(ledger)
     assert all(len(column) == 3 for column in ledger.values())
+
+
+def test_study_columns_are_documented():
+    # the first cells of the body rows of the table under each study's
+    # heading, in table order
+    text = STUDIES_MD.read_text()
+    for study, (name, columns, _study) in STUDIES.items():
+        section = text.split(f"## {name} (`study = {study}`)\n")[1]
+        table = [line for line in section.split("\n## ")[0].splitlines()
+                 if line.startswith("|")][2:]
+        documented = [column for line in table
+                      for column in re.findall(r"`(\w+)`", line.split("|")[1])]
+        assert documented == list(columns), study

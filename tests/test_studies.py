@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from vchsim.config import Config, build_laws
+from vchsim import studies
+from vchsim.config import Config, _STUDIES, build_laws
 from vchsim.mesh import Grid
 from vchsim.stepper import LINEAR_TOL, SolverConfig
 from vchsim.studies import (
-    StudySpec,
+    STUDIES,
     degenerate_demo,
     homogeneous_oracle,
     integrate_reduced_ode,
@@ -15,71 +18,96 @@ from vchsim.studies import (
     tau_refinement,
 )
 
+from oracles import fit_order, oracle_gaps
+
 LINEAR_CONTROL = Config(dim=1, n=24, T=0.5, N=8, potential="log", alpha1=1.0,
                         alpha2=0.5, coupling="constant", g0=0.0,
                         mobility="constant", kappa0=1.0,
-                        mu0=("cosine", 1.0, 0.5), rho0=("cosine", 0.5, 0.25))
+                        mu0=("cosine", 1.0, 0.5), rho0=("cosine", 0.5, 0.25),
+                        study="tau_refinement", study_values=(8, 16, 32),
+                        study_reference=64)
 
 DEGENERATE_BASE = Config(dim=1, n=64, length=4.0, T=0.5, N=32,
                          potential="clamp", coupling="constant", g0=0.0,
                          mobility="tanhpow", m=2.0,
-                         mu0=("bump", 2.0, 0.25, 1.0), rho0=("constant", 0.5))
+                         mu0=("bump", 2.0, 0.25, 1.0), rho0=("constant", 0.5),
+                         study="degenerate_demo", study_values=(32,))
+
+# the oracle's spatially constant system: a 4-node grid on [0, 1]
+ORACLE_BASE = Config(dim=1, n=4, length=1.0, potential="log", alpha1=0.5,
+                     alpha2=2.0, coupling="linear", mu0=("constant", 1.0),
+                     rho0=("constant", 0.5), study="homogeneous_oracle")
 
 
-class TestStudySpec:
-    def test_rejects_nonmonotone_values(self):
-        with pytest.raises(ValueError):
-            StudySpec(base=LINEAR_CONTROL, values=(16, 8, 32))
+def column(rows, name) -> np.ndarray:
+    return np.array([row[name] for row in rows])
 
-    def test_tau_sweep_needs_three_members(self):
-        with pytest.raises(ValueError):
-            StudySpec(base=LINEAR_CONTROL, values=(16, 32))
+
+def by_member(rows, name) -> dict:
+    """A degenerate-demo column split by member step count."""
+    counts = sorted({row["n_steps"] for row in rows})
+    return {n: np.array([row[name] for row in rows if row["n_steps"] == n])
+            for n in counts}
+
+
+def no_run(*_args):
+    raise AssertionError("a member ran before the rejection")
+
+
+def test_every_config_study_has_a_table():
+    # config cannot import studies (each command loads only what it runs),
+    # so the two name lists are kept equal here
+    assert set(STUDIES) == {name for name in _STUDIES if name}
 
 
 class TestTauRefinement:
+    def test_rejects_nonmonotone_values(self, monkeypatch):
+        monkeypatch.setattr(studies, "run", no_run)
+        with pytest.raises(ValueError, match="strictly monotone"):
+            tau_refinement(replace(LINEAR_CONTROL, study_values=(16, 8, 32)))
+
+    def test_tau_sweep_needs_three_members(self, monkeypatch):
+        monkeypatch.setattr(studies, "run", no_run)
+        with pytest.raises(ValueError, match="at least 3 sweep values"):
+            tau_refinement(replace(LINEAR_CONTROL, study_values=(16, 32)))
+
     def test_zero_time_study_has_zero_errors(self):
         base = Config(dim=1, n=16, T=0.0, N=0, potential="clamp",
-                      mu0=("constant", 1.0), rho0=("constant", 0.5))
-        table = tau_refinement(StudySpec(base=base, values=(8, 16, 32),
-                                         reference=64))
-        assert all(e == 0.0 for _, e, _ in table.rows)
+                      mu0=("constant", 1.0), rho0=("constant", 0.5),
+                      study="tau_refinement", study_values=(8, 16, 32),
+                      study_reference=64)
+        assert all(row["error"] == 0.0 for row in tau_refinement(base))
 
     def test_linear_control_first_order(self):
-        table = tau_refinement(StudySpec(base=LINEAR_CONTROL,
-                                         values=(8, 16, 32), reference=128))
-        fit = table.fit_order()
+        rows = tau_refinement(replace(LINEAR_CONTROL, study_reference=128))
+        errors = list(column(rows, "error"))
+        fit = fit_order(column(rows, "n_steps"), errors)
         assert 0.8 <= fit <= 1.25
-        errors = [e for _, e, _ in table.rows]
         assert errors == sorted(errors, reverse=True)  # monotone refinement
 
     def test_rejects_degenerate_mobility(self):
         base = Config(dim=1, n=16, T=0.5, N=8, mobility="tanhpow", m=2.0,
-                      mu0=("constant", 1.0), rho0=("constant", 0.5))
+                      mu0=("constant", 1.0), rho0=("constant", 0.5),
+                      study="tau_refinement", study_values=(8, 16, 32),
+                      study_reference=64)
         with pytest.raises(ValueError, match="nondegenerate"):
-            tau_refinement(StudySpec(base=base, values=(8, 16, 32),
-                                     reference=64))
+            tau_refinement(base)
 
     def test_reproducible_tables(self):
-        spec = StudySpec(base=LINEAR_CONTROL, values=(8, 16, 32),
-                         reference=64)
-        t1 = tau_refinement(spec)
-        t2 = tau_refinement(spec)
-        assert t1.rows == t2.rows
+        t1 = tau_refinement(LINEAR_CONTROL)
+        t2 = tau_refinement(LINEAR_CONTROL)
+        assert t1 == t2
 
 
 class TestHomogeneousOracle:
     def setup_method(self):
-        self.grid = Grid(1, 4, 1.0)
-        self.laws = build_laws(Config(potential="log", alpha1=0.5, alpha2=2.0,
-                                      coupling="linear"))
+        self.laws = build_laws(ORACLE_BASE)
 
     def test_decoupled_potential_stays_constant(self):
-        laws = build_laws(Config(potential="log", alpha1=0.5, alpha2=2.0,
-                                 coupling="constant", g0=0.5))
-        cfg = SolverConfig(T=1.0, n_steps=50)
-        report = homogeneous_oracle(self.grid, cfg, laws, 1.0, 0.5)
-        assert np.max(np.abs(report.mu_stepper - 1.0)) <= LINEAR_TOL
-        assert report.err_mu <= 1e-10
+        config = replace(ORACLE_BASE, coupling="constant", g0=0.5, N=50)
+        rows = homogeneous_oracle(config)
+        assert np.max(np.abs(column(rows, "mu_stepper") - 1.0)) <= LINEAR_TOL
+        assert oracle_gaps(config, rows)["err_mu"] <= 1e-10
 
     def test_oracle_meets_its_documented_accuracy(self):
         # docs/studies.md bounds the oracle's error by 3e-10 against a tight
@@ -98,16 +126,16 @@ class TestHomogeneousOracle:
         assert np.max(np.abs(rho - ref.y[1])) <= 3e-10
 
     def test_oracle_invariant_sanity(self):
-        cfg = SolverConfig(T=1.0, n_steps=100)
-        report = homogeneous_oracle(self.grid, cfg, self.laws, 1.0, 0.5)
-        assert report.invariant_drift_oracle <= 1e-8
+        config = replace(ORACLE_BASE, N=100)
+        gaps = oracle_gaps(config, homogeneous_oracle(config))
+        assert gaps["drift_oracle"] <= 1e-8
 
     def test_stepper_gap_is_first_order(self):
         errs = []
         for N in (250, 500):
-            cfg = SolverConfig(T=1.0, n_steps=N)
-            report = homogeneous_oracle(self.grid, cfg, self.laws, 1.0, 0.5)
-            errs.append(max(report.err_mu, report.err_rho))
+            config = replace(ORACLE_BASE, N=N)
+            gaps = oracle_gaps(config, homogeneous_oracle(config))
+            errs.append(max(gaps["err_mu"], gaps["err_rho"]))
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.4)
 
     def test_large_viscosity_freezes_the_order_parameter(self):
@@ -124,32 +152,34 @@ class TestDegenerateDemo:
     def test_zero_amplitude_never_diffuses(self):
         base = Config(dim=1, n=32, T=0.25, N=16, potential="clamp",
                       coupling="constant", g0=0.0, mobility="tanhpow", m=2.0,
-                      mu0=("bump", 0.5, 0.15, 0.0), rho0=("constant", 0.5))
-        rep = degenerate_demo(base, step_counts=(16,), n_samples=8)
-        assert np.all(rep.radii[16] == 0.0)
+                      mu0=("bump", 0.5, 0.15, 0.0), rho0=("constant", 0.5),
+                      study="degenerate_demo", study_values=(16,))
+        rows = degenerate_demo(base)
+        assert len(rows) == studies.N_SAMPLES
+        assert np.all(column(rows, "radius") == 0.0)
 
     def test_control_spreads_strictly_farther(self):
-        rep = degenerate_demo(DEGENERATE_BASE, step_counts=(32, 64),
-                              n_samples=8, threshold=0.05)
-        for n_steps in rep.step_counts:
-            assert np.all(rep.control_radii[n_steps] > rep.radii[n_steps])
+        rows = degenerate_demo(replace(DEGENERATE_BASE, study_values=(32, 64)),
+                               threshold=0.05)
+        radii = by_member(rows, "radius")
+        control = by_member(rows, "radius_control")
+        for n_steps in (32, 64):
+            assert np.all(control[n_steps] > radii[n_steps])
 
     def test_final_radius_nonincreasing_as_floor_shrinks(self):
-        rep = degenerate_demo(DEGENERATE_BASE, step_counts=(32, 64, 128),
-                              n_samples=8, threshold=0.05)
-        finals = [rep.radii[n][-1] for n in rep.step_counts]
+        rows = degenerate_demo(replace(DEGENERATE_BASE,
+                                       study_values=(32, 64, 128)),
+                               threshold=0.05)
+        finals = [radii[-1] for radii in by_member(rows, "radius").values()]
         assert finals[1] <= finals[0] and finals[2] <= finals[1]
 
     def test_kirchhoff_transform_norm_bounded(self):
-        rep = degenerate_demo(DEGENERATE_BASE, step_counts=(32,), n_samples=8,
-                              threshold=0.05)
-        assert np.isfinite(rep.ktau_vnorm_sup[32])
+        rows = degenerate_demo(DEGENERATE_BASE, threshold=0.05)
+        assert np.all(np.isfinite(column(rows, "ktau_vnorm_sup")))
 
     def test_reproducible(self):
-        r1 = degenerate_demo(DEGENERATE_BASE, step_counts=(32,), n_samples=8)
-        r2 = degenerate_demo(DEGENERATE_BASE, step_counts=(32,), n_samples=8)
-        assert np.array_equal(r1.radii[32], r2.radii[32])
-        assert r1.ktau_vnorm_sup == r2.ktau_vnorm_sup
+        assert (degenerate_demo(DEGENERATE_BASE)
+                == degenerate_demo(DEGENERATE_BASE))
 
     def test_spread_radius_empty_set(self):
         g = Grid(1, 8, 1.0)
@@ -161,13 +191,18 @@ class TestPerturbationPairs:
     def test_quadratic_scaling(self):
         base = Config(dim=1, n=24, T=0.5, N=24, potential="log", alpha1=0.5,
                       alpha2=2.0, coupling="linear", mobility="constant",
-                      mu0=("constant", 1.0), rho0=("cosine", 0.5, 0.2))
-        rep = perturbation_pairs(base, (1e-6, 5e-7), seed=3)
-        assert 3.6 <= rep.final_metrics[0] / rep.final_metrics[1] <= 4.4
-        assert all(np.isfinite(r) for r in rep.growth_rates)
+                      mu0=("constant", 1.0), rho0=("cosine", 0.5, 0.2),
+                      study="perturbation", study_values=(1.0, 0.5),
+                      perturb_seed=3)
+        rows = perturbation_pairs(base)
+        finals = column(rows, "final_metric")
+        assert 3.6 <= finals[0] / finals[1] <= 4.4
+        assert np.all(np.isfinite(column(rows, "growth_rate")))
 
-    def test_oversized_perturbation_rejected(self):
+    def test_oversized_perturbation_rejected(self, monkeypatch):
+        monkeypatch.setattr(studies, "run", no_run)
         base = Config(dim=1, n=8, T=0.25, N=4, potential="clamp",
-                      mu0=("constant", 1e-9), rho0=("constant", 0.5))
+                      mu0=("constant", 1e-9), rho0=("constant", 0.5),
+                      study="perturbation", study_values=(1.0,))
         with pytest.raises(ValueError, match="negative"):
-            perturbation_pairs(base, (1e-6,), seed=0)
+            perturbation_pairs(base)
