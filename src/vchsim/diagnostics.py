@@ -30,14 +30,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .constitutive import ClampIndicator, K_tau_array, Laws, LogGraph
-from .mesh import (
-    ScalarField,
-    dirichlet_energy,
-    div_faces,
-    div_k_grad_arrays,
-    field_of,
-    unit_face_weights,
-)
+from .mesh import dirichlet_energy, div_faces, face_weights, unit_face_weights
 from .stepper import (
     Trajectory,
     mu_system_coefficients,
@@ -87,8 +80,8 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     max-norm residuals of :data:`RESIDUAL_COLUMNS`.  At the initial state
     (``prev`` None) only ``E_mu`` and ``F_rho`` are nonzero.  ``F_rho`` is
     infinite when rho escaped the potential domain.  The potential stage's
-    coefficient fields are formed once and serve the ledger and the
-    residuals alike.
+    coefficient fields and face weights are formed once and serve the
+    ledger and the residuals alike.
     """
     grid = cur.grid
     vol = grid.cell_volume
@@ -102,7 +95,7 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     terms = {
         "E_mu": 0.5 * vol * float(np.sum(a * mu_c ** 2)),
         "F_rho": (np.inf if np.any(np.isinf(fvals)) else
-                  0.5 * dirichlet_energy(grid, field_of(grid, 1.0), cur.rho)
+                  0.5 * dirichlet_energy(grid, unit_face_weights(grid), cur.rho)
                   + vol * float(np.sum(fvals))),
     }
     if prev is None:
@@ -110,8 +103,8 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
                 *(RESIDUAL_COLUMNS if residuals else ()))
         return {**terms, **dict.fromkeys(zero, 0.0)}, a
     mu_p, dt_rho = prev.mu.values, cur.dt_rho.values
-    terms["diss"] = cfg.tau * dirichlet_energy(grid, ScalarField(grid, k_lag),
-                                               cur.mu)
+    weights = face_weights(grid, k_lag)
+    terms["diss"] = cfg.tau * dirichlet_energy(grid, weights, cur.mu)
     terms["extra"] = 0.5 * vol * float(np.sum(a * (mu_c - mu_p) ** 2))
     terms["cross"] = (0.5 * vol * float(np.sum((a - a_prev) * mu_p ** 2))
                       - cfg.tau * vol * float(np.sum(
@@ -124,7 +117,7 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
 
     # native potential stage (lagged floored mobility, split reaction)
     res_mu = (a * (mu_c - mu_p) / cfg.tau + b_plus * mu_c - b_minus * mu_p
-              - div_k_grad_arrays(grid, k_lag, mu_c))
+              - div_faces(weights, mu_c))
     terms["res_mu_native"] = float(np.max(np.abs(res_mu)))
 
     # conservative Kirchhoff form tested against bump fields; the form

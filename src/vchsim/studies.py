@@ -30,7 +30,13 @@ import numpy as np
 from .config import Config, ConfigError, build_laws, build_run
 from .constitutive import K_tau_array, Laws, yosida_array
 from .diagnostics import contraction_metric
-from .mesh import ScalarField, dirichlet_energy, field_of, integrate
+from .mesh import (
+    ScalarField,
+    dirichlet_energy,
+    field_of,
+    integrate,
+    unit_face_weights,
+)
 from .stepper import (
     SolverConfig,
     Trajectory,
@@ -214,7 +220,7 @@ def _ktau_vnorm(traj: Trajectory, laws: Laws) -> float:
             laws.mobility, traj.cfg.mobility_floor_tau, state.mu.values))
         norms.append(math.sqrt(integrate(grid, ScalarField(
             grid, kt.values ** 2)) + dirichlet_energy(
-                grid, field_of(grid, 1.0), kt)))
+                grid, unit_face_weights(grid), kt)))
     return float(max(norms))
 
 

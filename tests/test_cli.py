@@ -112,6 +112,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(MINIMAL + extra)
 
+    @pytest.mark.parametrize("line,message", [
+        ("mu0 =", "line 4: empty initial-data recipe for 'mu0'"),
+        ("mu0 = constant", "line 4: 'mu0 = constant <value>'"),
+        ("rho0 = constant 0.5 0.5", "line 4: 'rho0 = constant <value>'"),
+        ("mu0 = bump 0.5 0.2", "line 4: 'mu0 = bump <center> <radius> "
+                               "<amplitude>'"),
+        ("rho0 = cosine 0.5", "line 4: 'rho0 = cosine <mean> <amplitude>'"),
+        ("mu0 = file", "line 4: 'mu0 = file <path>'"),
+        ("mu0 = file a.txt b.txt", "line 4: 'mu0 = file <path>'"),
+    ], ids=["empty", "constant_short", "constant_long", "bump", "cosine",
+            "file_short", "file_long"])
+    def test_recipe_syntax_rejected_with_its_line(self, line, message):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(MINIMAL + line + "\n")
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("extra", [
         # the retired keys at the values earlier versions rendered
         "yosida_lambda = 0\n", "mobility_floor_tau = -1\n",
@@ -404,6 +420,9 @@ class TestCliExitCodes:
                      "study_values = 8 16 32\n", "nondegenerate mobility"),
         (("study",), "mu0 = bump 0.5 0.2 1\nstudy = degenerate_demo\n"
                      "study_values = 8 16\n", "tanh-power mobility"),
+        (("study",), "mobility = tanhpow\nstudy = degenerate_demo\n"
+                     "study_values = 8 16\n",
+         "the demo expects a compact bump over a zero background"),
         (("study",), "study = tau_refinement\nstudy_values = 8 16 inf\n",
          "positive whole numbers, got inf"),
         (("study",), "study = tau_refinement\nstudy_values = 8 16.5 32\n",
@@ -434,7 +453,8 @@ class TestCliExitCodes:
             "linear_max_iter", "step_above_kappa_sup", "singular_clamp",
             "no_study_block", "reference_not_a_multiple",
             "demo_steps_not_divisible", "two_values", "non_monotone",
-            "refinement_degenerate", "demo_constant", "refinement_inf_steps",
+            "refinement_degenerate", "demo_constant", "demo_not_a_bump",
+            "refinement_inf_steps",
             "refinement_fractional_steps", "demo_fractional_steps",
             "perturbation_negative", "negative_perturb_seed",
             "malformed_recipe_number",
@@ -679,14 +699,15 @@ class TestCliExitCodes:
                           "singular inside [0, 1] (delta/tau = 4 = 2 alpha2)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", ["rho", "mu"])
     def test_arithmetic_failure_in_a_stage_leaves_evidence(
-            self, tmp_path, capsys, monkeypatch):
-        # a division by zero inside the rho stage, such as a Givens rotation
-        # of MINRES after its residual norm overflowed
+            self, tmp_path, capsys, monkeypatch, stage):
+        # a division by zero inside a stage, such as a Givens rotation of
+        # MINRES after its residual norm overflowed
         def dividing_by_zero(*_args):
             return 1.0 / 0.0
 
-        monkeypatch.setattr(stepper, "step_rho", dividing_by_zero)
+        monkeypatch.setattr(stepper, f"step_{stage}", dividing_by_zero)
         path = self._write(tmp_path, "n = 8\nT = 0.1\nN = 2\n")
         assert main(["validate", "--config", path]) == 0
         out = tmp_path / "out"
@@ -695,13 +716,30 @@ class TestCliExitCodes:
             assert main(["simulate", "--config", path,
                          "--out", str(out)]) == 3
         assert caught == []
-        assert ("arithmetic failure in the rho stage: float division by zero"
+        assert (f"arithmetic failure in the {stage} stage: float division "
+                f"by zero" in capsys.readouterr().err)
+        failure = (out / "failure.txt").read_text().splitlines()
+        assert failure[0] == "step = 1"
+        assert f"arithmetic failure in the {stage} stage" in failure[2]
+        assert cli.verify_manifest(out) == []
+        assert "failure.txt" in (out / "manifest.txt").read_text()
+
+    def test_capped_conjugate_gradients_leave_evidence(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # at a cap of one iteration MINRES still meets its target on this
+        # run's first rho stage, and CG does not meet its own
+        monkeypatch.setattr(stepper, "_krylov_cap", lambda _grid: 1)
+        path = self._write(tmp_path, "n = 8\nT = 0.1\nN = 2\n"
+                                     "mu0 = bump 0.25 0.2 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        assert ("conjugate gradients did not converge in the mu stage"
                 in capsys.readouterr().err)
         failure = (out / "failure.txt").read_text().splitlines()
         assert failure[0] == "step = 1"
-        assert "arithmetic failure in the rho stage" in failure[2]
+        assert ("conjugate gradients did not converge in the mu stage"
+                in failure[2])
         assert cli.verify_manifest(out) == []
-        assert "failure.txt" in (out / "manifest.txt").read_text()
 
     def test_solver_failure_leaves_evidence(self, tmp_path, capsys,
                                             monkeypatch):
@@ -816,6 +854,25 @@ class TestCliExitCodes:
         assert main(["diagnose", "--traj", str(out),
                      "--out", str(tmp_path / "rep.csv")]) == 4
         assert "violation: positivity" in capsys.readouterr().err
+
+    def test_unbounded_potential_exits_4(self, tmp_path, capsys):
+        # an infinite potential value makes that step's E_mu and diss
+        # non-finite and the run's max mu infinite; both gates name it.
+        # The residuals then difference infinities, which numpy warns of
+        path = self._write(tmp_path, MINIMAL + "mu0 = bump 0.25 0.2 1\n")
+        out = tmp_path / "out"
+        main(["simulate", "--config", path, "--out", str(out)])
+        snap = out / "state_00004_mu.txt"
+        lines = snap.read_text().splitlines()
+        lines[3] = "inf"
+        snap.write_text("\n".join(lines) + "\n")
+        write_manifest(out)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered"):
+            assert main(["diagnose", "--traj", str(out),
+                         "--out", str(tmp_path / "rep.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "violation: non-finite ledger entry" in err
+        assert "violation: potential unbounded over the run" in err
 
     def test_nan_in_a_snapshot_exits_4(self, tmp_path, capsys):
         # a NaN in xi makes the order-parameter residuals NaN; the solver

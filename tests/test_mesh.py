@@ -141,6 +141,23 @@ class TestDivKGrad:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 6)])
+    def test_dirichlet_energy_is_the_form_of_the_face_weights(self, dim, n):
+        # at the face weights of a coefficient k, the Dirichlet energy is
+        # the hand-rolled face pairing and minus the u-weighted divergence
+        # sum
+        g = Grid(dim, n, 1.0)
+        rng = np.random.default_rng(10)
+        k = field_of(g, rng.uniform(0.0, 2.0, g.shape))
+        u = field_of(g, rng.standard_normal(g.shape))
+        weights = face_weights(g, k.values)
+        energy = dirichlet_energy(g, weights, u)
+        pairing = _dirichlet_pairing(g, k, u, u)
+        assert abs(energy - pairing) <= 1e-12 * pairing
+        by_parts = -integrate(g, ScalarField(
+            g, u.values * div_faces(weights, u.values)))
+        assert abs(energy - by_parts) <= 1e-12 * pairing
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 6)])
     def test_bilinear_form_symmetry(self, dim, n):
         g = Grid(dim, n, 1.0)
         rng = np.random.default_rng(4)
@@ -255,7 +272,7 @@ class TestIntegrate:
 
 
 def h1_seminorm_sq(grid, u):
-    return dirichlet_energy(grid, field_of(grid, 1.0), field_of(grid, u))
+    return dirichlet_energy(grid, unit_face_weights(grid), field_of(grid, u))
 
 
 class TestH1Seminorm:
@@ -279,12 +296,13 @@ class TestH1Seminorm:
         assert scaled == pytest.approx(9.0 * base, rel=1e-13)
 
     def test_matches_dirichlet_energy_with_unit_k(self):
-        # the unit face coefficient is exactly 1.0, so the energy is the
-        # plain face-difference sum bit for bit
+        # the unit face weight is 0.5 (1 + 1) / h^2, as face_weights forms
+        # it, so the energy is this hand-written face sum bit for bit
         for dim, n in ((1, 17), (2, 6), (2, 64)):
             g = Grid(dim, n, 1.0)
             u = np.random.default_rng(7).standard_normal(g.shape)
-            faces = sum(float(np.sum((np.diff(u, axis=axis) / g.h) ** 2))
+            w = 0.5 * (1.0 + 1.0) / g.h ** 2
+            faces = sum(float(np.sum(w * np.diff(u, axis=axis) ** 2))
                         for axis in range(dim))
             assert h1_seminorm_sq(g, u) == g.cell_volume * faces
 

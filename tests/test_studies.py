@@ -5,7 +5,7 @@ import pytest
 
 from vchsim import studies
 from vchsim.config import Config, _STUDIES, build_laws
-from vchsim.mesh import Grid
+from vchsim.mesh import Grid, field_of
 from vchsim.stepper import LINEAR_TOL, SolverConfig
 from vchsim.studies import (
     STUDIES,
@@ -183,8 +183,18 @@ class TestDegenerateDemo:
 
     def test_spread_radius_empty_set(self):
         g = Grid(1, 8, 1.0)
-        from vchsim.mesh import field_of
         assert spread_radius(field_of(g, 0.0), 0.5, 0.5) == 0.0
+
+    def test_spread_radius_in_2d(self):
+        # nodes at 0.125, 0.375, 0.625, 0.875 per axis, center (0.5, 0.5):
+        # above the threshold at (0.125, 0.375) and (0.625, 0.625), so the
+        # radius is sqrt(0.375^2 + 0.125^2); the farther corner node sits
+        # at the threshold, not above it
+        g = Grid(2, 4, 1.0)
+        values = np.zeros(g.shape)
+        values[0, 1], values[2, 2], values[3, 3] = 1.0, 0.2, 0.1
+        radius = spread_radius(field_of(g, values), 0.1, 0.5)
+        assert radius == np.sqrt(0.375 ** 2 + 0.125 ** 2)
 
 
 class TestPerturbationPairs:
