@@ -187,6 +187,12 @@ class Potential:
     def f2_second(self, r):
         return -2.0 * self.alpha2 * np.ones_like(np.asarray(r, dtype=float))
 
+    def envelope(self, lam: float, r, p):
+        """The Moreau envelope e_lam(r) = f1(p) + (r - p)^2 / (2 lam) of the
+        convex part, read off the resolvent ``p = resolvent_array(lam, r)``:
+        finite everywhere, with derivative the Yosida value (r - p)/lam."""
+        return self.graph.f1(p) + (r - p) ** 2 / (2.0 * lam)
+
     def value(self, r):
         """f1(r) + f2(r); +inf outside the effective domain of f1."""
         r = np.asarray(r, dtype=float)

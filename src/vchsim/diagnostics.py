@@ -70,6 +70,10 @@ def _bump_means(r: np.ndarray) -> np.ndarray:
 # the per-step entry
 
 
+# The stepper stores only finite fields, but an edited or foreign run may
+# hold inf: the terms then difference or scale infinities into NaN, which
+# the gates report as violations, so numpy need not warn of it.
+@np.errstate(invalid="ignore")
 def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     """One step's ledger terms from the states before (``prev``) and after
     (``cur``) it, and the weight ``a = eps + 2 g(rho)`` of ``cur``, which is

@@ -128,6 +128,16 @@ def div_faces(weights: tuple, uv: np.ndarray) -> np.ndarray:
     return out
 
 
+def div_faces_diagonal(weights: tuple, shape: tuple) -> np.ndarray:
+    """The diagonal of ``-div_faces(weights, .)``: at each node, the sum of
+    the weights of its faces."""
+    out = np.zeros(shape)
+    for axis, w in enumerate(weights):
+        out[_slab_index(len(shape), axis, None, -1)] += w
+        out[_slab_index(len(shape), axis, 1, None)] += w
+    return out
+
+
 def div_k_grad_arrays(grid: Grid, kv: np.ndarray, uv: np.ndarray,
                       harmonic: bool = False) -> np.ndarray:
     """Divergence of the flux ``k grad u`` in conservation form.
@@ -210,7 +220,7 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
 def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II as an n x n matrix: ``C[k, j] = c_k cos(pi k
     (2j + 1) / 2n)`` with ``c_0 = sqrt(1/n)`` and ``c_k = sqrt(2/n)``
-    otherwise, so ``C C^T = I`` and ``C u`` is scipy's ``dct(u, norm="ortho")``.
+    otherwise, so ``C C^T = I`` and ``C u`` is the orthonormal DCT-II of ``u``.
 
     The integer ``k (2j + 1)`` is reduced modulo ``4n`` before the cosine,
     so every angle lies in ``[0, 2 pi)`` and the entries are accurate to a
@@ -237,7 +247,7 @@ def shifted_laplacian_solve(grid: Grid, s: float, k: float,
     applied as the cached dense matrix ``C`` of :func:`dct_matrix` along
     each axis, ``x = C^T ((C u) / (s - k lam))`` in 1-D and
     ``X = C^T ((C U C^T) / (s - k lam)) C`` in 2-D, so the solve is numpy
-    matrix products only and loads no scipy.
+    matrix products only.
     """
     c = dct_matrix(grid.n)
     u = rhs.reshape(grid.shape)

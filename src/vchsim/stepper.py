@@ -32,8 +32,7 @@ cell-centered Neumann grid.  Both apply the operator matrix-free through
 the face-flux divergence ``div_faces`` (unit face weights in the rho
 stage), and both precondition a Krylov loop, where it fits, with the exact
 DCT inverse of a mean-coefficient operator (``shifted_laplacian_solve``, an
-orthonormal DCT-II applied as a cached dense numpy matrix, so the stepper
-loads no scipy):
+orthonormal DCT-II applied as a cached dense numpy matrix):
 
 - rho stage (k = 1): preconditioned MINRES for each Newton direction, with
   the DCT solve of ``mean|d| I - L``.  The Jacobian is symmetric but may be
@@ -64,6 +63,7 @@ from .mesh import (
     Grid,
     ScalarField,
     div_faces,
+    div_faces_diagonal,
     face_weights,
     field_of,
     shifted_laplacian_solve,
@@ -239,7 +239,10 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     Damped Newton on the Yosida-regularized system; for the clamp graph a
     post-pass replaces the iterate by its exact resolvent pair, so the
     stored (rho, xi) satisfy the constraint and the complementarity sign
-    conditions exactly (rho back in [0, 1] bit-exactly).
+    conditions exactly (rho back in [0, 1] bit-exactly).  The line search
+    halves the step until the residual's max norm falls by the Armijo
+    factor, or, along a descent direction, the energy whose gradient is the
+    residual does (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 3).
 
     Each Newton direction solves J = diag(delta/tau + d) - L, applied
     matrix-free with L the unit-coefficient flux divergence.  J is
@@ -268,6 +271,16 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
         return rho_stage_residual(prev.rho, mu_del, r, (r - p) / lam,
                                   cfg, laws), p
 
+    def energy(r, p):
+        # the functional whose gradient is the residual, p the resolvent at
+        # r: sum of delta/(2 tau) (r - rho_prev)^2 + e_lam(r) + f2(r)
+        # - mu_del g(r), less (1/2) r.(L r)
+        lap_r = div_faces(unit_faces, r.reshape(shape)).ravel()
+        return float(np.sum(0.5 * dt_coef * (r - rho_prev) ** 2
+                            + pot.envelope(lam, r, p)
+                            + pot.alpha2 * r * (1.0 - r) - mu_d * cpl.g(r))
+                     ) - 0.5 * _dot(r, lap_r)
+
     r = rho_prev.copy()
     res, p = residual(r)
     res_norm = float(np.max(np.abs(res)))
@@ -294,13 +307,21 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
         if not inner_res <= inner_tol:
             raise StepFailure("MINRES did not converge in the rho stage",
                               res_norm)
-        alpha = 1.0
+        # the max-norm test alone is no descent condition and can stall far
+        # from the root; the energy test alone cannot resolve a decrease
+        # near it, so the max-norm test goes first
+        alpha, slope, energy_r = 1.0, _dot(res, step), None
         for _ in range(40):
             trial = r - alpha * step
             trial_res, trial_p = residual(trial)
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm <= NEWTON_TOL:
                 break
+            if slope > 0:
+                if energy_r is None:
+                    energy_r = energy(r, p)
+                if energy(trial, trial_p) <= energy_r - 1e-4 * alpha * slope:
+                    break
             alpha *= 0.5
         else:
             raise StepFailure("Newton line search stalled in the rho stage", res_norm)
@@ -366,7 +387,7 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
         def precondition(r):
             return shifted_laplacian_solve(grid, shift, k_mean, r)
     else:
-        diag_flat = diag.ravel()
+        diag_flat = (diag + div_faces_diagonal(weights, shape)).ravel()
 
         def precondition(r):
             return r / diag_flat
@@ -428,7 +449,8 @@ def _minres(apply_A, b, precondition, tol, max_iter):
     The iterates minimize the M^-1-norm of the residual; its 2-norm, on
     which the loop stops, is kept by the recurrence r_k = s_k^2 r_(k-1)
     - phibar_k c_k q_(k+1), q the residual-space Lanczos vectors.  Follows
-    scipy's ``minres`` with every inner product taken by :func:`_dot`."""
+    the authors' reference implementation, with every inner product taken
+    by :func:`_dot`."""
     x = np.zeros_like(b)
     rnorm = math.sqrt(_dot(b, b))
     # a NaN residual ends the loop too; the caller's check rejects it

@@ -151,6 +151,26 @@ class TestPotentials:
         assert pot_log.value(-0.1) == math.inf
 
 
+    @pytest.mark.parametrize("graph", [ClampIndicator(), LogGraph(0.5)])
+    def test_envelope_is_finite_below_f1_with_the_yosida_slope(self, graph):
+        # the Moreau envelope: finite inside and outside [0, 1], at most f1,
+        # equal to f1 where the clamp's resolvent is the identity, and its
+        # derivative (central difference) is the Yosida value
+        pot, lam = Potential(graph, alpha2=2.0), 0.01
+        r = np.array([-0.3, 0.05, 0.5, 0.9, 1.4])
+        env = pot.envelope(lam, r, graph.resolvent_array(lam, r))
+        assert np.all(np.isfinite(env))
+        assert np.all(env <= graph.f1(r))
+        if isinstance(graph, ClampIndicator):
+            assert np.all(env[1:-1] == 0.0)
+        d = 1e-6
+        slope = (pot.envelope(lam, r + d, graph.resolvent_array(lam, r + d))
+                 - pot.envelope(lam, r - d, graph.resolvent_array(lam, r - d))
+                 ) / (2 * d)
+        assert np.allclose(slope, yosida_array(graph, lam, r), rtol=1e-6,
+                           atol=1e-6)
+
+
 class TestCouplingLaw:
     def test_linear_is_identity_past_blend(self):
         cpl = LinearCoupling()

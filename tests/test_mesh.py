@@ -8,6 +8,7 @@ from vchsim.mesh import (
     dct_matrix,
     dirichlet_energy,
     div_faces,
+    div_faces_diagonal,
     div_k_grad_arrays,
     face_weights,
     field_of,
@@ -115,6 +116,16 @@ class TestDivKGrad:
         assert unit_face_weights(Grid(2, 9, 1.3)) is weights
         for w, ref in zip(weights, face_weights(g, np.ones(g.shape))):
             assert np.array_equal(w, ref) and not w.flags.writeable
+
+    @pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+    def test_diagonal_of_the_face_divergence(self, dim, n):
+        # the mu stage's Jacobi preconditioner divides by this diagonal
+        g = Grid(dim, n, 1.0)
+        k = np.random.default_rng(n).uniform(0.0, 2.0, g.shape)
+        weights = face_weights(g, k)
+        dense = dense_operator(g, lambda u: -div_faces(weights, u))
+        assert np.allclose(div_faces_diagonal(weights, g.shape).ravel(),
+                           np.diag(dense), rtol=1e-14, atol=0.0)
 
     def test_constant_field_gives_zero(self):
         g = Grid(2, 7, 1.0)

@@ -1,7 +1,7 @@
 """The package re-exports its library names lazily (PEP 562): importing
 ``vchsim`` loads no submodule, and a name loads its module on first use.
-Its only scipy import is the ODE oracle's, and only the retired-key table
-names the solver tolerances that were once config keys."""
+It imports no scipy, and only the retired-key table names the solver
+tolerances that were once config keys."""
 
 import ast
 import re
@@ -66,17 +66,17 @@ def _imports(node, function=None):
         yield from _imports(child, inner)
 
 
-def test_scipy_is_imported_only_by_the_ode_oracle():
-    sites = set()
+def test_the_package_imports_no_scipy():
+    sites = []
     for path in sorted((SRC / "vchsim").glob("*.py")):
         for function, node in _imports(ast.parse(path.read_text())):
             names = ([alias.name for alias in node.names]
                      if isinstance(node, ast.Import) else [node.module or ""])
             if any(name.split(".")[0] == "scipy" for name in names):
-                sites.add((path.stem, function, node.lineno))
-    # the solvers are numpy alone; solve_ivp is the oracle's independent path
-    assert {(stem, function) for stem, function, _ in sites} == {
-        ("studies", "integrate_reduced_ode")}, sorted(sites)
+                sites.append((path.stem, function, node.lineno))
+    # the solvers and the ODE oracle are numpy alone; scipy is the tests'
+    # independent reference
+    assert sites == []
     assert not hasattr(import_module("vchsim.mesh"), "laplacian_matrix")
 
 

@@ -109,21 +109,55 @@ class TestHomogeneousOracle:
         assert np.max(np.abs(column(rows, "mu_stepper") - 1.0)) <= LINEAR_TOL
         assert oracle_gaps(config, rows)["err_mu"] <= 1e-10
 
-    def test_oracle_meets_its_documented_accuracy(self):
-        # docs/studies.md bounds the oracle's error by 3e-10 against a tight
-        # Radau reference at criterion 4's lambda = tau = 1e-3; a quarter of
-        # criterion 4's horizon keeps the stiff reference near a second
+    def test_oracle_meets_its_documented_accuracy(self, monkeypatch):
+        # docs/studies.md bounds the oracle's error against a tight Radau
+        # reference; a quarter of criterion 4's horizon keeps the stiff
+        # reference near a second.  One case per step rule, with its count
+        # of oracle steps: the step is tau (criterion 4's lambda = tau =
+        # 1e-3); two steps of tau, the odd step times read off the
+        # collocation polynomial; a hundredth of tau = 0.1
         from scipy.integrate import solve_ivp
 
-        cfg = SolverConfig(T=0.25, n_steps=250)
-        t = np.linspace(0.0, 0.25, 251)
-        mu, rho = integrate_reduced_ode(cfg, self.laws, 1.0, 0.5, t)
-        ref = solve_ivp(reduced_ode_rhs(cfg, self.laws), (0.0, 0.25),
-                        [1.0, 0.5], method="Radau", t_eval=t, rtol=3e-14,
-                        atol=1e-16)
-        assert ref.success and cfg.yosida_lambda == 1e-3
-        assert np.max(np.abs(mu - ref.y[0])) <= 3e-10
-        assert np.max(np.abs(rho - ref.y[1])) <= 3e-10
+        for T, n_steps, oracle_steps in ((0.25, 250, 250), (0.25, 500, 250),
+                                         (0.2, 2, 200)):
+            cfg = SolverConfig(T=T, n_steps=n_steps)
+            rhs = reduced_ode_rhs(cfg, self.laws)
+            shapes = []
+            monkeypatch.setattr(studies, "reduced_ode_rhs", lambda *_: (
+                lambda t, y: shapes.append(np.shape(y)) or rhs(t, y)))
+            mu, rho = integrate_reduced_ode(cfg, self.laws, 1.0, 0.5)
+            t = np.linspace(0.0, T, n_steps + 1)
+            ref = solve_ivp(rhs, (0.0, T), [1.0, 0.5], method="Radau",
+                            t_eval=t, rtol=3e-14, atol=1e-16)
+            assert ref.success
+            # each call evaluates three points at once (the stages, or the
+            # Jacobian's differences), a few calls per oracle step
+            assert set(shapes) == {(2, 3)}
+            assert oracle_steps < len(shapes) <= 4 * oracle_steps
+            assert np.max(np.abs(mu - ref.y[0])) <= 1e-12, (T, n_steps)
+            assert np.max(np.abs(rho - ref.y[1])) <= 1e-12, (T, n_steps)
+
+    def test_oracle_halves_the_steps_it_cannot_take_whole(self, monkeypatch):
+        # at delta = 0.01, rho leaves 0.2 far faster than a 1e-3 step
+        # resolves: simplified Newton fails there even with a fresh
+        # Jacobian, and the halved steps still track a tight Radau
+        # reference, with the stepper times (tau = 2.5e-4, at a quarter,
+        # half and three quarters of each 1e-3 step) read off the half
+        # steps that hold them
+        from scipy.integrate import solve_ivp
+
+        laws = build_laws(replace(ORACLE_BASE, alpha2=0.0))
+        cfg = SolverConfig(T=0.01, n_steps=40, delta=0.01)
+        mu, rho = integrate_reduced_ode(cfg, laws, 1.0, 0.2)
+        ref = solve_ivp(reduced_ode_rhs(cfg, laws), (0.0, 0.01), [1.0, 0.2],
+                        method="Radau", t_eval=np.linspace(0.0, 0.01, 41),
+                        rtol=1e-12, atol=1e-16)
+        assert ref.success and rho[-1] > 0.75
+        assert np.max(np.abs(mu - ref.y[0])) <= 1e-10
+        assert np.max(np.abs(rho - ref.y[1])) <= 1e-10
+        monkeypatch.setattr(studies, "_ODE_MAX_HALVINGS", 0)
+        with pytest.raises(RuntimeError, match="no step down to 1.0e-03"):
+            integrate_reduced_ode(cfg, laws, 1.0, 0.2)
 
     def test_oracle_invariant_sanity(self):
         config = replace(ORACLE_BASE, N=100)
@@ -142,8 +176,7 @@ class TestHomogeneousOracle:
         gaps = []
         for delta in (1.0, 10.0, 100.0):
             cfg = SolverConfig(T=1.0, n_steps=10, delta=delta)
-            t_eval = np.linspace(0.0, 1.0, 11)
-            _, rho = integrate_reduced_ode(cfg, self.laws, 1.0, 0.5, t_eval)
+            _, rho = integrate_reduced_ode(cfg, self.laws, 1.0, 0.5)
             gaps.append(abs(rho[-1] - 0.5))
         assert gaps[0] > gaps[1] > gaps[2]
 
