@@ -28,19 +28,23 @@ Stage order is fixed rho-then-mu; the mu stage consumes rho_new and its
 backward difference as frozen coefficients.
 
 Both stages solve systems of one shape, diag(d) - div(k grad .) on the
-cell-centered Neumann grid.  Both apply the operator matrix-free through
-the face-flux divergence ``div_faces`` (unit face weights in the rho
-stage), and both precondition a Krylov loop, where it fits, with the exact
-DCT inverse of a mean-coefficient operator (``shifted_laplacian_solve``, an
-orthonormal DCT-II applied as a cached dense numpy matrix):
+cell-centered Neumann grid, with k = 1 in the rho stage and the lagged
+floored mobility in the mu stage.  One rule, ``_flux_system``, builds the
+operator and its preconditioner for both.  The operator is applied
+matrix-free through the face-flux divergence ``div_faces``.  The
+preconditioner is the exact DCT solve of ``mean|d| I - mean(k) L``
+(``shifted_laplacian_solve``, an orthonormal DCT-II applied as a cached
+dense numpy matrix) while max k <= ``DCT_CONTRAST_MAX`` min k, and the
+diagonal (Jacobi) beyond it.
 
-- rho stage (k = 1): preconditioned MINRES for each Newton direction, with
-  the DCT solve of ``mean|d| I - L``.  The Jacobian is symmetric but may be
-  indefinite, since a concave potential part can outweigh a small
-  viscosity; MINRES needs only an SPD preconditioner;
-- mu stage: conjugate gradients on the SPD M-matrix, DCT-preconditioned
-  while the lagged mobility varies by at most ``DCT_CONTRAST_MAX``,
-  Jacobi-preconditioned beyond it.
+Both Krylov loops, conjugate gradients and MINRES, keep one contract: they
+solve A x = b from x = 0, as ``(apply_A, b, precondition, tol, max_iter)
+-> (x, iters, rnorm)``, and stop on the 2-norm of the recursive residual.
+The gap between that residual and the true one grows with the size of the
+iterates (Greenbaum, *SIMAX* 18, 1997), so the mu stage solves for its
+change from mu_prev rather than for mu itself.  MINRES takes every
+Newton direction of the rho stage, whose Jacobian may be indefinite;
+conjugate gradients take the mu stage's SPD M-matrix system.
 
 Every solve runs in a fixed operation order, so identical inputs give
 bitwise-identical steps.  The Krylov inner products and norms use numpy's own
@@ -70,9 +74,9 @@ from .mesh import (
     unit_face_weights,
 )
 
-# The mu stage preconditions with the exact inverse of its mean-coefficient
-# operator when the lagged mobility varies by at most this factor; beyond
-# it (degenerate mobilities) Jacobi wins on wall clock.
+# Both stages precondition with the exact inverse of their mean-coefficient
+# operator when k varies by at most this factor; beyond it (degenerate
+# mobilities in the mu stage) Jacobi wins on wall clock.
 DCT_CONTRAST_MAX = 2.0
 
 # Newton iterations of the rho stage before it fails.
@@ -212,7 +216,7 @@ class Trajectory:
 
 
 def _krylov_cap(grid: Grid) -> int:
-    """Iteration cap of the rho stage's MINRES and the mu stage's CG."""
+    """Iteration cap of every Krylov solve of both stages."""
     return 10 * grid.num_nodes + 100
 
 
@@ -244,14 +248,12 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     factor, or, along a descent direction, the energy whose gradient is the
     residual does (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 3).
 
-    Each Newton direction solves J = diag(delta/tau + d) - L, applied
-    matrix-free with L the unit-coefficient flux divergence.  J is
-    symmetric, and indefinite where a concave potential part outweighs
-    delta/tau, so MINRES takes every direction to a 2-norm residual of
-    ``0.1 NEWTON_TOL`` within 10 nodes + 100 iterations, preconditioned by
-    the DCT solve of the SPD ``mean|delta/tau + d| I - L``.  Where
-    delta/tau + d vanishes at every node, J = -L is singular and the stage
-    fails with that diagnosis.
+    Each Newton direction solves J = diag(delta/tau + d) - L (k = 1) to a
+    2-norm residual of ``0.1 NEWTON_TOL`` within 10 nodes + 100
+    iterations.  J is symmetric, and indefinite where a concave potential
+    part outweighs delta/tau, so MINRES takes every direction; it needs
+    only the SPD preconditioner.  Where delta/tau + d vanishes at every
+    node, J = -L is singular and the stage fails with that diagnosis.
     """
     grid = prev.grid
     unit_faces = unit_face_weights(grid)
@@ -294,16 +296,13 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
             raise StepFailure("Newton did not converge in the rho stage", res_norm)
         diag = dt_coef + (graph.yosida_derivative(lam, r, p) + pot.f2_second(r)
                           - mu_d * cpl.g_second(r))
-        shift = float(np.abs(diag).mean())
-        if shift == 0.0:
+        if not np.any(diag):
             # diag vanishes at every node, so J = -L annihilates constants
             raise StepFailure("singular rho-stage Jacobian: delta/tau + d is "
                               "0 at every node", res_norm)
-        step, _, inner_res = _minres(
-            lambda x: diag * x - div_faces(unit_faces,
-                                           x.reshape(shape)).ravel(), res,
-            lambda z: shifted_laplacian_solve(grid, shift, 1.0, z),
-            inner_tol, _krylov_cap(grid))
+        apply_J, precondition = _flux_system(grid, diag, np.ones(shape))
+        step, _, inner_res = _minres(apply_J, res, precondition, inner_tol,
+                                     _krylov_cap(grid))
         if not inner_res <= inner_tol:
             raise StepFailure("MINRES did not converge in the rho stage",
                               res_norm)
@@ -359,49 +358,30 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
             cfg: SolverConfig, laws: Laws):
     """Linearized positivity-preserving potential stage.
 
-    Conjugate gradients on the symmetric positive definite M-matrix system,
-    capped at 10 nodes + 100 iterations; the residual is driven low enough
-    that the iterate inherits the exact solution's nonnegativity up to the
-    linear tolerance.  The face coefficients are formed once per step.  The
-    preconditioner is the DCT solve of ``mean(diag) I - mean(k) L`` when
-    max k <= DCT_CONTRAST_MAX * min k, and the diagonal (Jacobi) otherwise.
-    Returns the new potential, the CG iteration count and the true residual
-    2-norm ``||b - A mu_new||``.
+    Conjugate gradients on the symmetric positive definite M-matrix system
+    A mu = b, capped at 10 nodes + 100 iterations, solved for the change
+    e = mu - mu_prev from ``A e = b - A mu_prev``; the residual is driven
+    low enough that the iterate inherits the exact solution's nonnegativity
+    up to the linear tolerance.  Returns the new potential, the CG
+    iteration count and the true residual 2-norm ``||b - A mu_new||``.
     """
     grid = prev.grid
     a, b_plus, b_minus, k_lag = mu_system_coefficients(
         prev.mu, rho_new, dt_rho, cfg, laws)
-    diag = a / cfg.tau + b_plus
     rhs = ((a / cfg.tau + b_minus) * prev.mu.values).ravel()
-    weights = face_weights(grid, k_lag)
-    shape = grid.shape
-
-    def apply_system(x):
-        xs = x.reshape(shape)
-        return (diag * xs - div_faces(weights, xs)).ravel()
-
-    k_min, k_max = float(k_lag.min()), float(k_lag.max())
-    if k_max <= DCT_CONTRAST_MAX * k_min:
-        shift, k_mean = float(diag.mean()), float(k_lag.mean())
-
-        def precondition(r):
-            return shifted_laplacian_solve(grid, shift, k_mean, r)
-    else:
-        diag_flat = (diag + div_faces_diagonal(weights, shape)).ravel()
-
-        def precondition(r):
-            return r / diag_flat
-
+    apply_system, precondition = _flux_system(grid, a / cfg.tau + b_plus,
+                                              k_lag)
+    mu_prev = prev.mu.values.ravel()
     # residual target: lambda_min >= min(a)/tau, so this keeps the solution
     # error (2-norm) at or below LINEAR_TOL
     tol = LINEAR_TOL * min(1.0, float(a.min()) / cfg.tau)
-    x, iters, rnorm = _pcg(apply_system, rhs, precondition,
-                           prev.mu.values.ravel().copy(), tol,
-                           _krylov_cap(grid))
+    change, iters, rnorm = _pcg(apply_system, rhs - apply_system(mu_prev),
+                                precondition, tol, _krylov_cap(grid))
     if not rnorm <= tol:
         raise StepFailure("conjugate gradients did not converge in the mu stage",
                           rnorm)
-    mu_new = ScalarField(grid, x.reshape(shape)).check_finite()
+    x = mu_prev + change
+    mu_new = ScalarField(grid, x.reshape(grid.shape)).check_finite()
     # the reported residual is the true one, which drifts from the recursive
     # residual the stopping rule reads
     true_res = rhs - apply_system(x)
@@ -415,11 +395,33 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _pcg(apply_A, b, precondition, x0, tol, max_iter):
-    """Preconditioned conjugate gradients, deterministic, warm start; stops
-    on the 2-norm of the recursive residual."""
-    x = x0
-    r = b - apply_A(x)
+def _flux_system(grid: Grid, diag: np.ndarray, k: np.ndarray):
+    """``(apply, precondition)`` of ``x -> diag x - div(k grad x)`` on flat
+    node vectors, by the rule the module docstring states."""
+    weights = face_weights(grid, k)
+    diag = diag.ravel()
+
+    def apply(x):
+        return diag * x - div_faces(weights, x.reshape(grid.shape)).ravel()
+
+    if float(k.max()) <= DCT_CONTRAST_MAX * float(k.min()):
+        shift, k_mean = float(np.abs(diag).mean()), float(k.mean())
+
+        def precondition(r):
+            return shifted_laplacian_solve(grid, shift, k_mean, r)
+    else:
+        jacobi = diag + div_faces_diagonal(weights, grid.shape).ravel()
+
+        def precondition(r):
+            return r / jacobi
+    return apply, precondition
+
+
+def _pcg(apply_A, b, precondition, tol, max_iter):
+    """Preconditioned conjugate gradients from x = 0 for SPD A and SPD
+    preconditioner M, deterministic; stops on the 2-norm of the recursive
+    residual."""
+    x, r = np.zeros_like(b), b
     rnorm = math.sqrt(_dot(r, r))
     # a NaN residual ends the loop too; the caller's check rejects it
     if not rnorm > tol:

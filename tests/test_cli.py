@@ -724,6 +724,21 @@ class TestCliExitCodes:
         assert cli.verify_manifest(out) == []
         assert "failure.txt" in (out / "manifest.txt").read_text()
 
+    def test_fine_1d_run_passes_diagnose(self, tmp_path):
+        # 1-D n = 640 at the step of a 64-step run to T = 0.5: the mu
+        # stage solves for its change from mu_prev, so its true residual
+        # stays near the stopping target; iterating on mu itself let the
+        # max-norm residual drift to 1.16e-9, over the 1.1e-9 band
+        path = self._write(tmp_path, "dim = 1\nn = 640\nT = 0.03125\nN = 4\n"
+                                     "potential = log\nmobility = tanhpow\n"
+                                     "snapshot_stride = 1\n"
+                                     "mu0 = bump 0.5 0.2 1.0\n"
+                                     "rho0 = cosine 0.5 0.2\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 0
+
     def test_capped_conjugate_gradients_leave_evidence(self, tmp_path, capsys,
                                                        monkeypatch):
         # at a cap of one iteration MINRES still meets its target on this

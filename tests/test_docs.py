@@ -5,7 +5,8 @@ of its validation table is one the package raises, and every owning layer
 it names is an attribute of the package.  docs/diagnostics.md documents
 exactly the columns report.csv prints, and the library's whole-run ledger
 is keyed by those names; docs/studies.md documents exactly the columns
-each study table prints."""
+each study table prints.  Every solver value the two docs quote is the
+stepper's."""
 
 import ast
 import re
@@ -13,8 +14,9 @@ from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
-from vchsim import config
+from vchsim import config, stepper
 from vchsim.diagnostics import REPORT_COLUMNS, SERIES_COLUMNS, ledger_columns
+from vchsim.mesh import Grid
 from vchsim.stepper import run
 from vchsim.studies import STUDIES
 
@@ -138,3 +140,48 @@ def test_study_columns_are_documented():
         documented = [column for line in table
                       for column in re.findall(r"`(\w+)`", line.split("|")[1])]
         assert documented == list(columns), study
+
+
+def _significant(quoted: str) -> int:
+    """Significant digits of a quoted decimal such as ``1.1e-9`` or ``50``."""
+    mantissa = re.split(r"[eE]", quoted)[0]
+    return len(re.sub(r"\D", "", mantissa).lstrip("0")) or 1
+
+
+def _evaluate(expr: str) -> float:
+    """A documented expression of stepper constants, such as
+    ``10 (stepper.NEWTON_TOL + stepper.LINEAR_TOL)``; the docs write a
+    product by juxtaposition."""
+    expr = re.sub(r"stepper\.(\w+)",
+                  lambda m: repr(getattr(stepper, m.group(1))), expr)
+    expr = re.sub(r"(?<=[\d)]) (?=[\d(])", " * ", expr)
+    return eval(expr, {"__builtins__": {}})
+
+
+def test_quoted_solver_constants_are_the_steppers():
+    # `stepper.NAME = v` and `v` (`stepper.NAME`) quote a constant, which
+    # must equal it exactly; `expr` (`v`) quotes a value derived from the
+    # constants, which must equal it to the digits shown; `a nodes + b`
+    # quotes the Krylov cap, which must be the stepper's on every grid
+    named, derived, caps = [], [], []
+    for path in (CONFIG_MD, DIAGNOSTICS_MD):
+        text = path.read_text()
+        named += re.findall(r"`stepper\.(\w+) = ([^`]+)`", text)
+        named += [(name, value) for value, name in re.findall(
+            r"`([^`]+)`\s+\(`stepper\.(\w+)`\)", text)]
+        derived += re.findall(r"`([^`]*stepper\.[^`]*)`\s+\(`([^`]+)`\)",
+                              text)
+        caps += re.findall(r"`(\d+ nodes \+ \d+)`", text)
+    assert {name for name, _ in named} == {
+        "NEWTON_TOL", "LINEAR_TOL", "NEWTON_MAX_ITER", "DCT_CONTRAST_MAX"}
+    assert [(name, value) for name, value in named
+            if float(value) != getattr(stepper, name)] == []
+    assert len(derived) == 2
+    assert [(expr, value) for expr, value in derived
+            if float(f"{_evaluate(expr):.{_significant(value)}g}")
+            != float(value)] == []
+    assert caps
+    for grid in (Grid(1, 40, 1.0), Grid(2, 12, 1.0)):
+        assert [cap for cap in caps
+                if _evaluate(cap.replace("nodes", str(grid.num_nodes)))
+                != stepper._krylov_cap(grid)] == []

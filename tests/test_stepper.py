@@ -18,7 +18,16 @@ from vchsim.constitutive import (
     Potential,
 )
 import vchsim.stepper as stepper
-from vchsim.mesh import Grid, ScalarField, div_k_grad_arrays, field_of
+from vchsim.mesh import (
+    Grid,
+    ScalarField,
+    div_faces,
+    div_faces_diagonal,
+    div_k_grad_arrays,
+    face_weights,
+    field_of,
+    shifted_laplacian_solve,
+)
 from vchsim.stepper import (
     SolverConfig,
     StepFailure,
@@ -269,6 +278,58 @@ class TestStepMuSolvers:
         assert np.array_equal(again.values, mu_new.values)
 
 
+class TestFluxSystem:
+    """The one operator-and-preconditioner rule of both stages, and the
+    from-zero contract of conjugate gradients."""
+
+    @staticmethod
+    def _system(grid, k_max):
+        rng = np.random.default_rng(11)
+        diag = rng.uniform(5.0, 50.0, grid.num_nodes)
+        k = rng.uniform(1.0, k_max, grid.shape)
+        k.flat[0], k.flat[-1] = 1.0, k_max
+        return diag, k, rng.standard_normal(grid.num_nodes)
+
+    @pytest.mark.parametrize("dim,n", [(1, 24), (2, 12)])
+    def test_apply_is_the_flux_divergence(self, dim, n):
+        grid = Grid(dim, n, 1.0)
+        diag, k, x = self._system(grid, 7.0)
+        apply, _ = stepper._flux_system(grid, diag, k)
+        expected = diag * x - div_faces(face_weights(grid, k),
+                                        x.reshape(grid.shape)).ravel()
+        assert np.array_equal(apply(x), expected)
+
+    def test_dct_up_to_the_contrast_bound_jacobi_beyond(self):
+        grid = Grid(2, 12, 1.0)
+        bound = stepper.DCT_CONTRAST_MAX
+        diag, k, r = self._system(grid, bound)
+        _, precondition = stepper._flux_system(grid, diag, k)
+        dct = shifted_laplacian_solve(grid, float(np.abs(diag).mean()),
+                                      float(k.mean()), r)
+        assert np.array_equal(precondition(r), dct)
+
+        k.flat[-1] = np.nextafter(bound, np.inf)
+        _, precondition = stepper._flux_system(grid, diag, k)
+        jacobi = diag + div_faces_diagonal(face_weights(grid, k),
+                                           grid.shape).ravel()
+        assert np.array_equal(precondition(r), r / jacobi)
+
+    def test_pcg_from_zero_solves_the_warm_started_system(self):
+        grid = Grid(2, 8, 1.0)
+        diag, k, b = self._system(grid, 4.0)
+        apply, precondition = stepper._flux_system(grid, diag, k)
+        x0 = np.random.default_rng(12).uniform(0.0, 2.0, grid.num_nodes)
+        tol = 1e-10 * np.linalg.norm(b)
+        change, iters, rnorm = stepper._pcg(apply, b - apply(x0),
+                                            precondition, tol, 500)
+        assert 0 < iters < 500 and rnorm <= tol
+        dense = np.column_stack([apply(e) for e in np.eye(grid.num_nodes)])
+        direct = np.linalg.solve(dense, b)
+        x = x0 + change
+        assert np.linalg.norm(b - apply(x)) <= 10 * tol
+        assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
 class TestIndefiniteJacobian:
     """log potential with a small viscosity: delta/tau + min d < 0 at the
     first Newton iteration, so the Jacobian is indefinite and CG could not
@@ -355,7 +416,7 @@ class TestNanResiduals:
                                           lambda z: z, 1e-10, 50)
         assert iters == 0 and math.isnan(rnorm)
         _, iters, rnorm = stepper._pcg(lambda v: 2.0 * v, b, lambda z: z,
-                                       np.zeros(8), 1e-10, 50)
+                                       1e-10, 50)
         assert iters == 0 and math.isnan(rnorm)
 
     def test_both_stages_fail_on_a_nan_residual(self):
