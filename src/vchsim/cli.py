@@ -41,6 +41,7 @@ from .stepper import (
     Trajectory,
     ValidationError,
     iterate,
+    validate_initial_data,
 )
 
 
@@ -379,8 +380,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             simulate_to_dir(_load_config(args.config), args.out)
         elif args.command == "validate":
-            _grid, cfg, laws, initial = build_run(_load_config(args.config))
-            iterate(cfg, laws, initial)  # checks the data; takes no step
+            _grid, cfg, laws, (mu0, rho0) = build_run(_load_config(args.config))
+            validate_initial_data(mu0, rho0, cfg, laws)
             print("config ok")
         elif args.command == "study":
             run_study(_load_config(args.spec), args.out)

@@ -262,22 +262,13 @@ def build_field(recipe: tuple, grid: Grid) -> ScalarField:
         center, radius, amplitude = recipe[1:]
         if not radius > 0:
             raise ConfigError(f"bump radius must be positive, got {radius!r}")
-        if grid.dim == 1:
-            x = grid.coordinates()
-            dist2 = (x - center) ** 2
-        else:
-            x, y = grid.coordinates()
-            dist2 = (x - center) ** 2 + (y - center) ** 2
+        dist2 = sum((x - center) ** 2 for x in grid.coordinates())
         profile = np.maximum(0.0, 1.0 - dist2 / radius ** 2) ** 2
         return field_of(grid, amplitude * profile)
     if kind == "cosine":
         mean, amplitude = recipe[1:]
         freq = np.pi / grid.length
-        if grid.dim == 1:
-            profile = np.cos(freq * grid.coordinates())
-        else:
-            x, y = grid.coordinates()
-            profile = np.cos(freq * x) * np.cos(freq * y)
+        profile = math.prod(np.cos(freq * x) for x in grid.coordinates())
         return field_of(grid, mean + amplitude * profile)
     if kind == "file":
         try:

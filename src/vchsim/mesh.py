@@ -47,14 +47,15 @@ class Grid:
 
     @property
     def shape(self) -> tuple:
-        return (self.n,) if self.dim == 1 else (self.n, self.n)
+        return (self.n,) * self.dim
 
-    def coordinates(self):
-        """Cell-center coordinates: a vector for dim=1, a meshgrid pair for dim=2."""
+    def coordinates(self) -> tuple:
+        """Cell-center coordinates, one grid-shaped array per axis: entry
+        ``axis`` holds ``(i + 1/2) h`` at every node whose index along that
+        axis is ``i``.  A 1-tuple ``(x,)`` in 1-D, the ``ij`` meshgrid pair
+        ``(X, Y)`` in 2-D."""
         x = (np.arange(self.n) + 0.5) * self.h
-        if self.dim == 1:
-            return x
-        return np.meshgrid(x, x, indexing="ij")
+        return tuple(np.meshgrid(*[x] * self.dim, indexing="ij"))
 
     @property
     def cell_volume(self) -> float:
@@ -205,13 +206,12 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
     The reflected-ghost stencil is diagonalized exactly by the DCT-II
     (Strang, SIAM Review 41, 1999): mode ``j`` of one axis has eigenvalue
     ``-4 sin^2(pi j / 2n) / h^2``, so ``C L C^T = diag(lam)`` with ``C`` the
-    matrix of :func:`dct_matrix`; the 2-D eigenvalues are sums over the two
-    axes.  Cached per grid and read-only.
+    matrix of :func:`dct_matrix`; an eigenvalue of the grid is the sum over
+    the axes of its modes' eigenvalues.  Cached per grid and read-only.
     """
     modes = np.arange(grid.n)
-    lam = -4.0 * np.sin(0.5 * np.pi * modes / grid.n) ** 2 / grid.h ** 2
-    if grid.dim == 2:
-        lam = lam[:, None] + lam[None, :]
+    axis_lam = -4.0 * np.sin(0.5 * np.pi * modes / grid.n) ** 2 / grid.h ** 2
+    lam = sum(np.meshgrid(*[axis_lam] * grid.dim, indexing="ij", sparse=True))
     lam.flags.writeable = False
     return lam
 
@@ -252,6 +252,9 @@ def shifted_laplacian_solve(grid: Grid, s: float, k: float,
     c = dct_matrix(grid.n)
     u = rhs.reshape(grid.shape)
     denom = s - k * laplacian_eigenvalues(grid)
+    # the package's one dim branch: the manifests' independence of the BLAS
+    # thread count (see the stepper module) was measured on these kernels,
+    # a matrix-vector product in 1-D and matrix products in 2-D
     if grid.dim == 1:
         x = c.T @ ((c @ u) / denom)
     else:

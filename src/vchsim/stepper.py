@@ -256,7 +256,8 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     node, J = -L is singular and the stage fails with that diagnosis.
     """
     grid = prev.grid
-    unit_faces = unit_face_weights(grid)
+    # k = 1 and its cached face weights, the same each Newton iteration
+    unit_k, unit_faces = np.ones(grid.shape), unit_face_weights(grid)
     shape = grid.shape
     rho_prev = prev.rho.values.ravel()
     mu_d = mu_del.values.ravel()
@@ -300,7 +301,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
             # diag vanishes at every node, so J = -L annihilates constants
             raise StepFailure("singular rho-stage Jacobian: delta/tau + d is "
                               "0 at every node", res_norm)
-        apply_J, precondition = _flux_system(grid, diag, np.ones(shape))
+        apply_J, precondition = _flux_system(grid, diag, unit_k, unit_faces)
         step, _, inner_res = _minres(apply_J, res, precondition, inner_tol,
                                      _krylov_cap(grid))
         if not inner_res <= inner_tol:
@@ -395,10 +396,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _flux_system(grid: Grid, diag: np.ndarray, k: np.ndarray):
+def _flux_system(grid: Grid, diag: np.ndarray, k: np.ndarray, weights=None):
     """``(apply, precondition)`` of ``x -> diag x - div(k grad x)`` on flat
-    node vectors, by the rule the module docstring states."""
-    weights = face_weights(grid, k)
+    node vectors, by the rule the module docstring states.  ``weights`` is
+    ``face_weights(grid, k)``, formed here unless the caller holds it."""
+    weights = face_weights(grid, k) if weights is None else weights
     diag = diag.ravel()
 
     def apply(x):

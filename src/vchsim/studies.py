@@ -344,14 +344,9 @@ N_SAMPLES = 8
 
 
 def spread_radius(field: ScalarField, threshold: float, center: float) -> float:
-    """Largest distance from the bump center at which the field exceeds the
-    threshold; zero if nowhere."""
-    grid = field.grid
-    if grid.dim == 1:
-        dist = np.abs(grid.coordinates() - center)
-    else:
-        x, y = grid.coordinates()
-        dist = np.sqrt((x - center) ** 2 + (y - center) ** 2)
+    """Largest Euclidean distance from the bump center ``(center, ...,
+    center)`` at which the field exceeds the threshold; zero if nowhere."""
+    dist = np.sqrt(sum((x - center) ** 2 for x in field.grid.coordinates()))
     mask = field.values > threshold
     if not np.any(mask):
         return 0.0

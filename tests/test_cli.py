@@ -222,19 +222,31 @@ class TestParseConfig:
 
 
 class TestInitialDataRecipes:
-    def test_bump_is_compactly_supported(self):
-        c = Config(n=64, mu0=("bump", 0.5, 0.2, 2.0))
-        field = build_field(c.mu0, build_model(c)[0])
-        x = build_model(c)[0].coordinates()
-        outside = np.abs(x - 0.5) >= 0.2
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bump_is_compactly_supported(self, dim):
+        c = Config(dim=dim, n=64, mu0=("bump", 0.5, 0.2, 2.0))
+        grid = build_model(c)[0]
+        field = build_field(c.mu0, grid)
+        # Euclidean distance from (0.5, ..., 0.5); no node lies on the
+        # support's edge at n = 64
+        dist = np.sqrt(sum((x - 0.5) ** 2 for x in grid.coordinates()))
+        outside = dist >= 0.2
+        assert field.values.shape == grid.shape
         assert np.all(field.values[outside] == 0.0)
+        assert np.all(field.values[~outside] > 0.0)
         assert field.max() == pytest.approx(2.0, rel=7e-3)
 
     def test_cosine_profile_in_2d(self):
-        c = Config(dim=2, n=8, mu0=("cosine", 1.0, 0.5))
-        field = build_field(c.mu0, build_model(c)[0])
+        c = Config(dim=2, n=8, length=2.0, mu0=("cosine", 1.0, 0.5))
+        grid = build_model(c)[0]
+        field = build_field(c.mu0, grid)
         assert field.values.shape == (8, 8)
         assert field.min() >= 0.0
+        # mean + amplitude cos(pi x / length) cos(pi y / length), node by node
+        x = (np.arange(8) + 0.5) * 0.25
+        cos_axis = np.cos(np.pi / 2.0 * x)
+        assert np.array_equal(field.values,
+                              1.0 + 0.5 * np.outer(cos_axis, cos_axis))
 
     def test_file_recipe_roundtrips(self, tmp_path):
         from vchsim.mesh import write_snapshot, field_of
@@ -375,6 +387,29 @@ class TestCliExitCodes:
     def test_validate_ok(self, tmp_path, capsys):
         path = self._write(tmp_path, MINIMAL)
         assert main(["validate", "--config", path]) == 0
+
+    def test_validate_computes_no_resolvent(self, tmp_path, capsys,
+                                            monkeypatch):
+        # validate checks the data rules alone; the initial Yosida state,
+        # a log resolvent at every node, is never built
+        from vchsim.constitutive import LogGraph
+
+        calls = []
+        resolvent_array = LogGraph.resolvent_array
+
+        def counting(self, lam, y):
+            calls.append(lam)
+            return resolvent_array(self, lam, y)
+
+        monkeypatch.setattr(LogGraph, "resolvent_array", counting)
+        path = self._write(tmp_path, MINIMAL + "potential = log\n"
+                           "rho0 = cosine 0.5 0.2\n")
+        assert main(["validate", "--config", path]) == 0
+        assert capsys.readouterr().out == "config ok\n"
+        assert calls == []
+        assert main(["simulate", "--config", path, "--out",
+                     str(tmp_path / "out")]) == 0
+        assert calls
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, MINIMAL + "mu0 = constant -1\n")
@@ -654,8 +689,8 @@ class TestCliExitCodes:
         data = tmp_path / "data"
         data.mkdir()
         grid = build_model(parse_config(MINIMAL))[0]
-        write_snapshot(data / "mu0.txt",
-                       field_of(grid, 1.0 + 0.5 * grid.coordinates()), 0.0)
+        (x,) = grid.coordinates()
+        write_snapshot(data / "mu0.txt", field_of(grid, 1.0 + 0.5 * x), 0.0)
         monkeypatch.chdir(data)
         recipe = "mu0.txt" if case == "other_directory" else data / "mu0.txt"
         path = self._write(tmp_path, MINIMAL + f"mu0 = file {recipe}\n")

@@ -43,8 +43,16 @@ class TestGrid:
         assert g2.shape == (8, 8)
 
     def test_cell_centered_coordinates(self):
-        g = Grid(1, 4, 1.0)
-        assert np.allclose(g.coordinates(), [0.125, 0.375, 0.625, 0.875])
+        (x,) = Grid(1, 4, 1.0).coordinates()
+        assert x.shape == (4,)
+        assert np.allclose(x, [0.125, 0.375, 0.625, 0.875])
+        # 2-D: one grid-shaped array per axis, X varying along axis 0 and
+        # Y along axis 1 (ij indexing)
+        X, Y = Grid(2, 4, 2.0).coordinates()
+        axis = np.array([0.25, 0.75, 1.25, 1.75])
+        assert X.shape == Y.shape == (4, 4)
+        assert np.allclose(X, np.broadcast_to(axis[:, None], (4, 4)))
+        assert np.allclose(Y, np.broadcast_to(axis[None, :], (4, 4)))
 
     @pytest.mark.parametrize("dim,n,length", [(3, 8, 1.0), (1, 2, 1.0), (1, 8, 0.0)])
     def test_rejects_bad_parameters(self, dim, n, length):
@@ -71,7 +79,8 @@ class TestLaplaceNeumann:
 
     def test_linear_field_zero_in_interior(self):
         g = Grid(1, 16, 1.0)
-        out = apply_laplacian(g, g.coordinates())
+        (x,) = g.coordinates()
+        out = apply_laplacian(g, x)
         assert np.allclose(out[1:-1], 0.0, atol=1e-12)
         # reflection ghosts see the flux of the linear profile
         assert out[0] != 0.0 and out[-1] != 0.0
@@ -81,7 +90,7 @@ class TestLaplaceNeumann:
         # column by column and verify the eigen identity of the
         # cell-centered Neumann operator
         g = Grid(1, 64, 1.0)
-        x = g.coordinates()
+        (x,) = g.coordinates()
         u = np.cos(np.pi * x / g.length)
         lam_h = (2.0 / g.h ** 2) * (1.0 - np.cos(np.pi * g.h / g.length))
         A = dense_operator(g, lambda v: div_k_grad_arrays(g, np.ones(g.shape), v))
@@ -278,7 +287,8 @@ class TestIntegrate:
 
     def test_midpoint_exact_for_linear(self):
         g = Grid(1, 128, 1.0)
-        u = field_of(g, g.coordinates())
+        (x,) = g.coordinates()
+        u = field_of(g, x)
         assert integrate(g, u) == pytest.approx(0.5, abs=1e-15)
 
 

@@ -179,6 +179,26 @@ class TestStepRho:
         assert iters >= 2
         assert counts["resolvent"] == counts["residual"] >= iters + 1
 
+    def test_newton_directions_read_the_cached_unit_face_weights(
+            self, monkeypatch):
+        # k = 1 in every Newton direction: its face weights are the cached
+        # unit_face_weights, not formed again per iteration
+        c = Config(dim=2, n=16, potential="log", T=0.01, N=8,
+                   mu0=("bump", 0.5, 0.2, 1.0), rho0=("cosine", 0.5, 0.2))
+        _, cfg, laws, (mu0, rho0) = build_run(c)
+        prev = initial_state(mu0, rho0, cfg, laws)
+        formed = []
+        face_weights = stepper.face_weights
+
+        def counting(grid, kv):
+            formed.append(kv)
+            return face_weights(grid, kv)
+
+        monkeypatch.setattr(stepper, "face_weights", counting)
+        _, _, iters, _ = step_rho(prev, prev.mu, cfg, laws)
+        assert iters >= 2
+        assert formed == []
+
     def test_saturation_pins_rho_and_sign_of_xi(self):
         grid = Grid(1, 12, 1.0)
         laws = make_laws(potential="clamp", alpha2=0.0, coupling="linear")
@@ -205,7 +225,7 @@ class TestStepMu:
         g0, kappa0, eps = 0.4, 1.3, 1.0
         laws = make_laws(coupling="constant", g0=g0, kappa0=kappa0)
         cfg = SolverConfig(T=1.0, n_steps=16)
-        x = grid.coordinates()
+        (x,) = grid.coordinates()
         c, A = 1.0, 0.5
         mu_prev = field_of(grid, c + A * np.cos(np.pi * x))
         prev = initial_state(mu_prev, field_of(grid, 0.5), cfg, laws)
@@ -497,7 +517,7 @@ class TestAdvanceAndRun:
                          g0=g0, kappa0=kappa0)
         N = 16
         cfg = SolverConfig(T=0.5, n_steps=N)
-        x = grid.coordinates()
+        (x,) = grid.coordinates()
         c, A = 1.0, 0.5
         mu0 = field_of(grid, c + A * np.cos(np.pi * x))
         traj = run(cfg, laws, (mu0, field_of(grid, 0.5)))
