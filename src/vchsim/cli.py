@@ -1,9 +1,11 @@
 """Command-line front end: simulate, diagnose, study, validate.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 diagnostic violation.  All floating-point output is written with 17
-significant digits, and every output directory gets a manifest of content
-checksums, so identical runs are identical byte for byte.
+4 diagnostic violation.  Floating-point output is lossless: CSVs and
+headers are written with ``%.17g``, field snapshots in the fixed 18-digit
+layout of :func:`vchsim.mesh.write_snapshot`.  Every output directory gets
+a manifest of content checksums, so identical runs are identical byte for
+byte.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import re
+import shutil
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from vchsim.config import (
     render_config,
 )
 from vchsim.diagnostics import REPORT_COLUMNS, ledger_columns
-from vchsim.mesh import read_snapshot
+from vchsim.mesh import read_snapshot, write_snapshot
 
 
 MINIMAL = "n = 16\nT = 0.5\nN = 8\n"
@@ -249,7 +250,7 @@ class TestInitialDataRecipes:
                               1.0 + 0.5 * np.outer(cos_axis, cos_axis))
 
     def test_file_recipe_roundtrips(self, tmp_path):
-        from vchsim.mesh import write_snapshot, field_of
+        from vchsim.mesh import field_of
         c = Config(n=16)
         grid = build_model(c)[0]
         orig = field_of(grid, np.linspace(0.0, 1.0, 16))
@@ -259,7 +260,7 @@ class TestInitialDataRecipes:
         assert np.array_equal(back.values, orig.values)
 
     def test_file_recipe_grid_mismatch(self, tmp_path):
-        from vchsim.mesh import write_snapshot, field_of
+        from vchsim.mesh import field_of
         wrong = build_model(Config(n=8))[0]
         path = tmp_path / "mu0.txt"
         write_snapshot(path, field_of(wrong, 1.0), 0.0)
@@ -684,7 +685,7 @@ class TestCliExitCodes:
                                                    monkeypatch, case):
         # a run whose mu0 was read from a file is diagnosed after that file
         # moves, or from a working directory where its path means nothing
-        from vchsim.mesh import field_of, write_snapshot
+        from vchsim.mesh import field_of
 
         data = tmp_path / "data"
         data.mkdir()
@@ -1134,6 +1135,25 @@ class TestManifestDigest:
     def test_run_written_with_hashlib_verifies(self):
         assert cli.verify_manifest(HASHLIB_RUN) == []
 
+    def test_stored_run_diagnoses_as_rewritten(self, tmp_path):
+        # the stored snapshots are %.17g text, which the reader parses
+        # through np.loadtxt; re-written in the 26-byte layout they go
+        # through the vectorized codec, and the report does not move
+        rewritten = tmp_path / "rewritten"
+        shutil.copytree(HASHLIB_RUN, rewritten)
+        for path in sorted(rewritten.glob("state_*.txt")):
+            old = path.read_bytes()
+            write_snapshot(path, *read_snapshot(path))
+            assert path.read_bytes() != old
+        write_manifest(rewritten)
+        reports = []
+        for rundir in (HASHLIB_RUN, rewritten):
+            report = tmp_path / f"{rundir.name}.csv"
+            assert main(["diagnose", "--traj", str(rundir),
+                         "--out", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestImportBudget:
     """Each command loads only the hashlib and package modules it uses, and
@@ -1174,6 +1194,8 @@ class TestImportBudget:
             # the experiment suites and the quadrature rule's
             # numpy.polynomial load only where they are used
             assert not {"vchsim.studies", "numpy.polynomial"} & loaded
+            # the snapshot codec's powers of ten come from Python integers
+            assert not {"fractions", "decimal"} & loaded
 
     def test_indefinite_jacobian_loads_no_scipy(self, tmp_path):
         # log potential, delta = 0.1: delta/tau + min d < 0 at the first

@@ -22,6 +22,17 @@ from vchsim.mesh import (
 from oracles import laplacian_matrix
 
 
+def _reference_line(v: float) -> str:
+    """A snapshot value line by Python's own formatting: sign column, 18
+    significant digits and a 3-digit exponent in 26 bytes; inf and nan
+    right-justified."""
+    text = f"{v:.17e}"
+    if "e" not in text:
+        return f"{text:>25}\n"
+    mantissa, exponent = text.split("e")
+    return f"{mantissa:>20}e{int(exponent):+04d}\n"
+
+
 def dense_operator(grid, apply_op):
     """Materialize a linear operator by applying it to unit vectors."""
     nn = grid.num_nodes
@@ -349,12 +360,125 @@ class TestSnapshots:
         values = (rng.standard_normal(g.num_nodes)
                   * np.exp(rng.uniform(-300, 300, g.num_nodes)))
         values[:5] = [-0.0, 5e-324, 1.0, 0.1, -1e300]
-        u = field_of(g, values.reshape(g.shape))
+        # the rows the writer sends through Python's own formatting: exact
+        # 18-digit ties, |v| above 1e280 and the infinities
+        ties = [2.0 ** -26, 3 * 2.0 ** -26, -5 * 2.0 ** -26, 2.0 ** -27]
+        for v in ties:
+            num, den = v.as_integer_ratio()
+            digits = str(abs(num) * 5 ** (den.bit_length() - 1)).rstrip("0")
+            assert len(digits) == 19 and digits.endswith("5"), v
+        # 0.3 and -0.7 lie just below round decimals: their low nine digits
+        # borrow from the upper nine (2.99999999999999989e-001)
+        special = np.resize(ties + [4.2e290, -1.5e280, np.inf, -np.inf,
+                                    0.3, -0.7], g.num_nodes)
+        for data in (values, special):
+            u = field_of(g, data.reshape(g.shape))
+            path = tmp_path / "snap.txt"
+            write_snapshot(path, u, t=0.25)
+            lines = path.read_bytes().decode().splitlines(keepends=True)
+            assert lines[0] == f"{g.dim} {g.n} {g.length:.17g} {0.25:.17g}\n"
+            assert lines[1:] == [_reference_line(v) for v in u.values.ravel()]
+            back = np.array([float(line) for line in lines[1:]])
+            assert np.array_equal(back.view(np.int64),
+                                  u.values.ravel().view(np.int64))
+
+    def test_reader_is_exact_near_midpoints(self, tmp_path):
+        # 18-digit lines within 1e-18 relative of the midpoint between two
+        # adjacent doubles, and lines on such a midpoint, from Python
+        # integers: each must read as float(line)
+        rng = np.random.default_rng(11)
+        xs = np.abs(rng.standard_normal(3000) * np.exp(rng.uniform(-640, 640, 3000)))
+        xs = [float(x) for x in xs if 1e-280 <= x <= 1e280]
+        # odd integers above 2^53 are midpoints, and float() rounds them to
+        # the even neighbour
+        lines = [f" 9.00719925474{i:04d}00e+015\n" for i in range(993, 1393, 2)]
+        lines.append(" 1.80143985094819860e+016\n")
+        # lines within about 1e-33 relative of a midpoint (convergents of
+        # the continued fraction of 2^f 10^K): the double-double product
+        # alone rounds each of them to the wrong neighbour
+        lines += [f" {text}\n" for text in (
+            "1.76799803764893423e-012", "1.55215823595553987e+044",
+            "1.76431884076813261e-031", "1.23647512113076628e-051",
+            "1.15459381157286461e+045", "1.82303996426025111e-040",
+            "1.15505498428342500e-059", "1.20524834714558410e+041",
+            "1.18900803306714750e-027", "1.62229419872186557e-024")]
+        for x in xs + [1e-280, 1e280, 2.0 ** 60]:
+            a, b = x.as_integer_ratio()
+            c, d = float(np.nextafter(x, np.inf)).as_integer_ratio()
+            mid_num, mid_den = a * d + c * b, 2 * b * d
+            exp10 = int(np.floor(np.log10(x)))
+            for e10 in (exp10 - 1, exp10, exp10 + 1):
+                num = mid_num * 10 ** max(17 - e10, 0)
+                den = mid_den * 10 ** max(e10 - 17, 0)
+                digits = (2 * num + den) // (2 * den)
+                if (10 ** 17 <= digits < 10 ** 18
+                        and abs(digits * den - num) * 10 ** 18 <= num):
+                    text = str(digits)
+                    lines.append(f" {text[0]}.{text[1:]}e{e10:+04d}\n")
+        assert len(lines) > 1000
+        g = Grid(1, len(lines), 1.0)
+        path = tmp_path / "mid.txt"
+        path.write_text(f"1 {g.n} 1 0\n" + "".join(lines))
+        back, _ = read_snapshot(path)
+        want = np.array([float(line) for line in lines])
+        assert np.array_equal(back.values.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("edit", ["17g", "hand_edited", "blank_line", "crlf",
+                                      "same_size"])
+    def test_other_bodies_read_through_loadtxt(self, tmp_path, monkeypatch, edit):
+        g = Grid(2, 4, 1.0)
+        values = np.random.default_rng(12).standard_normal(g.num_nodes)
         path = tmp_path / "snap.txt"
-        write_snapshot(path, u, t=0.25)
-        lines = [f"{g.dim} {g.n} {g.length:.17g} {0.25:.17g}"]
-        lines.extend(f"{v:.17g}" for v in u.values.ravel())
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        write_snapshot(path, field_of(g, values.reshape(g.shape)), 0.5)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        want = values.copy()
+        if edit == "17g":
+            lines = [f"{v:.17g}\n" for v in values]
+        elif edit == "hand_edited":
+            lines[1:4] = ["-1.0\n", "inf\n", "nan\n"]
+            want[1:4] = [-1.0, np.inf, np.nan]
+        elif edit == "blank_line":
+            lines.append("\n")
+        elif edit == "same_size":
+            # 26-byte lines off the layout: the body has the fast path's
+            # size, and its check must send the whole body to np.loadtxt
+            lines[2], lines[5] = f"{'inf':>25}\n", f"{'-1.5':>25}\n"
+            want[2], want[5] = np.inf, -1.5
+        else:
+            lines = [line.replace("\n", "\r\n") for line in lines]
+            header = header.replace("\n", "\r\n")
+        path.write_bytes((header + "".join(lines)).encode())
+        calls = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        back, t = read_snapshot(path)
+        assert calls == [1] and t == 0.5
+        assert np.array_equal(back.values.ravel(), want, equal_nan=True)
+        write_snapshot(path, field_of(g, values.reshape(g.shape)), 0.5)
+        assert np.array_equal(read_snapshot(path)[0].values.ravel(), values)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("column,byte", [(0, "x"), (0, "+"), (7, ":"),
+                                             (21, "*"), (20, "E")])
+    def test_a_byte_off_the_layout_reads_as_float_would(self, tmp_path, column, byte):
+        # one line in the fast path's size with one byte changed: the body
+        # goes to np.loadtxt, which parses what float() parses and raises on
+        # the rest
+        g = Grid(1, 8, 1.0)
+        values = np.linspace(-1.0, 2.0, 8)
+        path = tmp_path / "snap.txt"
+        write_snapshot(path, field_of(g, values), 0.0)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3][:column] + byte + lines[3][column + 1:]
+        path.write_text(header + "".join(lines))
+        try:
+            want = float(lines[3])
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_snapshot(path)
+        else:
+            assert read_snapshot(path)[0].values[3] == want
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
