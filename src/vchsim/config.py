@@ -141,29 +141,15 @@ def _parse_recipe(raw: str, key: str, lineno: int) -> tuple:
     parts = raw.split()
     if not parts:
         raise ConfigError(f"line {lineno}: empty initial-data recipe for '{key}'")
-    kind = parts[0]
-    # read lazily: only the numeric recipes unpack it
-    numbers = (_number(float, part, key, lineno) for part in parts[1:])
-    if kind == "constant":
-        if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: '{key} = constant <value>'")
-        return ("constant", *numbers)
-    if kind == "bump":
-        if len(parts) != 4:
-            raise ConfigError(
-                f"line {lineno}: '{key} = bump <center> <radius> <amplitude>'")
-        return ("bump", *numbers)
-    if kind == "cosine":
-        if len(parts) != 3:
-            raise ConfigError(
-                f"line {lineno}: '{key} = cosine <mean> <amplitude>'")
-        return ("cosine", *numbers)
-    if kind == "file":
-        if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: '{key} = file <path>'")
-        return ("file", parts[1])
-    raise ConfigError(
-        f"line {lineno}: unknown initial-data recipe {kind!r} for '{key}'")
+    kind, *args = parts
+    if kind not in _RECIPES:
+        raise ConfigError(
+            f"line {lineno}: unknown initial-data recipe {kind!r} for '{key}'")
+    if len(args) != len(_RECIPES[kind][0]):
+        raise ConfigError(f"line {lineno}: '{key} = {_usage(kind)}'")
+    if kind != "file":
+        args = [_number(float, arg, key, lineno) for arg in args]
+    return (kind, *args)
 
 
 def parse_config(text: str) -> Config:
@@ -225,13 +211,13 @@ def render_config(config: Config) -> str:
     lines = []
     for f in fields(Config):
         value = getattr(config, f.name)
-        if f.name in ("mu0", "rho0"):
-            rendered = " ".join(
-                part if isinstance(part, str) else f"{part:.17g}" for part in value)
-        elif isinstance(value, float):
+        if isinstance(value, float):
             rendered = f"{value:.17g}"
         elif isinstance(value, tuple):
-            rendered = " ".join(f"{v:.17g}" for v in value)
+            # a recipe's kind and file path are words, every other entry a
+            # number
+            rendered = " ".join(
+                part if isinstance(part, str) else f"{part:.17g}" for part in value)
         else:
             rendered = str(value)
         lines.append(f"{f.name} = {rendered}")
@@ -254,30 +240,54 @@ def build_laws(config: Config) -> laws_mod.Laws:
                          coupling=coupling, mobility=mobility)
 
 
+def _bump(grid: Grid, center, radius, amplitude) -> ScalarField:
+    if not radius > 0:
+        raise ConfigError(f"bump radius must be positive, got {radius!r}")
+    dist2 = sum((x - center) ** 2 for x in grid.coordinates())
+    profile = np.maximum(0.0, 1.0 - dist2 / radius ** 2) ** 2
+    return field_of(grid, amplitude * profile)
+
+
+def _cosine(grid: Grid, mean, amplitude) -> ScalarField:
+    freq = np.pi / grid.length
+    profile = math.prod(np.cos(freq * x) for x in grid.coordinates())
+    return field_of(grid, mean + amplitude * profile)
+
+
+def _file(grid: Grid, path) -> ScalarField:
+    try:
+        return read_snapshot(path, grid)[0]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read initial-data file {path!r}: "
+                          f"{ConfigError.reason(exc)}") from exc
+
+
+# The initial-data recipes, kind -> (argument names, builder): the text
+# ``<key> = <kind> <arguments>`` parses to the tuple ``(kind, *arguments)``,
+# and ``builder(grid, *arguments)`` makes its field.  Every argument is a
+# number but ``file``'s path.
+_RECIPES = {
+    "constant": (("value",), field_of),
+    "bump": (("center", "radius", "amplitude"), _bump),
+    "cosine": (("mean", "amplitude"), _cosine),
+    "file": (("path",), _file),
+}
+
+
+def _usage(kind: str) -> str:
+    return " ".join([kind] + [f"<{name}>" for name in _RECIPES[kind][0]])
+
+
 def build_field(recipe: tuple, grid: Grid) -> ScalarField:
-    kind = recipe[0]
-    if kind == "constant":
-        return field_of(grid, recipe[1])
-    if kind == "bump":
-        center, radius, amplitude = recipe[1:]
-        if not radius > 0:
-            raise ConfigError(f"bump radius must be positive, got {radius!r}")
-        dist2 = sum((x - center) ** 2 for x in grid.coordinates())
-        profile = np.maximum(0.0, 1.0 - dist2 / radius ** 2) ** 2
-        return field_of(grid, amplitude * profile)
-    if kind == "cosine":
-        mean, amplitude = recipe[1:]
-        freq = np.pi / grid.length
-        profile = math.prod(np.cos(freq * x) for x in grid.coordinates())
-        return field_of(grid, mean + amplitude * profile)
-    if kind == "file":
-        try:
-            return read_snapshot(recipe[1], grid)[0]
-        except (OSError, ValueError) as exc:
-            raise ConfigError(
-                f"cannot read initial-data file {recipe[1]!r}: "
-                f"{ConfigError.reason(exc)}") from exc
-    raise ConfigError(f"unknown initial-data recipe {kind!r}")
+    """The field of a recipe tuple ``(kind, *arguments)``, as parse_config
+    reads it or code writes it."""
+    kind, *args = recipe or (None,)
+    if kind not in _RECIPES:
+        raise ConfigError(f"unknown initial-data recipe {kind!r}")
+    if len(args) != len(_RECIPES[kind][0]):
+        raise ConfigError(f"initial-data recipe must be '{_usage(kind)}', "
+                          f"got {recipe!r}")
+    return _RECIPES[kind][1](grid, *args)
 
 
 def build_model(config: Config):

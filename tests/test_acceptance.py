@@ -347,3 +347,56 @@ def test_criterion_9_scheme_equivalence_golden(tmp_path):
                              f"equal: {manifests_equal}")
     assert fields_equal
     assert manifests_equal
+
+
+def cell_averages(values: np.ndarray, n: int) -> np.ndarray:
+    """Averages of a cell-centred field over the cells of the grid with n
+    nodes per axis, each of which holds whole cells of the field's grid."""
+    r = values.shape[0] // n
+    blocks = values.reshape(sum(((n, r) for _ in values.shape), ()))
+    return blocks.mean(axis=tuple(range(1, 2 * values.ndim, 2)))
+
+
+H_ORDER_BASE = Config(T=0.05, N=16, potential="log", coupling="linear",
+                      mu0=("cosine", 1.0, 0.3), rho0=("cosine", 0.5, 0.2))
+# case -> (config, grid sizes, reference grid size); the same tau on every
+# grid, so the error is the spatial one
+H_ORDER_CASES = {
+    "1-D log + constant": (H_ORDER_BASE, (16, 32, 64, 128), 512),
+    "1-D log + tanhpow": (replace(H_ORDER_BASE, mobility="tanhpow"),
+                          (16, 32, 64, 128), 512),
+    "1-D clamp": (replace(H_ORDER_BASE, potential="clamp", alpha2=2.0,
+                          rho0=("cosine", 0.5, 0.45)), (16, 32, 64, 128), 512),
+    "2-D log + constant": (replace(H_ORDER_BASE, dim=2), (8, 16, 32), 128),
+}
+
+
+def test_criterion_10_second_order_in_h():
+    # the max-norm error of the final mu and rho against the cell averages
+    # of the finest run falls fourfold each time h halves: a one-sided
+    # boundary face rule, a wrong ghost closure or a misordered DCT mode
+    # drops an order somewhere
+    t0 = time.monotonic()
+    orders = {}
+    for case, (config, sizes, reference) in H_ORDER_CASES.items():
+        finest = run_cfg(replace(config, n=reference))[0].states[-1]
+        errors = []
+        for n in sizes:
+            final = run_cfg(replace(config, n=n))[0].states[-1]
+            errors.append(max(
+                float(np.max(np.abs(getattr(final, name).values
+                                    - cell_averages(
+                                        getattr(finest, name).values, n))))
+                for name in ("mu", "rho")))
+        orders[case] = [float(np.log2(a / b))
+                        for a, b in zip(errors, errors[1:])]
+    elapsed = time.monotonic() - t0
+    in_band = all(1.8 <= order <= 2.2
+                  for row in orders.values() for order in row)
+    ok = in_band and elapsed <= 10.0
+    record_acceptance(10, ok, "h-orders " + "; ".join(
+        f"{case} " + " / ".join(f"{order:.2f}" for order in row)
+        for case, row in orders.items())
+        + f" in [1.8, 2.2], {elapsed:.1f}s <= 10s")
+    assert in_band, orders
+    assert elapsed <= 10.0

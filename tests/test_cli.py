@@ -267,6 +267,28 @@ class TestInitialDataRecipes:
         with pytest.raises(ConfigError, match="grid"):
             build_field(("file", str(path)), build_model(Config(n=16))[0])
 
+    @pytest.mark.parametrize("recipe,message", [
+        (("bump", 0.5), "initial-data recipe must be 'bump <center> <radius> "
+                        "<amplitude>', got ('bump', 0.5)"),
+        (("cosine", 0.5, 0.1, 3.0), "initial-data recipe must be 'cosine "
+                                    "<mean> <amplitude>', got ('cosine', 0.5, "
+                                    "0.1, 3.0)"),
+        (("constant",), "initial-data recipe must be 'constant <value>', got "
+                        "('constant',)"),
+        (("file",), "initial-data recipe must be 'file <path>', got "
+                    "('file',)"),
+        ((), "unknown initial-data recipe None"),
+    ], ids=["bump_short", "cosine_long", "constant_short", "file_short",
+            "empty"])
+    def test_malformed_recipe_tuple_is_a_config_error(self, recipe, message):
+        # a Config made in code, as the library API or a study's replace
+        # makes it, skips parse_config's recipe syntax; building its data
+        # names the recipe's arguments instead of failing to unpack them
+        for config in (Config(mu0=recipe), replace(Config(), rho0=recipe)):
+            with pytest.raises(ConfigError) as caught:
+                build_run(config)
+            assert str(caught.value) == message
+
 
 class TestWriters:
     def test_empty_rows_gives_header_only(self, tmp_path):
@@ -1281,15 +1303,21 @@ NPY_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 class TestKernelSwitches:
     """Where bitwise manifests hold across CPU kernels (docs/diagnostics.md):
     a run's manifest is the same when numpy runs its AVX2 loops in place of
-    its AVX-512 ones, and, in 2-D, when OpenBLAS runs its Haswell (AVX2)
-    kernels.  The 1-D DCT apply is a BLAS matrix-vector product, whose
-    Haswell kernel sums in another order, so 1-D runs are not pinned to the
-    BLAS kernel."""
+    its AVX-512 ones, and, for the 2-D runs measured to agree, when OpenBLAS
+    runs its Haswell (AVX2) kernels: a `tanhpow` run, whose mu stage takes
+    the Jacobi branch, and a constant-mobility run at n = 64, whose mu stage
+    takes the DCT branch.  The 1-D DCT apply is a BLAS matrix-vector
+    product, whose Haswell kernel sums in another order, so 1-D runs are not
+    pinned to the BLAS kernel; nor are all 2-D grids, since the same
+    constant-mobility run at n = 32 or 33 moves under the Haswell kernels."""
 
     CONFIGS = {
         "2d": ("dim = 2\nn = 16\nT = 0.1\nN = 8\npotential = log\n"
                "mobility = tanhpow\nmu0 = bump 0.5 0.2 1.0\n"
                "rho0 = cosine 0.5 0.2\n"),
+        "2d_constant": ("dim = 2\nn = 64\nT = 0.1\nN = 8\npotential = log\n"
+                        "mobility = constant\nmu0 = bump 0.5 0.2 1.0\n"
+                        "rho0 = cosine 0.5 0.2\n"),
         "1d": ("n = 64\nT = 0.1\nN = 8\npotential = log\nmobility = tanhpow\n"
                "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n"),
     }
@@ -1315,10 +1343,12 @@ class TestKernelSwitches:
                         "OPENBLAS_CORETYPE selects nothing")
         if not _cpu_has("AVX2", "FMA3"):
             pytest.skip("the CPU cannot run the Haswell kernels")
-        config = self.CONFIGS["2d"]
-        assert (self._manifest(tmp_path, "haswell", config,
-                               OPENBLAS_CORETYPE="Haswell")
-                == self._manifest(tmp_path, "default", config))
+        for case in ("2d", "2d_constant"):
+            config = self.CONFIGS[case]
+            haswell = self._manifest(tmp_path, f"{case}_haswell", config,
+                                     OPENBLAS_CORETYPE="Haswell")
+            assert haswell == self._manifest(tmp_path, f"{case}_default",
+                                             config), case
 
     @pytest.mark.parametrize("dim", ["1d", "2d"])
     def test_manifest_is_the_same_without_numpy_avx512_loops(self, tmp_path,

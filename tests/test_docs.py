@@ -1,12 +1,13 @@
 """docs/config.md and the config parser name the same keys: every key the
 parser reads is documented, and every row of a key table is a key it
-reads (a field of ``Config``, ``tau``, or a retired key).  Every message
-of its validation table is one the package raises, and every owning layer
-it names is an attribute of the package.  docs/diagnostics.md documents
-exactly the columns report.csv prints, and the library's whole-run ledger
-is keyed by those names; docs/studies.md documents exactly the columns
-each study table prints.  Every solver value the two docs quote is the
-stepper's."""
+reads (a field of ``Config``, ``tau``, or a retired key).  Its recipe
+block names the recipe table's kinds, each with its arguments in order.
+Every message of its validation table is one the package raises, and
+every owning layer it names is an attribute of the package.
+docs/diagnostics.md documents exactly the columns report.csv prints, and
+the library's whole-run ledger is keyed by those names; docs/studies.md
+documents exactly the columns each study table prints.  Every solver
+value the two docs quote is the stepper's."""
 
 import ast
 import re
@@ -55,6 +56,20 @@ def test_every_key_row_is_a_key_the_parser_reads():
              | set(config._RETIRED_KEYS))
     assert [row for row in rows if row not in known] == []
     assert set(config._RETIRED_KEYS) <= set(rows)
+
+
+def test_recipe_block_is_the_recipe_table():
+    # the usage lines under "## Initial data", one per kind in table order,
+    # each with its argument names in order
+    section = CONFIG_MD.read_text().split("## Initial data\n")[1]
+    block = section.split("```\n")[1].splitlines()
+    documented = [re.fullmatch(r"mu0 = (\w+)((?: <\w+>)*)",
+                               line.split("#")[0].strip()).groups()
+                  for line in block]
+    assert [(kind, re.findall(r"<(\w+)>", args))
+            for kind, args in documented] == [
+        (kind, list(names))
+        for kind, (names, _build) in config._RECIPES.items()]
 
 
 def _validation_column(text: str, column: int) -> list:

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg
 
-from vchsim.config import Config, build_run
+from vchsim.config import Config, build_run, parse_config
 from vchsim.constitutive import (
     ClampIndicator,
     ConstantCoupling,
@@ -30,9 +30,11 @@ from vchsim.mesh import (
 )
 from vchsim.stepper import (
     SolverConfig,
+    SolverFailure,
     StepFailure,
     ValidationError,
     initial_state,
+    iterate,
     run,
     mu_system_coefficients,
     step,
@@ -594,3 +596,64 @@ class TestSchemeInvariants:
             assert np.all(xi[rho == 0.0] <= 0.0)
             saturated = saturated or np.any(rho == 1.0) or np.any(rho == 0.0)
         assert saturated  # the forcing must actually exercise the constraint
+
+
+def admission_draws(seed: int):
+    """Endless seeded draws of the admission sweep's configs at small sizes
+    (1-D n <= 64, 2-D n <= 33), each as ``(text, margin)``.  The margin is
+    ``delta/tau - 2 alpha2``, plus ``4 alpha1`` under the log graph: a rough
+    convexity margin of the rho stage that leaves out the Yosida factor and
+    the coupling curvature."""
+    rng = np.random.default_rng(seed)
+    while True:
+        dim = int(rng.choice([1, 2]))
+        keys = {
+            "dim": dim,
+            "n": int(rng.choice([8, 16, 33, 64] if dim == 1 else [8, 16, 33])),
+            "T": float(rng.choice([0.01, 0.1, 0.5, 1.0])),
+            "N": int(rng.choice([1, 2, 4, 8])),
+            "potential": str(rng.choice(["clamp", "log"])),
+            "mobility": str(rng.choice(["constant", "tanhpow"])),
+            "m": float(rng.choice([1.5, 2.0, 3.0])),
+            "delta": float(rng.choice([0.05, 0.1, 0.5, 1.0, 2.0])),
+            "alpha2": float(rng.choice([0.0, 1.0, 2.0, 4.0])),
+            "coupling": str(rng.choice(["linear", "constant"])),
+            "g0": 0.3,
+            "mu0": "bump 0.5 0.2 1.0",
+            "rho0": "cosine 0.5 0.2",
+            "snapshot_stride": 0,
+        }
+        alpha1 = Config().alpha1 if keys["potential"] == "log" else 0.0
+        margin = (keys["delta"] / (keys["T"] / keys["N"])
+                  - 2.0 * keys["alpha2"] + 4.0 * alpha1)
+        text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+        yield text, margin
+
+
+class TestAdmission:
+    SEED = 2026
+    RUNS = 500
+
+    def test_small_positive_margins_run_to_the_end(self):
+        # every admitted config whose margin lies in (0, 2] runs all its
+        # steps: small margins are where a rho-stage line search on the
+        # residual's max norm alone stalls, and the stage-energy test
+        # carries these runs to the root
+        failures, runs = [], 0
+        for text, margin in admission_draws(self.SEED):
+            if not 0.0 < margin <= 2.0:
+                continue
+            try:
+                _grid, cfg, laws, initial = build_run(parse_config(text))
+                states = iterate(cfg, laws, initial)
+            except ValidationError:
+                continue
+            try:
+                for _state in states:
+                    pass
+            except SolverFailure as exc:
+                failures.append((text, str(exc)))
+            runs += 1
+            if runs == self.RUNS:
+                break
+        assert failures == []
