@@ -140,8 +140,9 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     # resolvent projection of the Newton iterate, so the iterate is
     # recovered as rho + lam*xi
     graph = laws.graph
-    rc, xi_c = rho_c.ravel(), cur.xi.values.ravel()
-    rr = rc + cfg.yosida_lambda * xi_c if isinstance(graph, ClampIndicator) else rc
+    xi_c = cur.xi.values
+    rr = (rho_c + cfg.yosida_lambda * xi_c
+          if isinstance(graph, ClampIndicator) else rho_c)
     terms["res_rho_native"] = float(np.max(np.abs(rho_stage_residual(
         prev.rho, prev.mu, rr, xi_c, cfg, laws))))
 
@@ -150,13 +151,13 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     # gap.  The graph is evaluated at inside nodes only (the midpoint
     # stands in elsewhere), so a node on an endpoint divides by nothing
     if isinstance(graph, LogGraph):
-        inside = (rc > 0.0) & (rc < 1.0)
-        xi_strong = np.where(inside, graph.value(np.where(inside, rc, 0.5)),
+        inside = (rho_c > 0.0) & (rho_c < 1.0)
+        xi_strong = np.where(inside, graph.value(np.where(inside, rho_c, 0.5)),
                              np.inf)
     else:
         xi_strong = xi_c
     terms["res_rho_strong"] = float(np.max(np.abs(rho_stage_residual(
-        prev.rho, prev.mu, rc, xi_strong, cfg, laws))))
+        prev.rho, prev.mu, rho_c, xi_strong, cfg, laws))))
     return terms, a
 
 

@@ -12,6 +12,7 @@ never mutated in place.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +25,8 @@ class Grid:
     """Uniform cell-centered mesh on an interval (dim=1) or square (dim=2).
 
     ``n`` is the number of nodes per axis and ``length`` the edge length of
-    the box, so the spacing is ``h = length / n``.
+    the box, so the spacing is ``h = length / n``.  The operators scale by
+    ``1/h^2``, so ``h^2`` and ``1/h^2`` must both be finite positive doubles.
     """
 
     dim: int
@@ -38,6 +40,10 @@ class Grid:
             raise ValueError(f"need at least 3 nodes per axis, got {self.n}")
         if not self.length > 0.0:
             raise ValueError(f"length must be positive, got {self.length}")
+        h2 = self.h * self.h  # inf where h ** 2 would raise
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ValueError(f"grid spacing h = {self.h:g} is out of range: "
+                             f"h^2 and 1/h^2 must be finite and positive")
 
     @property
     def h(self) -> float:
@@ -66,7 +72,9 @@ class Grid:
 
 @dataclass
 class ScalarField:
-    """Node values of a scalar quantity on a grid."""
+    """Node values of a scalar quantity on a grid, as an array shaped like
+    the grid (``Grid.shape``); any other shape, a flat array of the right
+    size included, is rejected."""
 
     grid: Grid
     values: np.ndarray
@@ -74,12 +82,8 @@ class ScalarField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
-            if v.size == self.grid.num_nodes:
-                v = v.reshape(self.grid.shape)
-            else:
-                raise ValueError(
-                    f"field has {v.size} values, grid has {self.grid.num_nodes} nodes"
-                )
+            raise ValueError(f"field has shape {v.shape}, grid has shape "
+                             f"{self.grid.shape}")
         object.__setattr__(self, "values", v)
 
     def check_finite(self) -> "ScalarField":
@@ -244,24 +248,20 @@ def shifted_laplacian_solve(grid: Grid, s: float, k: float,
     """Solve ``(s I - k L) x = rhs`` exactly, L the Laplacian of
     :func:`unit_face_weights`.
 
-    Needs ``s > 0`` and ``k >= 0``.  ``rhs`` may be flat or shaped like the
-    grid; ``x`` comes back in the same layout.  The orthonormal DCT-II is
-    applied as the cached dense matrix ``C`` of :func:`dct_matrix` along
-    each axis, ``x = C^T ((C u) / (s - k lam))`` in 1-D and
-    ``X = C^T ((C U C^T) / (s - k lam)) C`` in 2-D, so the solve is numpy
-    matrix products only.
+    Needs ``s > 0`` and ``k >= 0``; ``rhs`` and ``x`` are shaped like the
+    grid.  The orthonormal DCT-II is applied as the cached dense matrix
+    ``C`` of :func:`dct_matrix` along each axis, ``x = C^T ((C u) / (s - k
+    lam))`` in 1-D and ``X = C^T ((C U C^T) / (s - k lam)) C`` in 2-D, so
+    the solve is numpy matrix products only.
     """
     c = dct_matrix(grid.n)
-    u = rhs.reshape(grid.shape)
     denom = s - k * laplacian_eigenvalues(grid)
     # the package's one dim branch: the manifests' independence of the BLAS
     # thread count (see the stepper module) was measured on these kernels,
     # a matrix-vector product in 1-D and matrix products in 2-D
     if grid.dim == 1:
-        x = c.T @ ((c @ u) / denom)
-    else:
-        x = c.T @ ((c @ u @ c.T) / denom) @ c
-    return x.reshape(rhs.shape)
+        return c.T @ ((c @ rhs) / denom)
+    return c.T @ ((c @ rhs @ c.T) / denom) @ c
 
 
 # The snapshot codec.  Every value line is 26 bytes: a sign column (space

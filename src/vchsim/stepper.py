@@ -37,7 +37,10 @@ preconditioner is the exact DCT solve of ``mean|d| I - mean(k) L``
 dense numpy matrix) while max k <= ``DCT_CONTRAST_MAX`` min k, and the
 diagonal (Jacobi) beyond it.
 
-Both Krylov loops, conjugate gradients and MINRES, keep one contract: they
+Node values are grid-shaped arrays throughout: the stages, the operator,
+both preconditioners and the Krylov iterates all keep the grid's shape, and
+only the inner product :func:`_dot` reads them flat.  Both Krylov loops,
+conjugate gradients and MINRES, keep one contract on such arrays: they
 solve A x = b from x = 0, as ``(apply_A, b, precondition, tol, max_iter)
 -> (x, iters, rnorm)``, and stop on the 2-norm of the recursive residual.
 The gap between that residual and the true one grows with the size of the
@@ -224,16 +227,15 @@ def rho_stage_residual(rho_prev: ScalarField, mu_delayed: ScalarField,
                        r: np.ndarray, xi: np.ndarray, cfg: SolverConfig,
                        laws: Laws) -> np.ndarray:
     """delta (r - rho_prev)/tau - Lap r + xi + pi(r) - mu_delayed g'(r) at
-    flat node values: the equation :func:`step_rho` drives to zero with xi
-    the Yosida value at r, and the diagnostics evaluate.  The Laplacian is
-    the unit-coefficient flux divergence, applied matrix-free."""
-    grid = rho_prev.grid
+    node values ``r`` and ``xi`` shaped like the grid: the equation
+    :func:`step_rho` drives to zero with xi the Yosida value at r, and the
+    diagnostics evaluate.  The Laplacian is the unit-coefficient flux
+    divergence, applied matrix-free."""
     dt_coef = cfg.delta / cfg.tau
-    lap_r = div_faces(unit_face_weights(grid), r.reshape(grid.shape)).ravel()
-    return (dt_coef * (r - rho_prev.values.ravel())
-            - lap_r + xi
+    return (dt_coef * (r - rho_prev.values)
+            - div_faces(unit_face_weights(rho_prev.grid), r) + xi
             + laws.potential.f2_prime(r)
-            - mu_delayed.values.ravel() * laws.coupling.g_prime(r))
+            - mu_delayed.values * laws.coupling.g_prime(r))
 
 
 def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
@@ -258,9 +260,8 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     grid = prev.grid
     # k = 1 and its cached face weights, the same each Newton iteration
     unit_k, unit_faces = np.ones(grid.shape), unit_face_weights(grid)
-    shape = grid.shape
-    rho_prev = prev.rho.values.ravel()
-    mu_d = mu_del.values.ravel()
+    rho_prev = prev.rho.values
+    mu_d = mu_del.values
     graph = laws.graph
     pot = laws.potential
     cpl = laws.coupling
@@ -278,7 +279,7 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
         # the functional whose gradient is the residual, p the resolvent at
         # r: sum of delta/(2 tau) (r - rho_prev)^2 + e_lam(r) + f2(r)
         # - mu_del g(r), less (1/2) r.(L r)
-        lap_r = div_faces(unit_faces, r.reshape(shape)).ravel()
+        lap_r = div_faces(unit_faces, r)
         return float(np.sum(0.5 * dt_coef * (r - rho_prev) ** 2
                             + pot.envelope(lam, r, p)
                             + pot.alpha2 * r * (1.0 - r) - mu_d * cpl.g(r))
@@ -331,8 +332,8 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     # the clamp resolvent is the projection onto [0, 1]
     rho_vals = p if isinstance(graph, ClampIndicator) else r
     xi_vals = (r - p) / lam
-    rho_new = ScalarField(grid, rho_vals.reshape(grid.shape)).check_finite()
-    xi_new = ScalarField(grid, xi_vals.reshape(grid.shape)).check_finite()
+    rho_new = ScalarField(grid, rho_vals).check_finite()
+    xi_new = ScalarField(grid, xi_vals).check_finite()
     return rho_new, xi_new, iters, res_norm
 
 
@@ -369,10 +370,10 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
     grid = prev.grid
     a, b_plus, b_minus, k_lag = mu_system_coefficients(
         prev.mu, rho_new, dt_rho, cfg, laws)
-    rhs = ((a / cfg.tau + b_minus) * prev.mu.values).ravel()
+    mu_prev = prev.mu.values
+    rhs = (a / cfg.tau + b_minus) * mu_prev
     apply_system, precondition = _flux_system(grid, a / cfg.tau + b_plus,
                                               k_lag)
-    mu_prev = prev.mu.values.ravel()
     # residual target: lambda_min >= min(a)/tau, so this keeps the solution
     # error (2-norm) at or below LINEAR_TOL
     tol = LINEAR_TOL * min(1.0, float(a.min()) / cfg.tau)
@@ -382,7 +383,7 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
         raise StepFailure("conjugate gradients did not converge in the mu stage",
                           rnorm)
     x = mu_prev + change
-    mu_new = ScalarField(grid, x.reshape(grid.shape)).check_finite()
+    mu_new = ScalarField(grid, x).check_finite()
     # the reported residual is the true one, which drifts from the recursive
     # residual the stopping rule reads
     true_res = rhs - apply_system(x)
@@ -390,21 +391,22 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product by numpy's own summation loop.  BLAS ``ddot`` splits
-    long sums across its threads, so its rounding, and with it every CG
-    iterate, would depend on the BLAS thread count."""
-    return float(np.einsum("i,i->", a, b))
+    """Inner product of two grid-shaped arrays, read flat in row-major
+    order, by numpy's own summation loop.  BLAS ``ddot`` splits long sums
+    across its threads, so its rounding, and with it every CG iterate,
+    would depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _flux_system(grid: Grid, diag: np.ndarray, k: np.ndarray, weights=None):
-    """``(apply, precondition)`` of ``x -> diag x - div(k grad x)`` on flat
-    node vectors, by the rule the module docstring states.  ``weights`` is
-    ``face_weights(grid, k)``, formed here unless the caller holds it."""
+    """``(apply, precondition)`` of ``x -> diag x - div(k grad x)`` on node
+    values shaped like the grid, by the rule the module docstring states.
+    ``weights`` is ``face_weights(grid, k)``, formed here unless the caller
+    holds it."""
     weights = face_weights(grid, k) if weights is None else weights
-    diag = diag.ravel()
 
     def apply(x):
-        return diag * x - div_faces(weights, x.reshape(grid.shape)).ravel()
+        return diag * x - div_faces(weights, x)
 
     if float(k.max()) <= DCT_CONTRAST_MAX * float(k.min()):
         shift, k_mean = float(np.abs(diag).mean()), float(k.mean())
@@ -412,7 +414,7 @@ def _flux_system(grid: Grid, diag: np.ndarray, k: np.ndarray, weights=None):
         def precondition(r):
             return shifted_laplacian_solve(grid, shift, k_mean, r)
     else:
-        jacobi = diag + div_faces_diagonal(weights, grid.shape).ravel()
+        jacobi = diag + div_faces_diagonal(weights, grid.shape)
 
         def precondition(r):
             return r / jacobi
@@ -574,10 +576,8 @@ def initial_state(mu0: ScalarField, rho0: ScalarField, cfg: SolverConfig,
                   laws: Laws) -> SimState:
     """Initial snapshot; xi0 realizes the selection hypothesis (hprhozbis)
     through the Yosida value at rho0 (exactly a selection for the clamp graph)."""
-    lam = cfg.yosida_lambda
-    xi0 = ScalarField(rho0.grid,
-                      yosida_array(laws.graph, lam, rho0.values.ravel())
-                      .reshape(rho0.grid.shape))
+    xi0 = ScalarField(rho0.grid, yosida_array(laws.graph, cfg.yosida_lambda,
+                                              rho0.values))
     zeros = field_of(rho0.grid, 0.0)
     return SimState(t=0.0, mu=mu0, rho=rho0, xi=xi0, dt_rho=zeros)
 

@@ -633,6 +633,34 @@ class TestCliExitCodes:
         assert re.search(message, err[0])
         assert not out.exists()
 
+    # each float key with the law that reads it selected
+    FLOAT_KEY_LAWS = {"length": "", "T": "", "alpha1": "potential = log\n",
+                      "alpha2": "", "kappa0": "mobility = constant\n",
+                      "m": "mobility = tanhpow\n", "epsilon": "", "delta": "",
+                      "g0": "coupling = constant\n"}
+
+    def test_float_keys_at_the_ends_of_the_double_range_exit_cleanly(
+            self, tmp_path, capsys):
+        # a huge or tiny value is rejected (2), runs (0) or fails its step
+        # (3): never a traceback, never a numpy warning (a box whose h^2
+        # overflows or underflows is the Grid's to reject)
+        codes = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for key, law in self.FLOAT_KEY_LAWS.items():
+                for value in ("1e300", "1e-300", "1e160", "1e-160"):
+                    keys = {"n": "8", "T": "0.1", "N": "2", key: value}
+                    path = self._write(tmp_path, law + "".join(
+                        f"{k} = {v}\n" for k, v in keys.items()),
+                        name=f"{key}_{value}.txt")
+                    codes[key, value] = main([
+                        "simulate", "--config", path,
+                        "--out", str(tmp_path / f"{key}_{value}")])
+        assert set(codes.values()) <= {0, 2, 3}, codes
+        assert [code for (key, _), code in codes.items()
+                if key == "length"] == [2, 2, 2, 2]
+        assert capsys.readouterr().err.count("h^2 and 1/h^2 must be") == 4
+
     @pytest.mark.parametrize("command,out", [
         ("simulate --config", "afile"), ("simulate --config", "afile/sub"),
         ("study --spec", "afile"), ("diagnose --traj", "adir"),

@@ -1,7 +1,8 @@
 """The package re-exports its library names lazily (PEP 562): importing
 ``vchsim`` loads no submodule, and a name loads its module on first use.
-It imports no scipy, and only the retired-key table names the solver
-tolerances that were once config keys."""
+It imports no scipy, its stepper reads node values flat only in its inner
+product, and only the retired-key table names the solver tolerances that
+were once config keys."""
 
 import ast
 import re
@@ -55,21 +56,23 @@ def test_importing_the_package_loads_no_submodule():
     assert proc.stdout.strip() == "['vchsim']"
 
 
-def _imports(node, function=None):
-    """(enclosing function name, import node) for every import in a tree."""
+def _enclosed(node, kinds, function=None):
+    """(enclosing function name, node) for every node of ``kinds`` in a
+    tree."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
+        if isinstance(child, kinds):
             yield function, child
         inner = (child.name if isinstance(child, (ast.FunctionDef,
                                                   ast.AsyncFunctionDef))
                  else function)
-        yield from _imports(child, inner)
+        yield from _enclosed(child, kinds, inner)
 
 
 def test_the_package_imports_no_scipy():
     sites = []
     for path in sorted((SRC / "vchsim").glob("*.py")):
-        for function, node in _imports(ast.parse(path.read_text())):
+        for function, node in _enclosed(ast.parse(path.read_text()),
+                                        (ast.Import, ast.ImportFrom)):
             names = ([alias.name for alias in node.names]
                      if isinstance(node, ast.Import) else [node.module or ""])
             if any(name.split(".")[0] == "scipy" for name in names):
@@ -78,6 +81,17 @@ def test_the_package_imports_no_scipy():
     # independent reference
     assert sites == []
     assert not hasattr(import_module("vchsim.mesh"), "laplacian_matrix")
+
+
+def test_the_stepper_reads_node_values_flat_only_in_its_inner_product():
+    # node values keep the grid's shape through both stages, the operator,
+    # the preconditioners and the Krylov loops; _dot alone ravels them
+    tree = ast.parse((SRC / "vchsim" / "stepper.py").read_text())
+    sites = [(function, node.func.attr)
+             for function, node in _enclosed(tree, ast.Call)
+             if isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("ravel", "reshape", "flatten")]
+    assert sites == [("_dot", "ravel"), ("_dot", "ravel")]
 
 
 def test_only_the_retired_key_table_names_the_old_tolerance_keys():

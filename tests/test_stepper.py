@@ -307,18 +307,17 @@ class TestFluxSystem:
     @staticmethod
     def _system(grid, k_max):
         rng = np.random.default_rng(11)
-        diag = rng.uniform(5.0, 50.0, grid.num_nodes)
+        diag = rng.uniform(5.0, 50.0, grid.shape)
         k = rng.uniform(1.0, k_max, grid.shape)
         k.flat[0], k.flat[-1] = 1.0, k_max
-        return diag, k, rng.standard_normal(grid.num_nodes)
+        return diag, k, rng.standard_normal(grid.shape)
 
     @pytest.mark.parametrize("dim,n", [(1, 24), (2, 12)])
     def test_apply_is_the_flux_divergence(self, dim, n):
         grid = Grid(dim, n, 1.0)
         diag, k, x = self._system(grid, 7.0)
         apply, _ = stepper._flux_system(grid, diag, k)
-        expected = diag * x - div_faces(face_weights(grid, k),
-                                        x.reshape(grid.shape)).ravel()
+        expected = diag * x - div_faces(face_weights(grid, k), x)
         assert np.array_equal(apply(x), expected)
 
     def test_dct_up_to_the_contrast_bound_jacobi_beyond(self):
@@ -332,24 +331,26 @@ class TestFluxSystem:
 
         k.flat[-1] = np.nextafter(bound, np.inf)
         _, precondition = stepper._flux_system(grid, diag, k)
-        jacobi = diag + div_faces_diagonal(face_weights(grid, k),
-                                           grid.shape).ravel()
+        jacobi = diag + div_faces_diagonal(face_weights(grid, k), grid.shape)
         assert np.array_equal(precondition(r), r / jacobi)
 
     def test_pcg_from_zero_solves_the_warm_started_system(self):
         grid = Grid(2, 8, 1.0)
         diag, k, b = self._system(grid, 4.0)
         apply, precondition = stepper._flux_system(grid, diag, k)
-        x0 = np.random.default_rng(12).uniform(0.0, 2.0, grid.num_nodes)
+        x0 = np.random.default_rng(12).uniform(0.0, 2.0, grid.shape)
         tol = 1e-10 * np.linalg.norm(b)
         change, iters, rnorm = stepper._pcg(apply, b - apply(x0),
                                             precondition, tol, 500)
         assert 0 < iters < 500 and rnorm <= tol
-        dense = np.column_stack([apply(e) for e in np.eye(grid.num_nodes)])
-        direct = np.linalg.solve(dense, b)
+        assert change.shape == grid.shape
+        dense = np.column_stack([apply(e.reshape(grid.shape)).ravel()
+                                 for e in np.eye(grid.num_nodes)])
+        direct = np.linalg.solve(dense, b.ravel())
         x = x0 + change
         assert np.linalg.norm(b - apply(x)) <= 10 * tol
-        assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
+        assert (np.max(np.abs(x.ravel() - direct))
+                <= 1e-9 * np.max(np.abs(direct)))
 
 
 class TestIndefiniteJacobian:
@@ -385,9 +386,10 @@ class TestIndefiniteJacobian:
         assert min(float(diag.min()) for diag, _, _ in solves) < 0.0
         lap = laplacian_matrix(grid)
         for diag, b, x in solves:
+            assert diag.shape == b.shape == x.shape == grid.shape
             direct = scipy.sparse.linalg.splu(
-                (sps.diags(diag) - lap).tocsc()).solve(b)
-            assert np.max(np.abs(x - direct)) <= 1e-12
+                (sps.diags(diag.ravel()) - lap).tocsc()).solve(b.ravel())
+            assert np.max(np.abs(x.ravel() - direct)) <= 1e-12
         assert min(s.mu.min() for s in traj.states) >= 0.0
         assert all(0.0 < s.rho.min() and s.rho.max() < 1.0
                    for s in traj.states)
@@ -403,15 +405,19 @@ class TestMinres:
         # symmetric indefinite J = diag(d) - L on a 2-D 16^2 grid
         grid = Grid(2, 16, 1.0)
         rng = np.random.default_rng(7)
-        d = rng.uniform(-40.0, 60.0, grid.num_nodes)
+        d = rng.uniform(-40.0, 60.0, grid.shape)
         lap = laplacian_matrix(grid)
-        b = rng.standard_normal(grid.num_nodes)
+
+        def apply_J(v):
+            return d * v - (lap @ v.ravel()).reshape(grid.shape)
+
+        b = rng.standard_normal(grid.shape)
         shift = float(np.abs(d).mean())
         x, iters, reported = stepper._minres(
-            lambda v: d * v - lap @ v, b,
+            apply_J, b,
             lambda z: stepper.shifted_laplacian_solve(grid, shift, 1.0, z),
             tol * np.linalg.norm(b), 500)
-        true = np.linalg.norm(b - (d * x - lap @ x))
+        true = np.linalg.norm(b - apply_J(x))
         assert 0 < iters < 500
         assert reported <= tol * np.linalg.norm(b)
         assert abs(reported - true) <= 1e-12 * np.linalg.norm(b)
