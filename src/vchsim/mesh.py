@@ -26,7 +26,8 @@ class Grid:
 
     ``n`` is the number of nodes per axis and ``length`` the edge length of
     the box, so the spacing is ``h = length / n``.  The operators scale by
-    ``1/h^2``, so ``h^2`` and ``1/h^2`` must both be finite positive doubles.
+    ``1/h^2``, so ``h^2`` and ``1/h^2`` must both be finite positive doubles,
+    and a field of doubles on it must have a byte count numpy can index.
     """
 
     dim: int
@@ -44,6 +45,10 @@ class Grid:
         if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
             raise ValueError(f"grid spacing h = {self.h:g} is out of range: "
                              f"h^2 and 1/h^2 must be finite and positive")
+        if self.num_nodes * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"grid of {self.n}^{self.dim} nodes is too large: "
+                             f"a field of 8-byte values exceeds numpy's "
+                             f"largest array of {np.iinfo(np.intp).max} bytes")
 
     @property
     def h(self) -> float:
@@ -132,6 +137,20 @@ def div_faces(weights: tuple, uv: np.ndarray) -> np.ndarray:
         flux *= w
         out[lo] += flux
         out[hi] -= flux
+    return out
+
+
+def neighbour_sum(weights: tuple, uv: np.ndarray) -> np.ndarray:
+    """The off-diagonal part of ``div_faces(weights, .)``: at each node, the
+    sum over its faces of the face weight times the node value across the
+    face.  It only adds products, so nonnegative weights and values give a
+    nonnegative sum under any rounding."""
+    out = np.zeros_like(uv)
+    for axis, w in enumerate(weights):
+        lo = _slab_index(uv.ndim, axis, None, -1)
+        hi = _slab_index(uv.ndim, axis, 1, None)
+        out[lo] += w * uv[hi]
+        out[hi] += w * uv[lo]
     return out
 
 

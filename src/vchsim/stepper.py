@@ -22,7 +22,7 @@ mirrors the inductive construction used to build solutions:
    by the step size and lagged at mu_prev.  The system matrix is an
    M-matrix, so nonnegative data stay nonnegative -- the discrete stand-in
    for the negative-part test that proves positivity at the continuous
-   level.
+   level (in floating point too: ``step_mu`` ends on a sign step).
 
 Stage order is fixed rho-then-mu; the mu stage consumes rho_new and its
 backward difference as frozen coefficients.
@@ -73,6 +73,7 @@ from .mesh import (
     div_faces_diagonal,
     face_weights,
     field_of,
+    neighbour_sum,
     shifted_laplacian_solve,
     unit_face_weights,
 )
@@ -363,8 +364,12 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
     Conjugate gradients on the symmetric positive definite M-matrix system
     A mu = b, capped at 10 nodes + 100 iterations, solved for the change
     e = mu - mu_prev from ``A e = b - A mu_prev``; the residual is driven
-    low enough that the iterate inherits the exact solution's nonnegativity
-    up to the linear tolerance.  Returns the new potential, the CG
+    low enough that the iterate is within the linear tolerance of the exact
+    solution, which is nonnegative.  Each node where the iterate is still
+    negative then takes one Jacobi step of the regular splitting of A from
+    the clipped iterate: a quotient of sums of nonnegative products, so
+    the potential ends nonnegative under any rounding, and nodes that were
+    not negative keep their bits.  Returns the new potential, the CG
     iteration count and the true residual 2-norm ``||b - A mu_new||``.
     """
     grid = prev.grid
@@ -372,8 +377,9 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
         prev.mu, rho_new, dt_rho, cfg, laws)
     mu_prev = prev.mu.values
     rhs = (a / cfg.tau + b_minus) * mu_prev
-    apply_system, precondition = _flux_system(grid, a / cfg.tau + b_plus,
-                                              k_lag)
+    diag = a / cfg.tau + b_plus
+    weights = face_weights(grid, k_lag)
+    apply_system, precondition = _flux_system(grid, diag, k_lag, weights)
     # residual target: lambda_min >= min(a)/tau, so this keeps the solution
     # error (2-norm) at or below LINEAR_TOL
     tol = LINEAR_TOL * min(1.0, float(a.min()) / cfg.tau)
@@ -383,6 +389,11 @@ def step_mu(prev: SimState, rho_new: ScalarField, dt_rho: ScalarField,
         raise StepFailure("conjugate gradients did not converge in the mu stage",
                           rnorm)
     x = mu_prev + change
+    negative = x < 0.0
+    if negative.any():
+        jacobi = ((rhs + neighbour_sum(weights, np.maximum(x, 0.0)))
+                  / (diag + div_faces_diagonal(weights, grid.shape)))
+        x[negative] = jacobi[negative]
     mu_new = ScalarField(grid, x).check_finite()
     # the reported residual is the true one, which drifts from the recursive
     # residual the stopping rule reads

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import cache
 
 import numpy as np
 
@@ -158,9 +157,9 @@ def reduced_ode_rhs(cfg: SolverConfig, laws: Laws):
 
 # The oracle's integrator: 3-stage Radau IIA collocation (Hairer & Wanner,
 # Solving ODEs II, 1996, sec. IV.5), order 5 at step ends and stiffly
-# accurate, so a step ends on its last stage.  Nodes c and coefficients A.
+# accurate, so a step ends on its last stage.  Coefficients A; the reduced
+# system is autonomous, so the nodes c (the row sums of A) are not needed.
 _SQRT6 = math.sqrt(6.0)
-_RADAU_C = np.array([(4.0 - _SQRT6) / 10.0, (4.0 + _SQRT6) / 10.0, 1.0])
 _RADAU_A = np.array([
     [(88.0 - 7.0 * _SQRT6) / 360.0, (296.0 - 169.0 * _SQRT6) / 1800.0,
      (-2.0 + 3.0 * _SQRT6) / 225.0],
@@ -173,8 +172,9 @@ _RADAU_A = np.array([
 _RADAU_E = np.array([-13.0 - 7.0 * _SQRT6, -13.0 + 7.0 * _SQRT6, -1.0]) / 3.0
 _RADAU_MU = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
 
-# The oracle's longest step in t: it holds the oracle's error within 1e-10
-# over criterion 4's lambda = tau = 1e-3 and its halving (docs/studies.md).
+# The oracle's longest step in t: it holds the oracle's error within 1e-12
+# of a tight reference over criterion 4's lambda = tau = 1e-3 and its
+# halving (docs/studies.md).
 ODE_MAX_STEP = 1e-3
 
 # The simplified Newton iteration of a step stops once its update is this
@@ -184,137 +184,71 @@ _ODE_NEWTON_TOL = 1e-14
 _ODE_NEWTON_ITERS = 8
 
 # A step is taken as two half steps when its stage equations defeat the
-# simplified Newton iteration even with a fresh Jacobian, or when its error
-# estimate exceeds this, relative to the state; at most this many halvings.
-# At this bound no step of criterion 4's runs is halved, and over a sweep of
-# stiffer, faster and clamp configs the oracle stays within 7.7e-8 of a
-# tight reference, with at most 16 halvings (docs/studies.md).
+# simplified Newton iteration, or when its error estimate exceeds this,
+# relative to the state; at most this many halvings.  At this bound no step
+# of criterion 4's runs is halved, and over a sweep of stiffer, faster and
+# clamp configs the oracle stays within 7.7e-8 of a tight reference, with
+# at most 15 halvings (docs/studies.md).
 _ODE_ERROR_TOL = 1e-9
 _ODE_MAX_HALVINGS = 20
-
-
-@cache
-def _collocation_weights(theta: tuple) -> np.ndarray:
-    """Rows w with ``u(theta) - y = w @ Z``: the values at the step fractions
-    ``theta`` of the cubic collocation polynomial through 0 at 0 and the
-    stage increments Z_i at c_i (Lagrange basis)."""
-    th = np.array(theta, dtype=float).reshape(-1, 1)
-    w = th / _RADAU_C
-    for l, c_l in enumerate(_RADAU_C):
-        other = np.arange(3) != l
-        w[:, other] *= (th - c_l) / (_RADAU_C[other] - c_l)
-    return w
-
-
-# the last step's collocation polynomial continued to the nodes of the next
-# step of the same length: the first guess of its stage increments
-_EXTRAPOLATE = _collocation_weights(tuple(1.0 + _RADAU_C)) - [0.0, 0.0, 1.0]
 
 
 def integrate_reduced_ode(cfg: SolverConfig, laws: Laws, mu0: float,
                           rho0: float):
     """``(mu, rho)`` of the reduced system at the stepper's step times
-    ``n tau``, n = 0..N, by 3-stage Radau IIA at a fixed step h of at most
-    :data:`ODE_MAX_STEP`: a whole fraction of tau when tau is longer,
-    otherwise the largest whole multiple of tau, with the step times inside
-    a step read off its collocation polynomial.
+    ``n tau``, n = 0..N, by 3-stage Radau IIA at the fixed step
+    ``h = tau / ceil(tau / ODE_MAX_STEP)``, so that every step time is the
+    end of an oracle step.
 
-    Each step solves its stage equations by simplified Newton, all three
-    stage points in one right-hand-side call per iteration.  The 2x2
-    Jacobian is a forward difference, refreshed only when the iteration
-    fails.  A step the iteration cannot solve with a fresh Jacobian, or
-    whose error estimate exceeds ``_ODE_ERROR_TOL``, is taken as two half
-    steps."""
-    n = cfg.n_steps
+    Each step evaluates the right-hand side at its start and its 2x2
+    forward-difference Jacobian there in one call, then solves its stage
+    equations by simplified Newton from zero stage increments, all three
+    stage points in one call per iteration.  A step the iteration cannot
+    solve, or whose error estimate exceeds ``_ODE_ERROR_TOL``, is taken as
+    two half steps."""
     y = np.array([mu0, rho0], dtype=float)
-    if n == 0:
+    if cfg.n_steps == 0:
         return y[:1], y[1:]
     rhs = reduced_ode_rhs(cfg, laws)
-    if cfg.tau <= ODE_MAX_STEP:
-        per_step, substeps = max(1, math.floor(ODE_MAX_STEP / cfg.tau)), 1
-    else:
-        per_step, substeps = 1, math.ceil(cfg.tau / ODE_MAX_STEP)
-    h = cfg.tau * per_step / substeps
+    substeps = math.ceil(cfg.tau / ODE_MAX_STEP)
+    h = cfg.tau / substeps
 
-    def jacobian(y):
-        """The rhs at y and its forward-difference Jacobian."""
+    def advance(y, step):
+        """The state one step of length ``step`` after y."""
         d = 1.5e-8 * np.maximum(1.0, np.abs(y))
         f = rhs(None, y[:, None] + np.array([[0.0, d[0], 0.0],
                                              [0.0, 0.0, d[1]]]))
-        return f[:, 0], (f[:, 1:] - f[:, :1]) / d
-
-    def inverses(step):
-        # of the Newton matrix and of the error estimate's matrix, at the
-        # current Jacobian, one pair per step length
-        if step not in cached:
-            cached[step] = (
-                np.linalg.inv(np.eye(6) - np.kron(step * _RADAU_A, jac)),
-                np.linalg.inv(_RADAU_MU / step * np.eye(2) - jac))
-        return cached[step]
-
-    def stages(y, step, z):
-        """Stage increments from the guess z and the rhs at the last stage
-        points, or None when the iteration fails."""
-        tol = _ODE_NEWTON_TOL * max(1.0, float(np.max(np.abs(y))))
-        inverse = inverses(step)[0]
-        last = math.inf
+        f0, jac = f[:, 0], (f[:, 1:] - f[:, :1]) / d
+        inverse = np.linalg.inv(np.eye(6) - np.kron(step * _RADAU_A, jac))
+        scale = max(1.0, float(np.max(np.abs(y))))
+        # zero increments put every stage point at y, where the rhs is f0
+        z, f, last = np.zeros((3, 2)), np.repeat(f[:, :1], 3, axis=1), math.inf
         for _ in range(_ODE_NEWTON_ITERS):
-            f = rhs(None, y[:, None] + z.T)
             dz = (inverse @ (step * (_RADAU_A @ f.T) - z).ravel()).reshape(3, 2)
             z = z + dz
             size = float(np.max(np.abs(dz)))
             # each test is written so that a NaN update fails it
-            if size <= tol:
-                return z, f
+            if size <= _ODE_NEWTON_TOL * scale:
+                err = np.linalg.solve(_RADAU_MU / step * np.eye(2) - jac,
+                                      f0 + _RADAU_E @ z / step)
+                if np.max(np.abs(err)) <= _ODE_ERROR_TOL * scale:
+                    return y + z[2]
+                break
             if not size < last:
-                return None
+                break
             last = size
-        return None
-
-    def advance(y, f0, step, theta, guess):
-        """One step of length ``step`` from y, with f0 the rhs at y: the
-        values at the step fractions ``theta``, the end value, the rhs
-        there, and the stage increments (None when the step was halved)."""
-        nonlocal jac, cached
-        solved = stages(y, step, guess)
-        if solved is None:
-            f0, jac = jacobian(y)
-            cached = {}
-            solved = stages(y, step, guess)
-        if solved is not None:
-            z, f = solved
-            err = inverses(step)[1] @ (f0 + _RADAU_E @ z / step)
-            if (np.max(np.abs(err))
-                    <= _ODE_ERROR_TOL * max(1.0, float(np.max(np.abs(y))))):
-                return (list(y + _collocation_weights(theta) @ z), y + z[2],
-                        f[:, 2], z)
+            f = rhs(None, y[:, None] + z.T)
         if step <= h / 2 ** _ODE_MAX_HALVINGS:
             raise RuntimeError("reduced-system oracle failed: no step down "
                                f"to {step:.1e} met its tolerances")
-        theta = np.array(theta)
-        first, mid, f_mid, z = advance(y, f0, 0.5 * step,
-                                       tuple(2.0 * theta[theta < 0.5]),
-                                       np.zeros((3, 2)))
-        second, end, f_end, _ = advance(
-            mid, f_mid, 0.5 * step, tuple(2.0 * theta[theta > 0.5] - 1.0),
-            np.zeros((3, 2)) if z is None else _EXTRAPOLATE @ z)
-        if np.any(theta == 0.5):
-            first.append(mid)
-        return first + second, end, f_end, None
+        return advance(advance(y, 0.5 * step), 0.5 * step)
 
-    f, jac = jacobian(y)
-    cached = {}
-    z = np.zeros((3, 2))
-    inside = tuple(np.arange(1, per_step) / per_step)
     out = [y]
-    for q in range(1, -(-n // per_step) * substeps + 1):
-        # a stepper step ends at every substeps-th oracle step
-        values, y, f, z = advance(
-            y, f, h, inside if q % substeps == 0 else (),
-            np.zeros((3, 2)) if z is None else _EXTRAPOLATE @ z)
-        if q % substeps == 0:
-            out += values + [y]
-    out = np.array(out[:n + 1])
+    for _ in range(cfg.n_steps):
+        for _ in range(substeps):
+            y = advance(y, h)
+        out.append(y)
+    out = np.array(out)
     return out[:, 0], out[:, 1]
 
 

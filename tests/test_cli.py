@@ -661,6 +661,22 @@ class TestCliExitCodes:
                 if key == "length"] == [2, 2, 2, 2]
         assert capsys.readouterr().err.count("h^2 and 1/h^2 must be") == 4
 
+    # a field on these grids has more bytes than numpy's largest array:
+    # the Grid rejects them before any array is built
+    @pytest.mark.parametrize("dim,n", [(2, 10 ** 10), (1, 10 ** 20)])
+    def test_a_grid_numpy_cannot_shape_exits_2(self, tmp_path, capsys,
+                                               monkeypatch, dim, n):
+        def no_build(*_args):
+            raise AssertionError("fields were built before the rejection")
+
+        monkeypatch.setattr(cli, "build_run", no_build)
+        path = self._write(tmp_path, f"dim = {dim}\nn = {n}\n")
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: grid of {n}^{dim} nodes is too large: "
+                       f"a field of 8-byte values exceeds numpy's largest "
+                       f"array of {np.iinfo(np.intp).max} bytes"]
+
     @pytest.mark.parametrize("command,out", [
         ("simulate --config", "afile"), ("simulate --config", "afile/sub"),
         ("study --spec", "afile"), ("diagnose --traj", "adir"),
@@ -1165,6 +1181,34 @@ class TestCliExitCodes:
         assert [p.name for p in out.iterdir()] == ["config.txt"]
         assert (parse_config((out / "config.txt").read_text())
                 == parse_config(text))
+
+
+class TestPositivity:
+    # degenerate runs whose conjugate-gradient iterate dips below zero at
+    # some nodes: the mu stage's sign step keeps every stored potential
+    # nonnegative exactly, so the last stored state is admissible data
+    @pytest.mark.parametrize("grid,n_steps", [
+        ("dim = 1\nn = 64\nT = 0.05\n", 8),
+        ("dim = 2\nn = 24\nT = 0.02\n", 4)], ids=["1d", "2d"])
+    def test_degenerate_run_stores_nonnegative_restartable_states(
+            self, tmp_path, capsys, grid, n_steps):
+        text = (f"{grid}N = {n_steps}\npotential = log\nmobility = tanhpow\n"
+                f"m = 2\n")
+        path = tmp_path / "run.txt"
+        path.write_text(text + "mu0 = bump 0.5 0.2 1\nrho0 = cosine 0.5 0.2\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        minima = [read_snapshot(out / f"state_{k:05d}_mu.txt")[0].min()
+                  for k in range(n_steps + 1)]
+        assert min(minima) >= 0.0, minima
+        last = {name: out / f"state_{n_steps:05d}_{name}.txt"
+                for name in ("mu", "rho")}
+        restart = tmp_path / "restart.txt"
+        restart.write_text(text + f"mu0 = file {last['mu']}\n"
+                                  f"rho0 = file {last['rho']}\n")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(restart)]) == 0
+        assert capsys.readouterr().out == "config ok\n"
 
 
 class TestManifestDigest:

@@ -7,7 +7,8 @@ every owning layer it names is an attribute of the package.
 docs/diagnostics.md documents exactly the columns report.csv prints, and
 the library's whole-run ledger is keyed by those names; docs/studies.md
 documents exactly the columns each study table prints.  Every solver
-value the two docs quote is the stepper's."""
+value the two docs quote is the stepper's, and every constant of the
+homogeneous oracle that docs/studies.md quotes is the oracle's."""
 
 import ast
 import re
@@ -15,7 +16,7 @@ from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
-from vchsim import config, stepper
+from vchsim import config, stepper, studies
 from vchsim.diagnostics import REPORT_COLUMNS, SERIES_COLUMNS, ledger_columns
 from vchsim.mesh import Grid
 from vchsim.stepper import run
@@ -200,3 +201,15 @@ def test_quoted_solver_constants_are_the_steppers():
         assert [cap for cap in caps
                 if _evaluate(cap.replace("nodes", str(grid.num_nodes)))
                 != stepper._krylov_cap(grid)] == []
+
+
+def test_quoted_oracle_constants_are_the_oracles():
+    # `v` (`studies.NAME`) quotes a constant of the reduced-system oracle,
+    # which must equal it exactly
+    named = [(name, value) for value, name in re.findall(
+        r"`([^`]+)`\s+\(`studies\.(\w+)`\)", STUDIES_MD.read_text())]
+    assert {name for name, _ in named} == {
+        "ODE_MAX_STEP", "_ODE_NEWTON_TOL", "_ODE_NEWTON_ITERS",
+        "_ODE_ERROR_TOL", "_ODE_MAX_HALVINGS"}
+    assert [(name, value) for name, value in named
+            if float(value) != getattr(studies, name)] == []

@@ -14,6 +14,7 @@ from vchsim.mesh import (
     field_of,
     integrate,
     laplacian_eigenvalues,
+    neighbour_sum,
     read_snapshot,
     shifted_laplacian_solve,
     unit_face_weights,
@@ -65,11 +66,14 @@ class TestGrid:
         assert np.allclose(X, np.broadcast_to(axis[:, None], (4, 4)))
         assert np.allclose(Y, np.broadcast_to(axis[None, :], (4, 4)))
 
-    # the last three: h^2 overflows to inf, 1/h^2 overflows, h^2
-    # underflows to 0
+    # the middle three: h^2 overflows to inf, 1/h^2 overflows, h^2
+    # underflows to 0; the last three: a field of 8-byte values has more
+    # bytes than numpy's largest array
     @pytest.mark.parametrize("dim,n,length", [
         (3, 8, 1.0), (1, 2, 1.0), (1, 8, 0.0),
-        (2, 8, 1e160), (2, 8, 1e-160), (2, 8, 1e-300)])
+        (2, 8, 1e160), (2, 8, 1e-160), (2, 8, 1e-300),
+        (2, 10 ** 10, 1.0), (1, 10 ** 20, 1.0),
+        (1, np.iinfo(np.intp).max // 8 + 1, 1.0)])
     def test_rejects_bad_parameters(self, dim, n, length):
         with pytest.raises(ValueError):
             Grid(dim, n, length)
@@ -156,6 +160,20 @@ class TestDivKGrad:
         dense = dense_operator(g, lambda u: -div_faces(weights, u))
         assert np.allclose(div_faces_diagonal(weights, g.shape).ravel(),
                            np.diag(dense), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+    def test_neighbour_sum_is_the_off_diagonal_of_the_face_divergence(
+            self, dim, n):
+        # the mu stage's sign step sums these off-diagonal products
+        g = Grid(dim, n, 1.0)
+        k = np.random.default_rng(n).uniform(0.0, 2.0, g.shape)
+        weights = face_weights(g, k)
+        dense = dense_operator(g, lambda u: div_faces(weights, u))
+        off_diagonal = dense - np.diag(np.diag(dense))
+        u = np.random.default_rng(n + 1).uniform(0.0, 1.0, g.shape)
+        assert np.allclose(neighbour_sum(weights, u).ravel(),
+                           off_diagonal @ u.ravel(), rtol=1e-14, atol=0.0)
+        assert np.all(neighbour_sum(weights, u) >= 0.0)
 
     def test_constant_field_gives_zero(self):
         g = Grid(2, 7, 1.0)

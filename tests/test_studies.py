@@ -111,14 +111,13 @@ class TestHomogeneousOracle:
 
     def test_oracle_meets_its_documented_accuracy(self, monkeypatch):
         # docs/studies.md bounds the oracle's error against a tight Radau
-        # reference; a quarter of criterion 4's horizon keeps the stiff
-        # reference near a second.  One case per step rule, with its count
-        # of oracle steps: the step is tau (criterion 4's lambda = tau =
-        # 1e-3); two steps of tau, the odd step times read off the
-        # collocation polynomial; a hundredth of tau = 0.1
+        # reference; short horizons keep the stiff reference near a second.
+        # Each case with its count of oracle steps: the step is tau at
+        # criterion 4's lambda = tau = 1e-3 and at its halving, 5e-4, and a
+        # hundredth of tau = 0.1
         from scipy.integrate import solve_ivp
 
-        for T, n_steps, oracle_steps in ((0.25, 250, 250), (0.25, 500, 250),
+        for T, n_steps, oracle_steps in ((0.25, 250, 250), (0.4, 800, 800),
                                          (0.2, 2, 200)):
             cfg = SolverConfig(T=T, n_steps=n_steps)
             rhs = reduced_ode_rhs(cfg, self.laws)
@@ -138,12 +137,10 @@ class TestHomogeneousOracle:
             assert np.max(np.abs(rho - ref.y[1])) <= 1e-12, (T, n_steps)
 
     def test_oracle_halves_the_steps_it_cannot_take_whole(self, monkeypatch):
-        # at delta = 0.01, rho leaves 0.2 far faster than a 1e-3 step
-        # resolves: simplified Newton fails there even with a fresh
-        # Jacobian, and the halved steps still track a tight Radau
-        # reference, with the stepper times (tau = 2.5e-4, at a quarter,
-        # half and three quarters of each 1e-3 step) read off the half
-        # steps that hold them
+        # at delta = 0.01, rho leaves 0.2 far faster than a step of
+        # tau = 2.5e-4 resolves: simplified Newton or the error estimate
+        # fails there, and the halved steps still track a tight Radau
+        # reference
         from scipy.integrate import solve_ivp
 
         laws = build_laws(replace(ORACLE_BASE, alpha2=0.0))
@@ -156,7 +153,7 @@ class TestHomogeneousOracle:
         assert np.max(np.abs(mu - ref.y[0])) <= 1e-10
         assert np.max(np.abs(rho - ref.y[1])) <= 1e-10
         monkeypatch.setattr(studies, "_ODE_MAX_HALVINGS", 0)
-        with pytest.raises(RuntimeError, match="no step down to 1.0e-03"):
+        with pytest.raises(RuntimeError, match="no step down to 2.5e-04"):
             integrate_reduced_ode(cfg, laws, 1.0, 0.2)
 
     def test_oracle_invariant_sanity(self):
