@@ -193,13 +193,6 @@ class Potential:
         finite everywhere, with derivative the Yosida value (r - p)/lam."""
         return self.graph.f1(p) + (r - p) ** 2 / (2.0 * lam)
 
-    def value(self, r):
-        """f1(r) + f2(r); +inf outside the effective domain of f1."""
-        r = np.asarray(r, dtype=float)
-        v1 = self.graph.f1(r)
-        out = np.where(np.isinf(v1), np.inf, v1 + self.alpha2 * r * (1.0 - r))
-        return float(out) if out.ndim == 0 else out
-
 
 # ---------------------------------------------------------------------------
 # coupling laws

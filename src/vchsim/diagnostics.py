@@ -33,6 +33,7 @@ from .constitutive import ClampIndicator, K_tau_array, Laws, LogGraph
 from .mesh import dirichlet_energy, div_faces, face_weights, unit_face_weights
 from .stepper import (
     Trajectory,
+    free_energy,
     mu_system_coefficients,
     mu_weight,
     rho_stage_residual,
@@ -83,9 +84,10 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     visc, work (free energy) to floats, and with ``residuals`` also the four
     max-norm residuals of :data:`RESIDUAL_COLUMNS`.  At the initial state
     (``prev`` None) only ``E_mu`` and ``F_rho`` are nonzero.  ``F_rho`` is
-    infinite when rho escaped the potential domain.  The potential stage's
-    coefficient fields and face weights are formed once and serve the
-    ledger and the residuals alike.
+    the rho stage's own free energy, :func:`stepper.free_energy` at the
+    stored rho and its resolvent, so it is finite wherever rho is.  The
+    potential stage's coefficient fields and face weights are formed once
+    and serve the ledger and the residuals alike.
     """
     grid = cur.grid
     vol = grid.cell_volume
@@ -95,12 +97,11 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     else:
         a, b_plus, b_minus, k_lag = mu_system_coefficients(
             prev.mu, cur.rho, cur.dt_rho, cfg, laws)
-    fvals = laws.potential.value(rho_c)
+    lam = cfg.yosida_lambda
     terms = {
         "E_mu": 0.5 * vol * float(np.sum(a * mu_c ** 2)),
-        "F_rho": (np.inf if np.any(np.isinf(fvals)) else
-                  0.5 * dirichlet_energy(grid, unit_face_weights(grid), cur.rho)
-                  + vol * float(np.sum(fvals))),
+        "F_rho": free_energy(grid, laws, lam, rho_c,
+                             laws.graph.resolvent_array(lam, rho_c)),
     }
     if prev is None:
         zero = ("diss", "extra", "cross", "visc", "work",
@@ -108,7 +109,7 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
         return {**terms, **dict.fromkeys(zero, 0.0)}, a
     mu_p, dt_rho = prev.mu.values, cur.dt_rho.values
     weights = face_weights(grid, k_lag)
-    terms["diss"] = cfg.tau * dirichlet_energy(grid, weights, cur.mu)
+    terms["diss"] = cfg.tau * dirichlet_energy(grid, weights, mu_c)
     terms["extra"] = 0.5 * vol * float(np.sum(a * (mu_c - mu_p) ** 2))
     terms["cross"] = (0.5 * vol * float(np.sum((a - a_prev) * mu_p ** 2))
                       - cfg.tau * vol * float(np.sum(
@@ -141,8 +142,7 @@ def step_entry(prev, cur, a_prev, cfg, laws: Laws, residuals=False) -> tuple:
     # recovered as rho + lam*xi
     graph = laws.graph
     xi_c = cur.xi.values
-    rr = (rho_c + cfg.yosida_lambda * xi_c
-          if isinstance(graph, ClampIndicator) else rho_c)
+    rr = rho_c + lam * xi_c if isinstance(graph, ClampIndicator) else rho_c
     terms["res_rho_native"] = float(np.max(np.abs(rho_stage_residual(
         prev.rho, prev.mu, rr, xi_c, cfg, laws))))
 
@@ -171,8 +171,15 @@ class LedgerFold:
     A row holds the step's terms (:func:`step_entry`), the running values
     ``diss_cum``, ``extra_cum``, ``visc_cum``, ``work_cum``,
     ``mu_energy_resid = (E_n - E_(n-1)) + diss - cross`` and
-    ``rho_violation = F_rho + visc_cum - F_rho(0) - work_cum``, the ranges
-    of mu and rho, and the step's iteration counts; series.csv takes
+    ``rho_violation = F_rho + (1 - alpha2 tau/delta) visc_cum - F_rho(0)
+    - work_cum``, the defect of the one-sided energy inequality (its
+    concave part ``alpha2 r(1 - r)`` takes back ``alpha2 tau/delta`` of the
+    viscous dissipation).  The log stage satisfies it: its stored rho is
+    the Newton iterate, and testing the stage with the step's change of rho
+    gives it.  A clamp run stores the projection of the iterate, which
+    leaves terms of order ``lambda`` of either sign, so there the defect can
+    read positive on a correct run.  A row also holds the ranges of mu and
+    rho, and the step's iteration counts; series.csv takes
     :data:`SERIES_COLUMNS` of it and report.csv :data:`REPORT_COLUMNS`
     (which need ``residuals``).  Only the previous state and its weight are
     kept, and the cumulative values are running sums, which add in the
@@ -181,6 +188,7 @@ class LedgerFold:
 
     def __init__(self, cfg, laws: Laws, residuals=False):
         self.cfg, self.laws, self.residuals = cfg, laws, residuals
+        self.visc_factor = 1.0 - laws.potential.alpha2 * cfg.tau / cfg.delta
         self.prev = self.a = self.E_prev = self.F_0 = None
         self.step = -1
         self.cum = dict.fromkeys(("diss", "extra", "visc", "work"), 0.0)
@@ -200,7 +208,8 @@ class LedgerFold:
             **{f"{name}_cum": value for name, value in self.cum.items()},
             "mu_energy_resid": ((terms["E_mu"] - self.E_prev) + terms["diss"]
                                 - terms["cross"]),
-            "rho_violation": (terms["F_rho"] + self.cum["visc"] - self.F_0
+            "rho_violation": (terms["F_rho"] + self.visc_factor
+                              * self.cum["visc"] - self.F_0
                               - self.cum["work"]),
             "min_mu": state.mu.min(), "max_mu": state.mu.max(),
             "min_rho": state.rho.min(), "max_rho": state.rho.max(),

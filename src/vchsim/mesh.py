@@ -196,8 +196,9 @@ def integrate(grid: Grid, u: ScalarField) -> float:
     return float(grid.cell_volume * u.values.sum())
 
 
-def dirichlet_energy(grid: Grid, weights: tuple, u: ScalarField) -> float:
-    """The bilinear form of :func:`div_faces` at face weights ``weights``:
+def dirichlet_energy(grid: Grid, weights: tuple, u: np.ndarray) -> float:
+    """The bilinear form of :func:`div_faces` at face weights ``weights``,
+    at node values ``u`` shaped like the grid:
     ``h^dim sum_faces w (u_q - u_p)^2``, which equals
     ``-h^dim sum u div_faces(weights, u)``.
 
@@ -205,7 +206,7 @@ def dirichlet_energy(grid: Grid, weights: tuple, u: ScalarField) -> float:
     zero exactly iff ``u`` is constant.
     """
     return grid.cell_volume * sum(
-        float(np.sum(w * np.diff(u.values, axis=axis) ** 2))
+        float(np.sum(w * np.diff(u, axis=axis) ** 2))
         for axis, w in enumerate(weights))
 
 

@@ -69,6 +69,7 @@ from .constitutive import ClampIndicator, Laws, yosida_array
 from .mesh import (
     Grid,
     ScalarField,
+    dirichlet_energy,
     div_faces,
     div_faces_diagonal,
     face_weights,
@@ -88,8 +89,8 @@ NEWTON_MAX_ITER = 50
 
 # Stopping targets: the rho stage's Newton residual (max norm), and the mu
 # stage's solution error (2-norm), from which each stage derives the target
-# of its Krylov loop.  diagnose reads its positivity floor and its solver
-# band from these two as well.
+# of its Krylov loop.  diagnose reads its solver band from these two as
+# well.
 NEWTON_TOL = 1e-10
 LINEAR_TOL = 1e-11
 
@@ -239,6 +240,22 @@ def rho_stage_residual(rho_prev: ScalarField, mu_delayed: ScalarField,
             - mu_delayed.values * laws.coupling.g_prime(r))
 
 
+def free_energy(grid: Grid, laws: Laws, lam: float, r: np.ndarray,
+                p: np.ndarray) -> float:
+    """The free energy of the Yosida-regularized rho stage at node values
+    ``r`` shaped like the grid, ``p`` the resolvent at ``r``:
+    ``(1/2) |grad r|^2 + h^dim sum (e_lam(r) + f2(r))``, with ``e_lam`` the
+    Moreau envelope of the convex part (Moreau, *Bull. SMF* 93, 1965).  It
+    is finite everywhere, and equal to the unregularized ``f1 + f2`` form
+    where the resolvent is the identity, as at every stored clamp state.
+    :func:`step_rho`'s line search descends it, and the ledger's ``F_rho``
+    is it at the stored rho."""
+    pot = laws.potential
+    return (0.5 * dirichlet_energy(grid, unit_face_weights(grid), r)
+            + grid.cell_volume * float(np.sum(pot.envelope(lam, r, p)
+                                              + pot.alpha2 * r * (1.0 - r))))
+
+
 def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
              laws: Laws):
     """Implicit order-parameter stage.
@@ -249,7 +266,9 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
     conditions exactly (rho back in [0, 1] bit-exactly).  The line search
     halves the step until the residual's max norm falls by the Armijo
     factor, or, along a descent direction, the energy whose gradient is the
-    residual does (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 3).
+    residual does (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 3):
+    :func:`free_energy` per cell volume plus the stage's own terms
+    ``delta/(2 tau) (r - rho_prev)^2 - mu_delayed g(r)``.
 
     Each Newton direction solves J = diag(delta/tau + d) - L (k = 1) to a
     2-norm residual of ``0.1 NEWTON_TOL`` within 10 nodes + 100
@@ -277,14 +296,9 @@ def step_rho(prev: SimState, mu_del: ScalarField, cfg: SolverConfig,
                                   cfg, laws), p
 
     def energy(r, p):
-        # the functional whose gradient is the residual, p the resolvent at
-        # r: sum of delta/(2 tau) (r - rho_prev)^2 + e_lam(r) + f2(r)
-        # - mu_del g(r), less (1/2) r.(L r)
-        lap_r = div_faces(unit_faces, r)
-        return float(np.sum(0.5 * dt_coef * (r - rho_prev) ** 2
-                            + pot.envelope(lam, r, p)
-                            + pot.alpha2 * r * (1.0 - r) - mu_d * cpl.g(r))
-                     ) - 0.5 * _dot(r, lap_r)
+        # the functional whose gradient is the residual, p the resolvent at r
+        return free_energy(grid, laws, lam, r, p) / grid.cell_volume + float(
+            np.sum(0.5 * dt_coef * (r - rho_prev) ** 2 - mu_d * cpl.g(r)))
 
     r = rho_prev.copy()
     res, p = residual(r)
@@ -409,12 +423,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _flux_system(grid: Grid, diag: np.ndarray, k: np.ndarray, weights=None):
+def _flux_system(grid: Grid, diag: np.ndarray, k: np.ndarray, weights):
     """``(apply, precondition)`` of ``x -> diag x - div(k grad x)`` on node
     values shaped like the grid, by the rule the module docstring states.
-    ``weights`` is ``face_weights(grid, k)``, formed here unless the caller
-    holds it."""
-    weights = face_weights(grid, k) if weights is None else weights
+    ``weights`` is ``face_weights(grid, k)``, which each stage forms once."""
 
     def apply(x):
         return diag * x - div_faces(weights, x)

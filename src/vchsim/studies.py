@@ -292,11 +292,11 @@ def _ktau_vnorm(traj: Trajectory, laws: Laws) -> float:
     along a run."""
     grid, norms = traj.grid, []
     for state in traj.states:
-        kt = ScalarField(grid, K_tau_array(
-            laws.mobility, traj.cfg.mobility_floor_tau, state.mu.values))
-        norms.append(math.sqrt(integrate(grid, ScalarField(
-            grid, kt.values ** 2)) + dirichlet_energy(
-                grid, unit_face_weights(grid), kt)))
+        kt = K_tau_array(laws.mobility, traj.cfg.mobility_floor_tau,
+                         state.mu.values)
+        norms.append(math.sqrt(
+            integrate(grid, ScalarField(grid, kt ** 2))
+            + dirichlet_energy(grid, unit_face_weights(grid), kt)))
     return float(max(norms))
 
 

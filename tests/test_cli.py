@@ -972,27 +972,88 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "rep.csv")]) == 4
         assert "violation: positivity" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, clean", [
-        ("n = 8\nT = 1\nN = 1\npotential = log\ndelta = 1\nalpha2 = 1\n",
-         False),
-        ("n = 33\nT = 0.5\nN = 4\ndelta = 0.05\nalpha2 = 0\n", True),
-        ("dim = 2\nn = 8\nT = 1\nN = 4\npotential = log\ndelta = 0.1\n"
-         "alpha2 = 1\n", False)], ids=["r1", "r2", "r3"])
+    @pytest.mark.parametrize("config", [
+        "n = 8\nT = 1\nN = 1\npotential = log\ndelta = 1\nalpha2 = 1\n",
+        "n = 33\nT = 0.5\nN = 4\ndelta = 0.05\nalpha2 = 0\n",
+        "dim = 2\nn = 8\nT = 1\nN = 4\npotential = log\ndelta = 0.1\n"
+        "alpha2 = 1\n"], ids=["r1", "r2", "r3"])
     def test_line_search_follows_the_energy_to_the_root(self, tmp_path,
-                                                        config, clean):
+                                                        config):
         # rho-stage Newton steps whose residual max norm does not fall by
         # the Armijo factor, though the stage energy does: a search on the
-        # max norm alone halves 40 times and stalls far from the root.  The
-        # clamp run (r2) also diagnoses clean; the log runs reach rho
-        # outside [0, 1], as the Yosida-regularized stage admits, and
-        # diagnose still reports that as an escape
+        # max norm alone halves 40 times and stalls far from the root.  All
+        # three diagnose clean; the log runs (r1, r3) reach rho outside
+        # [0, 1], as the Yosida-regularized stage admits, where the
+        # stage's free energy is finite
         path = self._write(tmp_path, config + "mu0 = bump 0.5 0.2 1.0\n"
                            "rho0 = cosine 0.5 0.2\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
-        if clean:
-            assert main(["diagnose", "--traj", str(out),
-                         "--out", str(tmp_path / "rep.csv")]) == 0
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 0
+
+    def test_energy_creating_edit_exits_4(self, tmp_path, capsys):
+        # raising rho at every other node of one stored state of a log run
+        # adds gradient energy that no dissipation pays for: the energy
+        # inequality's defect turns positive at that step, and only there
+        path = self._write(tmp_path, "n = 32\nT = 0.25\nN = 8\n"
+                           "potential = log\n"
+                           "mu0 = bump 0.5 0.2 1.0\nrho0 = cosine 0.5 0.2\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        snap = out / "state_00004_rho.txt"
+        lines = snap.read_text().splitlines()
+        lines[1::2] = [repr(float(v) + 0.01) for v in lines[1::2]]
+        snap.write_text("\n".join(lines) + "\n")
+        write_manifest(out)
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 4
+        assert ("violation: energy inequality: rho_violation = "
+                in capsys.readouterr().err)
+        defect = [float(v) for v in
+                  _csv_columns(tmp_path / "rep.csv")["rho_violation"]]
+        assert defect[4] > 1e-2
+        assert max(defect[:4] + defect[5:]) <= 0.0
+
+    # a clamp run whose rho falls onto 0 in its first step, with delta/tau
+    # = 0.2 below 2 alpha2
+    CONTACT = ("n = 33\nT = 2\nN = 4\npotential = clamp\n"
+               "delta = 0.1\nalpha2 = 2\ncoupling = linear\n"
+               "mu0 = bump 0.5 0.2 10\n"
+               "rho0 = cosine 0.85 0.15\n")
+
+    def test_clamp_energy_defect_is_reported_only(self, tmp_path):
+        # a clamp run stores the projection of its Newton iterate, which
+        # leaves terms of order lambda of either sign in the energy
+        # inequality: this correct run reads a positive defect and
+        # diagnoses clean, its rho on 0 and in [0, 1] bit-exactly
+        path = self._write(tmp_path, self.CONTACT)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 0
+        defect = _csv_columns(tmp_path / "rep.csv")["rho_violation"]
+        assert max(float(v) for v in defect) > 1e-2
+        series = _csv_columns(out / "series.csv")
+        assert min(float(v) for v in series["min_rho"]) == 0.0
+
+    def test_clamp_rho_off_the_constraint_exits_4(self, tmp_path, capsys):
+        # a clamp state stores projections, so rho lies in [0, 1] exactly;
+        # one node 1e-13 below 0 is a violation
+        path = self._write(tmp_path, self.CONTACT)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        snap = out / "state_00002_rho.txt"
+        lines = snap.read_text().splitlines()
+        at_zero = [i for i, v in enumerate(lines[1:], 1) if float(v) == 0.0]
+        assert at_zero
+        lines[at_zero[0]] = repr(-1e-13)
+        snap.write_text("\n".join(lines) + "\n")
+        write_manifest(out)
+        assert main(["diagnose", "--traj", str(out),
+                     "--out", str(tmp_path / "rep.csv")]) == 4
+        assert ("violation: constraint: a clamp rho leaves [0, 1]"
+                in capsys.readouterr().err)
 
     def test_unbounded_potential_exits_4(self, tmp_path, capsys):
         # an infinite potential value makes that step's E_mu and diss

@@ -133,22 +133,19 @@ class TestYosida:
 
 class TestPotentials:
     def test_log_entropy_normalized_at_half(self):
-        pot = Potential(LogGraph(1.0), alpha2=0.0)
-        assert pot.value(0.5) == pytest.approx(0.0, abs=1e-15)
+        assert LogGraph(1.0).f1(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_log_f1_nonnegative(self):
         r = np.linspace(0.0, 1.0, 101)
         assert np.all(LogGraph(1.0).f1(r) >= -1e-15)
 
     def test_clamp_interior_is_smooth_part_only(self):
-        pot = Potential(ClampIndicator(), alpha2=2.0)
-        assert pot.value(0.3) == pytest.approx(2.0 * 0.3 * 0.7, rel=1e-14)
+        # the indicator vanishes inside [0, 1], so f = f1 + f2 is f2 there
+        assert ClampIndicator().f1(0.3) == 0.0
 
     def test_clamp_outside_is_infinite(self):
-        pot = Potential(ClampIndicator(), alpha2=2.0)
-        assert pot.value(1.5) == math.inf
-        pot_log = Potential(LogGraph(0.5), alpha2=2.0)
-        assert pot_log.value(-0.1) == math.inf
+        assert ClampIndicator().f1(1.5) == math.inf
+        assert LogGraph(0.5).f1(-0.1) == math.inf
 
 
     @pytest.mark.parametrize("graph", [ClampIndicator(), LogGraph(0.5)])

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sps
 
 from vchsim.config import Config, build_model, build_run
+from vchsim.cli import ENERGY_TOL
 from vchsim.diagnostics import (
     _bump_means,
     contraction_metric,
@@ -15,7 +16,13 @@ from vchsim.diagnostics import (
     step_entry,
 )
 from vchsim.constitutive import K_tau_array
-from vchsim.mesh import Grid, ScalarField, field_of
+from vchsim.mesh import (
+    Grid,
+    ScalarField,
+    dirichlet_energy,
+    field_of,
+    unit_face_weights,
+)
 from vchsim.stepper import LINEAR_TOL, NEWTON_TOL, run
 from oracles import laplacian_matrix
 
@@ -104,25 +111,29 @@ class TestRhoEnergyLedger:
             coupling="linear", mu0=("constant", 0.0),
             rho0=("bump", 0.5, 0.4, 0.4))
         led = ledger_columns(traj, laws)
-        scale = 1.0 + abs(led["F_rho"][0])
-        assert np.all(np.diff(led["F_rho"]) <= 1e-9 * scale)
-        assert np.all(led["rho_violation"] <= 1e-9 * scale)
+        bound = ENERGY_TOL * max(1.0, abs(led["F_rho"][0]))
+        assert np.all(np.diff(led["F_rho"]) <= bound)
+        # the unweighted defect: the full viscous dissipation is paid
+        assert np.all(led["F_rho"] + led["visc_cum"] - led["F_rho"][0]
+                      - led["work_cum"] <= bound)
 
     def test_one_sided_inequality_convex_smooth_part(self):
         # with alpha2 = 0 the smooth part is convex and the full inequality
-        # is a theorem of the scheme, coupling or not
+        # holds, coupling or not (on a clamp run an observed bound, not a
+        # theorem: the stored projection leaves terms of order lambda)
         traj, laws, _ = run_config(
             dim=1, n=32, T=0.5, N=32, potential="clamp", alpha2=0.0,
             coupling="linear", mu0=("bump", 0.5, 0.3, 1.0),
             rho0=("cosine", 0.5, 0.2))
         led = ledger_columns(traj, laws)
         assert np.all(led["rho_violation"]
-                      <= 1e-7 * (1.0 + abs(led["F_rho"][0])))
+                      <= ENERGY_TOL * max(1.0, abs(led["F_rho"][0])))
 
     def test_weighted_inequality_concave_smooth_part(self):
-        # general coupled run: the provable inequality carries the viscous
+        # general coupled run: the inequality carries the viscous
         # coefficient reduced by alpha2*tau/delta (backward-Euler expansion
-        # of the concave part); zero tolerance up to solver noise
+        # of the concave part); with delta/tau > 2 alpha2 this clamp run
+        # meets it up to solver noise
         traj, laws, cfg = run_config(
             dim=1, n=32, T=0.5, N=32, potential="clamp", alpha2=2.0,
             coupling="linear", mu0=("bump", 0.5, 0.3, 1.0),
@@ -131,16 +142,21 @@ class TestRhoEnergyLedger:
         factor = 1.0 - 2.0 * cfg.tau / cfg.delta
         weighted = (led["F_rho"] + factor * led["visc_cum"]
                     - led["F_rho"][0] - led["work_cum"])
-        assert np.all(weighted <= 1e-9 * (1.0 + abs(led["F_rho"][0])))
+        assert np.all(weighted <= ENERGY_TOL * max(1.0, abs(led["F_rho"][0])))
 
     def test_clamp_run_has_zero_indicator_integral(self):
-        # the indicator integrates to 0 or +inf, so a finite free energy
-        # at every step is a zero indicator integral
+        # every stored clamp state lies in [0, 1], where the resolvent is
+        # the identity and the Moreau envelope is the indicator, 0: the
+        # free energy is its Dirichlet and smooth parts alone, bit for bit
         traj, laws, _ = run_config(
             dim=1, n=24, T=0.5, N=16, potential="clamp", alpha2=2.0,
             mu0=("bump", 0.5, 0.3, 2.0), rho0=("cosine", 0.5, 0.4))
         led = ledger_columns(traj, laws)
-        assert np.all(np.isfinite(led["F_rho"]))
+        grid = traj.grid
+        assert list(led["F_rho"]) == [
+            0.5 * dirichlet_energy(grid, unit_face_weights(grid), r)
+            + grid.cell_volume * float(np.sum(2.0 * r * (1.0 - r)))
+            for r in (state.rho.values for state in traj.states)]
 
 
 class TestBoundedness:

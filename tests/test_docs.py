@@ -16,7 +16,7 @@ from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
-from vchsim import config, stepper, studies
+from vchsim import cli, config, stepper, studies
 from vchsim.diagnostics import REPORT_COLUMNS, SERIES_COLUMNS, ledger_columns
 from vchsim.mesh import Grid
 from vchsim.stepper import run
@@ -192,7 +192,8 @@ def test_quoted_solver_constants_are_the_steppers():
         "NEWTON_TOL", "LINEAR_TOL", "NEWTON_MAX_ITER", "DCT_CONTRAST_MAX"}
     assert [(name, value) for name, value in named
             if float(value) != getattr(stepper, name)] == []
-    assert len(derived) == 2
+    # the solver band; positivity, gated at 0, quotes no constant
+    assert len(derived) == 1
     assert [(expr, value) for expr, value in derived
             if float(f"{_evaluate(expr):.{_significant(value)}g}")
             != float(value)] == []
@@ -213,3 +214,12 @@ def test_quoted_oracle_constants_are_the_oracles():
         "_ODE_ERROR_TOL", "_ODE_MAX_HALVINGS"}
     assert [(name, value) for name, value in named
             if float(value) != getattr(studies, name)] == []
+
+
+def test_quoted_energy_tolerance_is_the_gates():
+    # `v` (`cli.NAME`) quotes the energy gate's tolerance, which must equal
+    # it exactly
+    named = [(name, value) for value, name in re.findall(
+        r"`([^`]+)`\s+\(`cli\.(\w+)`\)", DIAGNOSTICS_MD.read_text())]
+    assert named == [("ENERGY_TOL", "1e-9")]
+    assert float(named[0][1]) == cli.ENERGY_TOL

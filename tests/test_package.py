@@ -1,8 +1,9 @@
 """The package re-exports its library names lazily (PEP 562): importing
 ``vchsim`` loads no submodule, and a name loads its module on first use.
 It imports no scipy, its stepper reads node values flat only in its inner
-product, and only the retired-key table names the solver tolerances that
-were once config keys."""
+product, the rho stage's free energy has one definition, and only the
+retired-key table names the solver tolerances that were once config
+keys."""
 
 import ast
 import re
@@ -92,6 +93,25 @@ def test_the_stepper_reads_node_values_flat_only_in_its_inner_product():
              if isinstance(node.func, ast.Attribute)
              and node.func.attr in ("ravel", "reshape", "flatten")]
     assert sites == [("_dot", "ravel"), ("_dot", "ravel")]
+
+
+def test_the_free_energy_has_one_definition():
+    # the line search and the ledger both read stepper.free_energy, the one
+    # caller of the Moreau envelope; the unregularized f1 + f2, infinite
+    # outside [0, 1], is gone
+    sites = []
+    for path in sorted((SRC / "vchsim").glob("*.py")):
+        sites += [(path.stem, function) for function, node
+                  in _enclosed(ast.parse(path.read_text()), ast.Call)
+                  if isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "envelope"]
+    assert sites == [("stepper", "free_energy")]
+    tree = ast.parse((SRC / "vchsim" / "constitutive.py").read_text())
+    potential = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "Potential")
+    assert "value" not in {node.name for node in potential.body
+                           if isinstance(node, ast.FunctionDef)}
 
 
 def test_only_the_retired_key_table_names_the_old_tolerance_keys():

@@ -316,7 +316,7 @@ class TestFluxSystem:
     def test_apply_is_the_flux_divergence(self, dim, n):
         grid = Grid(dim, n, 1.0)
         diag, k, x = self._system(grid, 7.0)
-        apply, _ = stepper._flux_system(grid, diag, k)
+        apply, _ = stepper._flux_system(grid, diag, k, face_weights(grid, k))
         expected = diag * x - div_faces(face_weights(grid, k), x)
         assert np.array_equal(apply(x), expected)
 
@@ -324,20 +324,23 @@ class TestFluxSystem:
         grid = Grid(2, 12, 1.0)
         bound = stepper.DCT_CONTRAST_MAX
         diag, k, r = self._system(grid, bound)
-        _, precondition = stepper._flux_system(grid, diag, k)
+        _, precondition = stepper._flux_system(
+            grid, diag, k, face_weights(grid, k))
         dct = shifted_laplacian_solve(grid, float(np.abs(diag).mean()),
                                       float(k.mean()), r)
         assert np.array_equal(precondition(r), dct)
 
         k.flat[-1] = np.nextafter(bound, np.inf)
-        _, precondition = stepper._flux_system(grid, diag, k)
+        _, precondition = stepper._flux_system(
+            grid, diag, k, face_weights(grid, k))
         jacobi = diag + div_faces_diagonal(face_weights(grid, k), grid.shape)
         assert np.array_equal(precondition(r), r / jacobi)
 
     def test_pcg_from_zero_solves_the_warm_started_system(self):
         grid = Grid(2, 8, 1.0)
         diag, k, b = self._system(grid, 4.0)
-        apply, precondition = stepper._flux_system(grid, diag, k)
+        apply, precondition = stepper._flux_system(
+            grid, diag, k, face_weights(grid, k))
         x0 = np.random.default_rng(12).uniform(0.0, 2.0, grid.shape)
         tol = 1e-10 * np.linalg.norm(b)
         change, iters, rnorm = stepper._pcg(apply, b - apply(x0),
